@@ -41,8 +41,6 @@ def _config_for(table, args) -> ChiselConfig:
     return ChiselConfig(
         width=table.width, stride=args.stride, seed=args.seed,
         index_backend=getattr(args, "backend", "bloomier"),
-        datapath=getattr(args, "datapath", "flat"),
-        use_jit=getattr(args, "jit", False),
     )
 
 
@@ -287,14 +285,15 @@ def cmd_shard_bench(args) -> int:
 
 
 def cmd_flat_bench(args) -> int:
-    """Flat-vs-legacy datapath bench plus the zero-divergence gate.
+    """Flat datapath vs the scalar oracle: throughput + zero divergence.
 
-    Measures best-of-N single-worker batch throughput for the legacy
-    pipeline, the flat numpy pipeline, and (when requested) the JIT
-    kernel, on the same engine and key batch.  The speedup ratios are
-    machine-independent, which is what lets ``benchmarks/regress.py``
-    gate them unconditionally (the ROADMAP's single-vCPU CI note).
-    Exits non-zero on any flat-vs-legacy or flat-vs-scalar divergence.
+    Times ``BatchLookup`` (the flat datapath) and ``ChiselLPM.lookup``
+    (the scalar Fig. 6 datapath) on the same engine and key batch, in
+    the same interleaved best-of-N rounds: a transient host slowdown
+    then degrades both variants' rounds alike and the *ratio* stays
+    stable, which is what lets ``benchmarks/regress.py`` gate it as a
+    machine-independent floor (the ROADMAP's single-vCPU CI note).
+    Exits non-zero on any flat-vs-scalar divergence over the batch.
     """
     import time
 
@@ -302,13 +301,7 @@ def cmd_flat_bench(args) -> int:
 
     from .analysis.report import format_metrics, save_report
     from .core.batch import BatchLookup
-    from .core.flatpath import jit_available
 
-    # The smoke shape (small table, small batch, extra rounds) is
-    # chosen for *ratio margin* on a noisy single-vCPU runner: small
-    # batches are where the flat pipeline's advantage is largest
-    # (see benchmarks/bench_flat_datapath.py), so host jitter has
-    # ~0.4 of headroom before the regress floor at 2.0 would trip.
     size = 2_000 if args.smoke else args.size
     batch_size = 2_000 if args.smoke else args.batch_size
     repeats = 7 if args.smoke else args.repeats
@@ -316,48 +309,31 @@ def cmd_flat_bench(args) -> int:
     table = synthetic_table(size, seed=args.seed)
     engine = ChiselLPM.build(table, _config_for(table, args))
     rng = random.Random(args.seed)
-    keys = np.array(
-        [rng.getrandbits(table.width) for _ in range(batch_size)],
-        dtype=np.uint64,
-    )
+    key_list = [rng.getrandbits(table.width) for _ in range(batch_size)]
+    keys = np.array(key_list, dtype=np.uint64)
+    flat = BatchLookup(engine)
 
-    variants = {
-        "legacy": BatchLookup(engine, datapath="legacy"),
-        "flat": BatchLookup(engine, datapath="flat", use_jit=False),
-    }
-    jit_present = jit_available()
-    if args.jit:
-        # With numba absent this exercises the graceful fallback: the
-        # use_jit plan must still answer (through the numpy pipeline).
-        variants["jit"] = BatchLookup(engine, datapath="flat", use_jit=True)
+    def run_flat():
+        return flat.lookup_batch(keys)
 
-    # The zero-divergence gate: every variant must answer the whole
-    # batch identically, and a sample must match the scalar oracle.
-    reference = variants["legacy"].lookup_batch(keys)
-    divergences = 0
-    for name, lookup in variants.items():
-        if name != "legacy":
-            divergences += int((lookup.lookup_batch(keys)
-                                != reference).sum())
-    sample = min(500, batch_size)
-    for position in range(sample):
-        answer = engine.lookup(int(keys[position]))
-        expected = -1 if answer is None else answer
-        if int(reference[position]) != expected:
-            divergences += 1
+    def run_scalar():
+        return [engine.lookup(key) for key in key_list]
 
-    # Interleave the timing rounds (legacy/flat/jit, legacy/flat/jit,
-    # ...) instead of timing each variant in its own phase: on a busy
-    # single-vCPU runner a transient slowdown then degrades every
-    # variant's round equally and the best-of-N *ratio* stays stable,
-    # which is what the regress floor gates.
+    # The zero-divergence gate: the whole batch, scalar None == flat -1.
+    expected = np.array([-1 if hop is None else hop for hop in run_scalar()],
+                        dtype=np.int64)
+    divergences = int((run_flat() != expected).sum())
+
+    variants = {"flat": run_flat, "scalar": run_scalar}
     rates = {name: 0.0 for name in variants}
-    for lookup in variants.values():
-        lookup.lookup_batch(keys)  # warm caches and scratch buffers
     for _ in range(repeats):
-        for name, lookup in variants.items():
+        for name, run in variants.items():
+            # Untimed warm pass first: the other variant's pass just
+            # evicted this one's tables (a cold flat pass after the
+            # scalar one measured ~20% slower than steady state).
+            run()
             started = time.perf_counter()
-            lookup.lookup_batch(keys)
+            run()
             elapsed = time.perf_counter() - started
             rates[name] = max(rates[name], batch_size / elapsed)
 
@@ -367,17 +343,10 @@ def cmd_flat_bench(args) -> int:
         "repeats": repeats,
         "backend": args.backend,
         "divergences": divergences,
-        "jit_requested": bool(args.jit),
-        "jit_available": jit_present,
-        "legacy_klookups_per_sec": round(rates["legacy"] / 1000, 1),
+        "scalar_klookups_per_sec": round(rates["scalar"] / 1000, 1),
         "flat_klookups_per_sec": round(rates["flat"] / 1000, 1),
-        "flat_vs_legacy": round(rates["flat"] / rates["legacy"], 3),
+        "flat_vs_scalar": round(rates["flat"] / rates["scalar"], 3),
     }
-    if args.jit and jit_present:
-        # Omitted entirely when numba is absent so the regress gate's
-        # jit_vs_legacy floor skips as "not measured" instead of lying.
-        payload["jit_klookups_per_sec"] = round(rates["jit"] / 1000, 1)
-        payload["jit_vs_legacy"] = round(rates["jit"] / rates["legacy"], 3)
     rendered = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
         print(rendered)
@@ -387,8 +356,8 @@ def cmd_flat_bench(args) -> int:
         ))
     save_report("flat_bench.json", rendered)
     if divergences:
-        print(f"FAIL: {divergences} divergence(s) between datapaths — "
-              f"the flat pipeline must be bit-exact")
+        print(f"FAIL: {divergences} divergence(s) from the scalar "
+              f"datapath — the flat pipeline must be bit-exact")
         return 1
     return 0
 
@@ -766,13 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=["bloomier", "fuse"],
                        default="bloomier",
                        help="Index Table construction (docs/BACKENDS.md)")
-        p.add_argument("--datapath", choices=["flat", "legacy"],
-                       default="flat",
-                       help="batch-lookup pipeline (docs/DATAPATH.md)")
-        p.add_argument("--jit", action="store_true",
-                       help="compile batch lookups with numba when "
-                            "available; silently falls back to the "
-                            "numpy pipeline when it is not")
 
     p = sub.add_parser("generate-table", help="synthesize a BGP-like table")
     p.add_argument("--size", type=int, default=50_000)
@@ -894,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "flat-bench",
-        help="flat-vs-legacy datapath throughput + zero-divergence gate "
+        help="flat-vs-scalar datapath throughput + zero-divergence gate "
              "(docs/DATAPATH.md)",
     )
     p.add_argument("--size", type=int, default=20_000,
@@ -902,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=20_000,
                    help="keys per measured batch")
     p.add_argument("--repeats", type=int, default=5,
-                   help="best-of-N timing passes per datapath")
+                   help="best-of-N timing rounds (flat and scalar each)")
     p.add_argument("--smoke", action="store_true",
                    help="small fast run with the divergence gate (CI)")
     p.add_argument("--json", action="store_true",

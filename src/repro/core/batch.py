@@ -4,9 +4,10 @@ The scalar ``ChiselLPM.lookup`` models the hardware datapath one key at a
 time; offline consumers (trace analysis, simulation sweeps, test oracles)
 want millions of lookups, and every step of the datapath — tabulation
 hashing, the XOR decode, the filter compare, the bit-vector rank — is a
-pure array operation.  ``BatchLookup`` compiles a built engine's tables
-into numpy arrays once and then answers whole key batches at a time,
-typically one to two orders of magnitude faster per key.
+pure array operation.  ``BatchLookup`` compiles each sub-cell of a built
+engine into one flat plan (``core.flatpath``) once and then answers whole
+key batches at a time, typically one to two orders of magnitude faster
+per key.
 
 Restrictions: key widths up to 64 bits (IPv4 comfortably; not IPv6 —
 numpy has no 128-bit integers) and a snapshot semantics: rebuild the
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..prefix.table import NextHop
 from .chisel import ChiselLPM
-from .flatpath import FlatSubCellPlan, GroupFusionError
+from .flatpath import FlatSubCellPlan
 
 _MISS = np.int64(-1)
 
@@ -83,234 +84,23 @@ def normalize_keys(keys) -> np.ndarray:
     return normalized
 
 
-def _popcount64(values: np.ndarray) -> np.ndarray:
-    """Parallel-bit popcount over uint64 (SWAR; numpy lacks a builtin)."""
-    v = values.copy()
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + (
-        (v >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    # The SWAR multiply wraps mod 2**64 on purpose: the per-byte
-    # counts it folds into the top byte never carry past it.
-    return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)  # chisel: noqa[ANZ302]
-
-
-class _HashPlan:
-    """One tabulation hash vectorized: per-byte XOR tables as arrays."""
-
-    def __init__(self, hash_fn, num_bytes: int):
-        self.tables = [
-            np.array(table, dtype=np.uint64)
-            for table in hash_fn.byte_tables[:num_bytes]
-        ]
-
-    def apply(self, keys: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(keys)
-        for position, table in enumerate(self.tables):
-            acc ^= table[(keys >> np.uint64(8 * position)) & np.uint64(0xFF)]
-        return acc
-
-
-class _GroupPlan:
-    """One Bloomier group: D words + its k segmented hashes."""
-
-    kind = "bloomier"
-
-    def __init__(self, group):
-        self.table = np.array(group.table, dtype=np.uint64)
-        hash_group = group.hash_group
-        self.segment_size = np.uint64(hash_group.segment_size)
-        num_bytes = (hash_group.key_bits + 7) // 8
-        self.hashes = [
-            _HashPlan(hash_fn, num_bytes) for hash_fn in hash_group.hashes
-        ]
-
-    def decode(self, keys: np.ndarray) -> np.ndarray:
-        """XOR of D over each key's neighborhood -> encoded pointers."""
-        pointers = np.zeros_like(keys)
-        for index, plan in enumerate(self.hashes):
-            # index * segment_size stays far below 2**64 (tables are
-            # megabytes, not exabytes); the dtype-pass bound cannot
-            # see the capacity invariant.
-            slots = (plan.apply(keys) % self.segment_size
-                     + np.uint64(index) * self.segment_size)  # chisel: noqa[ANZ302]
-            pointers ^= self.table[slots]
-        return pointers
-
-
-class _FuseGroupPlan:
-    """One binary-fuse group: D words, a start hash, k offset hashes.
-
-    Mirrors ``FuseIndexBackend.neighborhood``: slot i lives at
-    ``(start + i) * segment_length + offset_i`` where ``start`` is the
-    key's start segment and the offset hashes already emit exactly
-    log2(segment_length) bits (no modulo on the offsets).
-    """
-
-    kind = "fuse"
-
-    def __init__(self, group):
-        self.table = np.array(group.table, dtype=np.uint64)
-        self.segment_length = np.uint64(group.segment_length)
-        self.start_range = np.uint64(group.start_range)
-        num_bytes = (group.key_bits + 7) // 8
-        self.start_hash = _HashPlan(group.start_hash, num_bytes)
-        self.hashes = [
-            _HashPlan(hash_fn, num_bytes) for hash_fn in group.offset_hashes
-        ]
-
-    def decode(self, keys: np.ndarray) -> np.ndarray:
-        """XOR of D over each key's coupled neighborhood -> pointers."""
-        start = self.start_hash.apply(keys) % self.start_range
-        pointers = np.zeros_like(keys)
-        for index, plan in enumerate(self.hashes):
-            # (start + i) * segment_length < num_slots << 2**64 — same
-            # megabytes-not-exabytes bound as the Bloomier plan above.
-            slots = ((start + np.uint64(index)) * self.segment_length  # chisel: noqa[ANZ302]
-                     + plan.apply(keys))
-            pointers ^= self.table[slots]
-        return pointers
-
-
-def _compile_group(group):
-    """The vectorized plan matching a group's backend kind."""
-    if getattr(group, "kind", "bloomier") == "fuse":
-        return _FuseGroupPlan(group)
-    return _GroupPlan(group)
-
-
-class _SubCellPlan:
-    """All arrays for one sub-cell's datapath."""
-
-    def __init__(self, subcell, width: int):
-        self.base = subcell.base
-        self.span = subcell.span
-        self.width = width
-        self.capacity = subcell.capacity
-        index = subcell.index
-        self.partitions = np.uint64(index.partitions)
-        key_bytes = (max(1, self.base) + 7) // 8
-        self.checksum = _HashPlan(index.checksum_hash, key_bytes)
-        self.groups = [_compile_group(group) for group in index.groups]
-        self.filter_values = np.array(
-            [np.uint64(v) if v is not None else np.uint64(0)
-             for v in subcell.filter_table], dtype=np.uint64,
-        )
-        self.filter_valid = np.array(
-            [v is not None and not d
-             for v, d in zip(subcell.filter_table, subcell.dirty_table)],
-            dtype=bool,
-        )
-        self.bit_vectors = np.array(subcell.bv_table, dtype=np.uint64)
-        self.region_ptr = np.array(subcell.region_ptr, dtype=np.int64)
-        arena = subcell.result.arena
-        self.arena_size = len(arena)
-        # Keep one placeholder entry so gathers stay legal on an empty
-        # arena; ``arena_size`` (not the array length) bounds validity.
-        self.arena = np.array(arena if arena else [0], dtype=np.int64)
-        spill_items = sorted(subcell.index.spillover)
-        self.spill_keys = np.array(
-            [key for key, _value in spill_items], dtype=np.uint64
-        )
-        self.spill_values = np.array(
-            [value for _key, value in spill_items], dtype=np.uint64
-        )
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        collapsed = keys >> np.uint64(self.width - self.base) \
-            if self.base < self.width else keys
-        if self.base == 0:
-            collapsed = np.zeros_like(keys)
-        # Route each key to its partition group, decode pointers.
-        group_of = self.checksum.apply(collapsed) % self.partitions
-        pointers = np.zeros_like(keys)
-        for group_index, group in enumerate(self.groups):
-            mask = group_of == np.uint64(group_index)
-            if mask.any():
-                pointers[mask] = group.decode(collapsed[mask])
-        # Spillover overrides (exact-match TCAM): the TCAM answer
-        # replaces the decoded pointer and then flows through the same
-        # Filter/bit-vector/addressable checks below — exactly the
-        # scalar path's semantics, where ``index.lookup`` returns the
-        # spilled pointer and ``SubCell.lookup`` validates it like any
-        # other (tests/test_batch_differential.py::TestSpillover pins
-        # the dirty- and out-of-range-pointer cases).  Vectorized as a
-        # binary search against the precompiled sorted key array.
-        if len(self.spill_keys):
-            slot = np.searchsorted(self.spill_keys, collapsed)
-            slot = np.minimum(slot, len(self.spill_keys) - 1)
-            spilled = self.spill_keys[slot] == collapsed
-            pointers = np.where(spilled, self.spill_values[slot], pointers)
-        # Filter-table check (bounds + key compare + dirty).
-        in_range = pointers < np.uint64(self.capacity)
-        safe = np.where(in_range, pointers, 0).astype(np.int64)
-        valid = in_range & self.filter_valid[safe] & (
-            self.filter_values[safe] == collapsed
-        )
-        # Bit-vector rank into the region.
-        shift = self.width - self.base - self.span
-        expansion = (keys >> np.uint64(shift)) & np.uint64(
-            (1 << self.span) - 1
-        ) if self.span else np.zeros_like(keys)
-        vectors = self.bit_vectors[safe]
-        bit_set = ((vectors >> expansion) & np.uint64(1)).astype(bool)
-        # Inclusive mask of bits [0, expansion].  At span == 6 the naive
-        # ``(1 << (expansion + 1)) - 1`` shifts a uint64 by 64 (numpy wraps
-        # the shift count), so build it as an overflow-safe right shift.
-        below = vectors & (
-            np.uint64(0xFFFFFFFFFFFFFFFF) >> (np.uint64(63) - expansion)
-        )
-        rank = _popcount64(below).astype(np.int64)
-        address = self.region_ptr[safe] + rank - 1
-        # Out-of-range Result-Table addresses are misses, never a silent
-        # clamp onto arena[0] (which would fabricate next hop 0).
-        addressable = (address >= 0) & (address < self.arena_size)
-        hits = valid & bit_set & addressable
-        return np.where(hits, self.arena[np.where(addressable, address, 0)],
-                        _MISS)
-
-
 class BatchLookup:
     """Compiled, read-only batch-lookup view of a built engine.
 
-    ``datapath`` selects the compilation target: "flat" (the default,
-    fused per-bucket records + one-pass decode — ``core.flatpath``) or
-    "legacy" (the per-table reference pipeline above).  Both are
-    bit-exact; the flat path is what serving uses, the legacy path is
-    the differential oracle.  Arguments override ``engine.config``.
+    One ``FlatSubCellPlan`` per sub-cell, probed longest base first; the
+    scalar ``ChiselLPM.lookup`` is the reference every answer matches.
     """
 
-    def __init__(self, engine: ChiselLPM,
-                 datapath: Optional[str] = None,
-                 use_jit: Optional[bool] = None):
+    def __init__(self, engine: ChiselLPM):
         if engine.config.width > 64:
             raise ValueError("batch lookups support key widths up to 64 bits")
         self.engine = engine
         self.width = engine.config.width
-        # getattr: configs pickled before the datapath knob existed
-        # deserialize without the fields.
-        if datapath is None:
-            datapath = getattr(engine.config, "datapath", "flat")
-        if use_jit is None:
-            use_jit = bool(getattr(engine.config, "use_jit", False))
-        self.datapath = datapath
-        self.use_jit = use_jit
         self._words_at_build = engine.words_written()
-        plans = [
-            _SubCellPlan(subcell, self.width) for subcell in engine.subcells
+        self._plans: List[FlatSubCellPlan] = [
+            FlatSubCellPlan.compile(subcell, self.width)
+            for subcell in engine.subcells
         ]  # engine.subcells is already longest-base-first
-        if datapath == "flat":
-            plans = [self._flatten(plan) for plan in plans]
-        self._plans = plans
-
-    def _flatten(self, plan: _SubCellPlan):
-        try:
-            return FlatSubCellPlan.compile(plan, use_jit=self.use_jit)
-        except GroupFusionError:
-            # Heterogeneous partition groups cannot share one fused
-            # layout; that sub-cell keeps the reference pipeline.
-            return plan
 
     @property
     def stale(self) -> bool:

@@ -35,14 +35,10 @@ class ChiselConfig:
                          3-segment filter, §3.1) or "fuse" (spatially
                          coupled binary-fuse segments — same lookup
                          datapath, fewer slots; docs/BACKENDS.md).
-    ``datapath``         batch-lookup compilation target: "flat" (fused
-                         64-byte per-bucket records + one-pass decode,
-                         docs/DATAPATH.md) or "legacy" (the per-table
-                         reference pipeline).  Scalar lookups ignore it.
-    ``use_jit``          compile batch lookups to the per-key JIT kernel
-                         when numba is importable; silently falls back
-                         to the numpy pipeline when it is not (the
-                         dependency stays optional).  Flat datapath only.
+
+    Configs pickled with the two since-removed batch-datapath selector
+    fields still load: the stale values ride along as plain instance
+    attributes that no field, comparison or hash reads.
     """
 
     width: int = IPV4_WIDTH
@@ -58,15 +54,8 @@ class ChiselConfig:
     seed: int = 0x5EED
     max_rehash: int = 8
     index_backend: str = "bloomier"
-    datapath: str = "flat"
-    use_jit: bool = False
 
     def __post_init__(self) -> None:
-        if self.datapath not in ("flat", "legacy"):
-            raise ValueError(f"unknown datapath {self.datapath!r}; "
-                             f"known: ('flat', 'legacy')")
-        if self.use_jit and self.datapath != "flat":
-            raise ValueError("use_jit requires the flat datapath")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
         if self.coverage not in ("greedy", "full", "optimal"):

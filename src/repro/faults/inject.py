@@ -68,7 +68,7 @@ def locate_record_word(kind: str, pointer: int) -> Tuple[int, int]:
     bucket pointer); in the flat datapath those four tables are lanes of
     one ``(capacity, 8)`` record array, and this is the mapping.  Kinds
     that are not part of a record (index, result, spillover) raise
-    ``ValueError`` — they keep their own arrays in both layouts.
+    ``ValueError`` — they keep their own arrays.
     """
     if kind not in FLAT_RECORD_KINDS:
         raise ValueError(

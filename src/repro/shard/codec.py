@@ -17,10 +17,13 @@ The header carries the generation number, every table's name, dtype,
 shape and payload offset, and a block checksum over per-table digests
 computed with :func:`repro.faults.block_checksums` — the same SECDED-style
 machinery the scrub engine uses, here detecting a torn or corrupted
-*publish* instead of a soft error.  ``attach`` verifies the checksum and
-rebuilds zero-copy read-only ``np.ndarray`` views over the segment, so N
-worker processes share one physical copy of the tables (the software
-analogue of §4.3.2's parallel sub-cell lookups reading one memory).
+*publish* instead of a soft error — followed by a 64-bit digest of the
+header itself (everything but the checksums), so a flipped sub-cell
+base, table offset or sequence number is refused like a flipped table
+word.  ``attach`` verifies both and rebuilds zero-copy read-only
+``np.ndarray`` views over the segment, so N worker processes share one
+physical copy of the tables (the software analogue of §4.3.2's parallel
+sub-cell lookups reading one memory).
 
 Segments are **immutable after export**: a new generation is a new
 segment, never an in-place rewrite — that is what makes the generation
@@ -36,6 +39,7 @@ readable buffer, so the same format backs both shared-memory segments
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -43,13 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.batch import (
-    BatchLookup,
-    _FuseGroupPlan,
-    _GroupPlan,
-    _HashPlan,
-    _SubCellPlan,
-)
+from ..core.batch import BatchLookup
 from ..core.flatpath import FlatSubCellPlan, _FusedIndex
 from ..faults.checksum import block_checksums
 
@@ -102,6 +100,21 @@ def table_digest(array: np.ndarray) -> int:
     return (int(accumulator) ^ tail ^ array.nbytes) & 0xFFFFFFFFFFFFFFFF
 
 
+def header_digest(header: Dict[str, object]) -> int:
+    """A 64-bit digest of the canonical header, ``checksums`` excluded.
+
+    Stored as the last ``checksums`` entry in full: the per-block
+    syndrome fold keeps only a few bits of each word, too few for a
+    header where any single flipped digit (a sub-cell base, a table
+    offset) would otherwise serve wrong answers.
+    """
+    canonical = json.dumps(
+        {key: value for key, value in header.items() if key != "checksums"},
+        sort_keys=True, separators=(",", ":"))
+    digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=8)
+    return int.from_bytes(digest.digest(), "little")
+
+
 def _flatten(lookup: BatchLookup,
              overlay: _OverlayArrays) -> Tuple[List[Tuple[str, np.ndarray]],
                                                Dict[str, object]]:
@@ -113,79 +126,25 @@ def _flatten(lookup: BatchLookup,
         "overlay_lengths": [],
     }
     for cell_index, plan in enumerate(lookup._plans):
-        prefix = f"s{cell_index}"
-        if getattr(plan, "kind", None) == "flat":
-            # Additive v1 extension: "layout": "flat" plus the fused
-            # table kinds below.  Readers that predate the flat datapath
-            # never see it (they only attach segments they exported),
-            # and this exporter still writes the original layout for
-            # legacy-datapath plans, so old segments attach unchanged.
-            meta["subcells"].append(_flatten_flat_cell(prefix, plan, tables))
-            continue
-        cell_meta = {
-            "base": plan.base,
-            "span": plan.span,
-            "capacity": plan.capacity,
-            "partitions": int(plan.partitions),
-            "arena_size": plan.arena_size,
-            "checksum_tables": len(plan.checksum.tables),
-            "groups": [],
-        }
-        for byte_index, byte_table in enumerate(plan.checksum.tables):
-            tables.append((f"{prefix}/ck{byte_index}", byte_table))
-        for group_index, group in enumerate(plan.groups):
-            # "kind" is additive to the v1 header: absent means the
-            # original Bloomier layout, so old segments still attach.
-            group_meta: Dict[str, object] = {
-                "hash_bytes": [len(hash_plan.tables)
-                               for hash_plan in group.hashes],
-            }
-            if group.kind == "fuse":
-                group_meta["kind"] = "fuse"
-                group_meta["segment_length"] = int(group.segment_length)
-                group_meta["start_range"] = int(group.start_range)
-                group_meta["start_hash_bytes"] = len(group.start_hash.tables)
-                for byte_index, byte_table in enumerate(
-                        group.start_hash.tables):
-                    tables.append((
-                        f"{prefix}/g{group_index}/sh{byte_index}", byte_table,
-                    ))
-            else:
-                group_meta["segment_size"] = int(group.segment_size)
-            tables.append((f"{prefix}/g{group_index}/table", group.table))
-            for hash_index, hash_plan in enumerate(group.hashes):
-                for byte_index, byte_table in enumerate(hash_plan.tables):
-                    tables.append((
-                        f"{prefix}/g{group_index}/h{hash_index}/b{byte_index}",
-                        byte_table,
-                    ))
-            cell_meta["groups"].append(group_meta)
-        tables.append((f"{prefix}/filter_values", plan.filter_values))
-        tables.append((f"{prefix}/filter_valid", plan.filter_valid))
-        tables.append((f"{prefix}/bit_vectors", plan.bit_vectors))
-        tables.append((f"{prefix}/region_ptr", plan.region_ptr))
-        tables.append((f"{prefix}/arena", plan.arena))
-        tables.append((f"{prefix}/spill_keys", plan.spill_keys))
-        tables.append((f"{prefix}/spill_values", plan.spill_values))
-        meta["subcells"].append(cell_meta)
+        meta["subcells"].append(
+            _flatten_cell(f"s{cell_index}", plan, tables))
     for overlay_index, (length, values) in enumerate(overlay):
         meta["overlay_lengths"].append(length)
         tables.append((f"ov{overlay_index}", values))
     return tables, meta
 
 
-def _flatten_flat_cell(prefix: str, plan: FlatSubCellPlan,
-                       tables: List[Tuple[str, np.ndarray]],
-                       ) -> Dict[str, object]:
-    """Emit one flat-datapath sub-cell's tables and metadata.
+def _flatten_cell(prefix: str, plan: FlatSubCellPlan,
+                  tables: List[Tuple[str, np.ndarray]]) -> Dict[str, object]:
+    """Emit one sub-cell's tables and metadata.
 
-    The fused layout serializes as seven arrays (five for Bloomier):
-    the stacked checksum byte-tables, the combined per-group hash
-    tables, the concatenated Index-Table words with per-group offsets
-    and segment sizes, and the fused 64-byte bucket records — plus the
-    arena and spillover arrays shared with the legacy layout.  Payload
-    alignment (``_ALIGN`` = 64) keeps record rows cache-line aligned in
-    the attached mapping too.
+    The fused layout serializes as eight arrays (seven for Bloomier):
+    the stacked checksum byte-tables, the combined per-group hash tables
+    (plus the fuse start-hash tables), the concatenated Index-Table
+    words, the fused 64-byte bucket records, the arena and the
+    spillover arrays; the one group geometry rides in the metadata.
+    Payload alignment (``_ALIGN`` = 64) keeps record rows cache-line
+    aligned in the attached mapping too.
     """
     fused = plan.fused
     cell_meta: Dict[str, object] = {
@@ -199,19 +158,18 @@ def _flatten_flat_cell(prefix: str, plan: FlatSubCellPlan,
         "num_hashes": fused.num_hashes,
         "num_bytes": fused.num_bytes,
         "num_groups": fused.num_groups,
+        "segment": int(fused.segment),
     }
     tables.append((f"{prefix}/checksum", plan.checksum))
     tables.append((f"{prefix}/fused/hash_tables", fused.hash_tables))
     tables.append((f"{prefix}/fused/table", fused.table))
-    tables.append((f"{prefix}/fused/offsets", fused.offsets))
-    tables.append((f"{prefix}/fused/segments", fused.segments))
     if fused.kind == "fuse":
-        if fused.start_tables is None or fused.start_ranges is None:
+        if fused.start_tables is None or fused.start_range is None:
             raise ValueError(
-                f"{prefix}: fuse-kind fused index missing start tables"
+                f"{prefix}: fuse-kind fused index missing its start hash"
             )
+        cell_meta["start_range"] = int(fused.start_range)
         tables.append((f"{prefix}/fused/start_tables", fused.start_tables))
-        tables.append((f"{prefix}/fused/start_ranges", fused.start_ranges))
     tables.append((f"{prefix}/records", plan.records))
     tables.append((f"{prefix}/arena", plan.arena))
     tables.append((f"{prefix}/spill_keys", plan.spill_keys))
@@ -228,19 +186,15 @@ class SharedBatchLookup(BatchLookup):
     signalled by the generation fence instead.
     """
 
-    def __init__(self, width: int, plans: List[object],
+    def __init__(self, width: int, plans: List[FlatSubCellPlan],
                  generation: int) -> None:
         # No live engine behind a frozen segment; staleness is fenced
         # by generation instead (see ``stale``).
         self.engine = None  # type: ignore[assignment]
         self.width = width
         self._words_at_build = 0
-        self._plans = plans  # type: ignore[assignment]
+        self._plans = plans
         self.generation = generation
-        # Mirrors the attributes BatchLookup.__init__ sets; the layout
-        # each plan uses was fixed at export time.
-        self.datapath = "mixed"
-        self.use_jit = False
 
     @property
     def stale(self) -> bool:
@@ -301,10 +255,11 @@ def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
         "tables": entries,
         "blobs": sorted(blobs or {}),
         "checksum_block": _CHECKSUM_BLOCK,
-        "checksums": block_checksums(digests, _CHECKSUM_BLOCK),
     }
     if extra:
         header["extra"] = extra
+    header["checksums"] = (block_checksums(digests, _CHECKSUM_BLOCK)
+                           + [header_digest(header)])
     rendered = json.dumps(header, separators=(",", ":")).encode("utf-8")
     payload_start = _aligned(8 + len(rendered))
     total = max(payload_start + offset, payload_start + 1)
@@ -386,14 +341,24 @@ class SnapshotImage:
     # -- validation ----------------------------------------------------------
 
     def verify(self) -> None:
-        """Recompute the block checksums; raise on any disagreement.
+        """Recompute the header digest and block checksums; raise on any
+        disagreement.
 
-        Any structural nonsense in the header metadata — an unparseable
-        dtype string, an impossible shape, an offset past the buffer —
-        is damage too (a bit flip can land in the JSON header as easily
-        as in a payload word), so it surfaces as the same
-        ``SnapshotIntegrityError``, never a raw TypeError/ValueError.
+        The header digest goes first: once it matches, the metadata the
+        table views are rebuilt from is the metadata that was written.
+        Any structural nonsense left — an unparseable dtype string, an
+        impossible shape, an offset past the buffer — is damage too, so
+        it surfaces as the same ``SnapshotIntegrityError``, never a raw
+        TypeError/ValueError.  Images written before the header digest
+        existed fail here too (their checksum list is one entry short).
         """
+        stored = self._header.get("checksums")
+        if not isinstance(stored, list) or not stored or \
+                stored[-1] != header_digest(self._header):
+            raise SnapshotIntegrityError(
+                f"{self._context}: header digest mismatch — corrupted "
+                f"header or an image written before header digests"
+            )
         try:
             tables = self._header["tables"]
             last = tables[-1] if tables else None  # type: ignore[index]
@@ -417,9 +382,9 @@ class SnapshotImage:
                 f"{self._context}: malformed table metadata "
                 f"({error}) — corrupted header"
             ) from error
-        stored = self._header["checksums"]
         current = block_checksums(
             digests, self._header["checksum_block"])  # type: ignore[arg-type]
+        stored = stored[:-1]
         if current != stored:
             damaged = [
                 index for index, (a, b) in enumerate(zip(current, stored))  # type: ignore[arg-type]
@@ -454,24 +419,23 @@ class SnapshotImage:
     def blob_names(self) -> List[str]:
         return list(self._header.get("blobs", []))  # type: ignore[call-overload, arg-type]
 
-    def _flat_plan(self, prefix: str,
-                   cell_meta: Dict[str, object],
-                   width: int) -> FlatSubCellPlan:
-        """Rebuild one flat-datapath plan over zero-copy buffer views."""
+    def _plan(self, prefix: str, cell_meta: Dict[str, object],
+              width: int) -> FlatSubCellPlan:
+        """Rebuild one sub-cell's plan over zero-copy buffer views."""
         plan = FlatSubCellPlan.__new__(FlatSubCellPlan)
-        plan.base = cell_meta["base"]
-        plan.span = cell_meta["span"]
+        plan.base = int(cell_meta["base"])  # type: ignore[call-overload]
+        plan.span = int(cell_meta["span"])  # type: ignore[call-overload]
         plan.width = width
-        plan.capacity = cell_meta["capacity"]
+        plan.capacity = int(cell_meta["capacity"])  # type: ignore[call-overload]
         plan.partitions = np.uint64(cell_meta["partitions"])  # type: ignore[arg-type]
-        plan.arena_size = cell_meta["arena_size"]
+        plan.arena_size = int(cell_meta["arena_size"])  # type: ignore[call-overload]
         plan.checksum = self._array(f"{prefix}/checksum")
         kind = str(cell_meta["index_kind"])
         start_tables: Optional[np.ndarray] = None
-        start_ranges: Optional[np.ndarray] = None
+        start_range: Optional[int] = None
         if kind == "fuse":
             start_tables = self._array(f"{prefix}/fused/start_tables")
-            start_ranges = self._array(f"{prefix}/fused/start_ranges")
+            start_range = int(cell_meta["start_range"])  # type: ignore[call-overload]
         plan.fused = _FusedIndex(
             kind,
             int(cell_meta["num_hashes"]),  # type: ignore[call-overload]
@@ -479,83 +443,40 @@ class SnapshotImage:
             int(cell_meta["num_groups"]),  # type: ignore[call-overload]
             self._array(f"{prefix}/fused/hash_tables"),
             self._array(f"{prefix}/fused/table"),
-            self._array(f"{prefix}/fused/offsets"),
-            self._array(f"{prefix}/fused/segments"),
+            int(cell_meta["segment"]),  # type: ignore[call-overload]
             start_tables,
-            start_ranges,
+            start_range,
         )
         plan.records = self._array(f"{prefix}/records")
         plan.arena = self._array(f"{prefix}/arena")
         plan.spill_keys = self._array(f"{prefix}/spill_keys")
         plan.spill_values = self._array(f"{prefix}/spill_values")
-        # JIT is a per-process choice, never part of the shared layout.
-        plan.use_jit = False
         return plan
 
     def to_lookup(self) -> SharedBatchLookup:
-        """Rebuild the batch datapath over zero-copy buffer views."""
-        meta = self._header["meta"]
-        plans: List[object] = []
-        for cell_index, cell_meta in enumerate(meta["subcells"]):  # type: ignore[index, call-overload]
-            prefix = f"s{cell_index}"
-            if cell_meta.get("layout") == "flat":
-                plans.append(self._flat_plan(prefix, cell_meta,
-                                             meta["width"]))  # type: ignore[index, call-overload]
-                continue
-            plan = _SubCellPlan.__new__(_SubCellPlan)
-            plan.base = cell_meta["base"]
-            plan.span = cell_meta["span"]
-            plan.width = meta["width"]  # type: ignore[index, call-overload]
-            plan.capacity = cell_meta["capacity"]
-            plan.partitions = np.uint64(cell_meta["partitions"])
-            plan.arena_size = cell_meta["arena_size"]
-            checksum = _HashPlan.__new__(_HashPlan)
-            checksum.tables = [
-                self._array(f"{prefix}/ck{byte_index}")
-                for byte_index in range(cell_meta["checksum_tables"])
-            ]
-            plan.checksum = checksum
-            plan.groups = []
-            for group_index, group_meta in enumerate(cell_meta["groups"]):
-                if group_meta.get("kind", "bloomier") == "fuse":
-                    group = _FuseGroupPlan.__new__(_FuseGroupPlan)
-                    group.segment_length = np.uint64(
-                        group_meta["segment_length"]
+        """Rebuild the batch datapath over zero-copy buffer views.
+
+        Every sub-cell must carry ``layout: flat``; anything else (the
+        per-table layout older exporters wrote) and any metadata the
+        views cannot be rebuilt from raise ``SnapshotIntegrityError``.
+        """
+        try:
+            meta = self._header["meta"]
+            width = int(meta["width"])  # type: ignore[index, call-overload]
+            plans: List[FlatSubCellPlan] = []
+            for cell_index, cell_meta in enumerate(meta["subcells"]):  # type: ignore[index, call-overload]
+                if cell_meta.get("layout") != "flat":
+                    raise SnapshotIntegrityError(
+                        f"{self._context}: sub-cell {cell_index} has layout "
+                        f"{cell_meta.get('layout')!r}, not 'flat'"
                     )
-                    group.start_range = np.uint64(group_meta["start_range"])
-                    start_hash = _HashPlan.__new__(_HashPlan)
-                    start_hash.tables = [
-                        self._array(f"{prefix}/g{group_index}/sh{byte_index}")
-                        for byte_index in range(
-                            group_meta["start_hash_bytes"])
-                    ]
-                    group.start_hash = start_hash
-                else:
-                    group = _GroupPlan.__new__(_GroupPlan)
-                    group.segment_size = np.uint64(group_meta["segment_size"])
-                group.table = self._array(f"{prefix}/g{group_index}/table")
-                group.hashes = []
-                for hash_index, byte_count in enumerate(
-                        group_meta["hash_bytes"]):
-                    hash_plan = _HashPlan.__new__(_HashPlan)
-                    hash_plan.tables = [
-                        self._array(
-                            f"{prefix}/g{group_index}"
-                            f"/h{hash_index}/b{byte_index}"
-                        )
-                        for byte_index in range(byte_count)
-                    ]
-                    group.hashes.append(hash_plan)
-                plan.groups.append(group)
-            plan.filter_values = self._array(f"{prefix}/filter_values")
-            plan.filter_valid = self._array(f"{prefix}/filter_valid")
-            plan.bit_vectors = self._array(f"{prefix}/bit_vectors")
-            plan.region_ptr = self._array(f"{prefix}/region_ptr")
-            plan.arena = self._array(f"{prefix}/arena")
-            plan.spill_keys = self._array(f"{prefix}/spill_keys")
-            plan.spill_values = self._array(f"{prefix}/spill_values")
-            plans.append(plan)
-        return SharedBatchLookup(meta["width"], plans, self.generation)  # type: ignore[index, call-overload]
+                plans.append(self._plan(f"s{cell_index}", cell_meta, width))
+        except (KeyError, TypeError, ValueError, IndexError,
+                ArithmeticError, AttributeError) as error:
+            raise SnapshotIntegrityError(
+                f"{self._context}: malformed sub-cell metadata ({error!r})"
+            ) from error
+        return SharedBatchLookup(width, plans, self.generation)
 
     def overlay_arrays(self) -> _OverlayArrays:
         """The overlay embedded at export time (length, values) pairs."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import time
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
@@ -181,7 +182,7 @@ class ShardCoordinator:
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, self._control.name, self._tasks[worker_id],
-                  self._results),
+                  self._results, os.getpid()),
             name=f"chisel-shard-worker-{worker_id}",
             daemon=True,
         )

@@ -144,10 +144,15 @@ class _WorkerRuntime:
 
 
 def worker_main(worker_id: int, control_name: str, task_queue: Any,
-                result_queue: Any) -> int:
-    """The worker process entry point (module-level: spawn-safe)."""
+                result_queue: Any, parent_pid: int) -> int:
+    """The worker process entry point (module-level: spawn-safe).
+
+    ``parent_pid`` is the coordinator's pid as the coordinator saw it
+    at spawn time.  Reading ``os.getppid()`` here instead would race a
+    coordinator killed before this process got that far: the worker
+    would record the reaper's pid and never notice it was orphaned.
+    """
     runtime = _WorkerRuntime(worker_id, ControlBlock.attach(control_name))
-    parent_pid = os.getppid()
     try:
         runtime.ensure_current()
         while True:

@@ -41,6 +41,7 @@ from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
 from ..router.fib import ForwardingEngine
 from ..serve.snapshot import RecompilePolicy, SnapshotRouter
+from ..shard.codec import SharedBatchLookup, SnapshotIntegrityError
 from .checkpoint import (
     CheckpointCorruptError,
     MappedCheckpoint,
@@ -113,6 +114,7 @@ class RecoveryReport:
 @dataclass
 class _RecoveredState:
     checkpoint: MappedCheckpoint
+    lookup: SharedBatchLookup
     generation: int
     checkpoint_seq: int
     fib_blob: bytes
@@ -205,16 +207,17 @@ def _recover_state(directory: str) -> _RecoveredState:
             f"{directory}: no checkpoints found (not a store?)")
     rejected: List[str] = []
     fallbacks = 0
+    refused = registry.counter(
+        "store_checkpoints_rejected_total",
+        "checkpoints refused by recovery (bad header/checksum)",
+    )
     for generation in reversed(generations):
         path = checkpoint_path(directory, generation)
         try:
             checkpoint = load_checkpoint(path, verify=True)
         except CheckpointCorruptError as error:
             rejected.append(str(error))
-            registry.counter(
-                "store_checkpoints_rejected_total",
-                "checkpoints refused by recovery (bad header/checksum)",
-            ).inc()
+            refused.inc()
             fallbacks += 1
             continue
         try:
@@ -222,6 +225,17 @@ def _recover_state(directory: str) -> _RecoveredState:
         except KeyError:
             checkpoint.close()
             rejected.append(f"checkpoint {path}: missing FIB blob")
+            fallbacks += 1
+            continue
+        try:
+            lookup = checkpoint.to_lookup()
+        except SnapshotIntegrityError as error:
+            # Checksums held but the datapath cannot be rebuilt (a
+            # layout this reader does not serve): same fallback as a
+            # corrupt checkpoint.
+            checkpoint.close()
+            rejected.append(str(error))
+            refused.inc()
             fallbacks += 1
             continue
         damage: List[str] = []
@@ -237,7 +251,7 @@ def _recover_state(directory: str) -> _RecoveredState:
                 "store_corrupt_logs_total",
                 "log damage beyond a torn tail found by recovery").inc()
         return _RecoveredState(
-            checkpoint=checkpoint, generation=generation,
+            checkpoint=checkpoint, lookup=lookup, generation=generation,
             checkpoint_seq=checkpoint.seq, fib_blob=fib_blob, tail=tail,
             seq=last_seq, torn_tail=torn_tail, chain_broken=chain_broken,
             duplicates=duplicates, damage=damage, rejected=rejected,
@@ -373,9 +387,8 @@ def cold_start(directory: str,
         raise RecoveryError(
             f"checkpoint generation {state.generation}: FIB blob failed "
             f"to unpickle: {error}") from error
-    lookup = state.checkpoint.to_lookup()
     router = SnapshotRouter(fib, policy=recompile_policy,
-                            initial_snapshot=lookup)
+                            initial_snapshot=state.lookup)
     router.restore_overlay(state.checkpoint.overlay_arrays())
     _replay_tail(router, fib, state, report)
     report.replay_seconds = time.perf_counter() - started

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.batch import BatchLookup
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
 
@@ -56,3 +57,37 @@ def sample_keys(table: RoutingTable, rng: random.Random, count: int):
         free = table.width - prefix.length
         keys.append(prefix.network_int() | (rng.getrandbits(free) if free else 0))
     return keys
+
+
+def random_table(rng: random.Random, width: int, routes: int) -> RoutingTable:
+    """``routes`` random prefixes of any length, random next hops."""
+    table = RoutingTable(width=width)
+    for _ in range(routes):
+        length = rng.randint(0, width)
+        value = rng.getrandbits(length) if length else 0
+        table.add(Prefix(value, length, width), rng.randint(1, 200))
+    return table
+
+
+def probe_keys(engine, rng: random.Random, extra: int = 400):
+    """Random keys plus keys aimed under every stored route, at every
+    expansion corner (all-zeros, all-ones, random collapsed bits)."""
+    width = engine.config.width
+    keys = [rng.getrandbits(width) for _ in range(extra)]
+    for prefix, _hop in engine.iter_routes():
+        free = width - prefix.length
+        base_key = prefix.network_int()
+        keys.append(base_key)
+        if free:
+            keys.append(base_key | ((1 << free) - 1))
+            keys.append(base_key | rng.getrandbits(free))
+    return keys
+
+
+def assert_batch_matches_scalar(engine, keys, batch=None):
+    """The differential oracle: compiled answers == scalar answers, on
+    the whole batch."""
+    batch = batch or BatchLookup(engine)
+    expected = [engine.lookup(int(key)) for key in keys]
+    assert batch.lookup_many(list(keys)) == expected
+    return batch

@@ -1,10 +1,16 @@
 """Tests for the numpy-vectorized batch-lookup path."""
 
+import dataclasses
+import gzip
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import ChiselConfig, ChiselLPM
-from repro.core.batch import BatchLookup, _popcount64
+from repro.core.batch import BatchLookup
+from repro.core.flatpath import popcount64
 from repro.prefix import Prefix
 from repro.workloads import ipv6_table
 
@@ -22,7 +28,7 @@ class TestPopcount:
         values = np.array([0, 1, 0xFF, 0xF0F0, (1 << 64) - 1, 0x8000000000000001],
                           dtype=np.uint64)
         expected = [bin(int(v)).count("1") for v in values]
-        assert list(_popcount64(values)) == expected
+        assert list(popcount64(values)) == expected
 
 
 class TestBatchCorrectness:
@@ -70,6 +76,36 @@ class TestBatchCorrectness:
         batch = BatchLookup(engine)
         keys = [p.network_int() | 3 for p in table.prefixes()]
         assert batch.lookup_many(keys) == [engine.lookup(k) for k in keys]
+
+
+class TestPickledRemovedFields:
+    """Configs and an engine pickled while ``ChiselConfig`` still had its
+    two batch-datapath selector fields (one config picks the per-table
+    pipeline, one the JIT kernel) must keep loading and serving."""
+
+    FIXTURE = (Path(__file__).parent / "fixtures"
+               / "removed_datapath_fields.pkl.gz")
+
+    @pytest.fixture(scope="class")
+    def pickled(self):
+        with gzip.open(self.FIXTURE, "rb") as handle:
+            return pickle.load(handle)
+
+    def test_configs_load_equal_to_a_fresh_config(self, pickled):
+        field_names = {field.name
+                       for field in dataclasses.fields(ChiselConfig)}
+        assert len(field_names) == 13
+        for config in pickled["configs"]:
+            assert config == ChiselConfig(width=8, partitions=2)
+            stale = set(vars(config)) - field_names
+            assert len(stale) == 2, stale  # unused plain attributes
+
+    def test_engine_batch_matches_scalar(self, pickled):
+        engine = pickled["engine"]
+        keys = np.arange(256, dtype=np.uint64)  # every 8-bit key
+        expected = [engine.lookup(int(key)) for key in keys]
+        assert BatchLookup(engine).lookup_many(keys) == expected
+        assert any(hop is not None for hop in expected)
 
 
 class TestBatchRestrictions:

@@ -17,43 +17,19 @@ from hypothesis import strategies as st
 
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.batch import BatchLookup
+from repro.core.flatpath import RECORD_LANES
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 from repro.core.updates import ANNOUNCE, apply_trace
 
-
-def assert_batch_matches_scalar(engine, keys, batch=None):
-    """The differential oracle: compiled answers == scalar answers."""
-    batch = batch or BatchLookup(engine)
-    expected = [engine.lookup(int(key)) for key in keys]
-    got = batch.lookup_many(list(keys))
-    assert got == expected
-    return batch
+from .conftest import assert_batch_matches_scalar, probe_keys, random_table
 
 
-def random_table(rng, width, routes):
-    table = RoutingTable(width=width)
-    for _ in range(routes):
-        length = rng.randint(0, width)
-        value = rng.getrandbits(length) if length else 0
-        table.add(Prefix(value, length, width), rng.randint(1, 200))
-    return table
-
-
-def probe_keys(engine, rng, extra=400):
-    """Random keys plus keys aimed under every stored route, at every
-    expansion corner (all-zeros, all-ones, random collapsed bits)."""
-    width = engine.config.width
-    keys = [rng.getrandbits(width) for _ in range(extra)]
-    for prefix, _hop in engine.iter_routes():
-        free = width - prefix.length
-        base_key = prefix.network_int()
-        keys.append(base_key)
-        if free:
-            keys.append(base_key | ((1 << free) - 1))
-            keys.append(base_key | rng.getrandbits(free))
-    return keys
+def shift_region_pointers(batch, delta):
+    """Move every compiled Region pointer by ``delta`` (in the records)."""
+    for plan in batch._plans:
+        plan.records.view(np.int64)[:, RECORD_LANES["regionptr"]] += delta
 
 
 class TestEverySpan:
@@ -136,16 +112,14 @@ class TestOutOfRangeAddresses:
         keys = probe_keys(engine, rng, extra=0)[:300]
         hits = batch.lookup_batch(keys)
         assert (hits != -1).any()
-        for plan in batch._plans:
-            plan.region_ptr = plan.region_ptr + 1_000_000
+        shift_region_pointers(batch, 1_000_000)
         answers = batch.lookup_batch(keys)
         assert (answers == -1).all()
 
     def test_negative_address_is_miss(self, small_table):
         engine = ChiselLPM.build(small_table, ChiselConfig(seed=6))
         batch = BatchLookup(engine)
-        for plan in batch._plans:
-            plan.region_ptr = plan.region_ptr - 1_000_000
+        shift_region_pointers(batch, -1_000_000)
         rng = random.Random(6)
         keys = [rng.getrandbits(32) for _ in range(200)]
         assert (batch.lookup_batch(keys) == -1).all()
@@ -296,7 +270,7 @@ class TestSpillover:
 
     def test_spilled_pointer_on_dirty_bucket(self, small_table):
         """A TCAM hit whose bucket was lazily withdrawn (dirty) must be
-        a miss on every datapath, exactly as the scalar check orders
+        a miss in the batch datapath, exactly as the scalar check orders
         it: the override replaces the pointer, the dirty bit still
         vetoes the answer."""
         engine = ChiselLPM.build(small_table, ChiselConfig(seed=20))
@@ -309,13 +283,11 @@ class TestSpillover:
         assert aimed, "setup must have parked spilled keys"
         keys = aimed + probe_keys(engine, rng, extra=60)
         assert_batch_matches_scalar(engine, keys)
-        assert_batch_matches_scalar(
-            engine, keys, batch=BatchLookup(engine, datapath="legacy"))
 
     def test_spilled_pointer_out_of_range(self, small_table):
         """A poisoned TCAM entry pointing past the bucket table must be
         filtered as a miss — never clamped onto bucket 0 — on the
-        scalar, legacy, and flat paths alike."""
+        scalar and batch paths alike."""
         engine = ChiselLPM.build(small_table, ChiselConfig(seed=21))
         assert self._spill_keys(engine, 6) >= 4
         rng = random.Random(21)
@@ -328,8 +300,6 @@ class TestSpillover:
         assert aimed, "setup must have parked spilled keys"
         keys = aimed + probe_keys(engine, rng, extra=60)
         assert_batch_matches_scalar(engine, keys)
-        assert_batch_matches_scalar(
-            engine, keys, batch=BatchLookup(engine, datapath="legacy"))
 
 
 class TestChurnRecompile:

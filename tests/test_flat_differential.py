@@ -1,13 +1,12 @@
 """Differential suite for the flat datapath (``repro.core.flatpath``).
 
-The flat pipeline — fused per-bucket records, packed hash gathers, the
-optional JIT kernel — must be bit-exact against the legacy per-group
-numpy plan *and* the scalar Fig. 6 datapath, over both Index Table
-backends, every span 0-6, spillover TCAM overrides, and mid-churn
-recompiles.  The suite also pins the degraded paths: the unpacked
-gather fallback, the true-modulus fallback, the interpreted kernel
-mirror (so the JIT semantics hold even where numba is absent), the
-shard codec's flat layout, and fault injection into fused records.
+The flat pipeline — fused per-bucket records, packed hash gathers — must
+be bit-exact against the scalar Fig. 6 datapath (``ChiselLPM.lookup``)
+on the whole batch, over both Index Table backends, every span 0-6,
+spillover TCAM overrides, and mid-churn recompiles.  The suite also pins
+the degraded paths (the unpacked gather fallback, the true-modulus
+fallback), the shard codec's layout, and fault injection into fused
+records.
 """
 
 import random
@@ -18,21 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ChiselConfig, ChiselLPM
-from repro.core import flatpath
-from repro.core.batch import BatchLookup, _SubCellPlan
-from repro.core.flatpath import (
-    FlatSubCellPlan,
-    GroupFusionError,
-    RECORD_LANES,
-    aligned_zeros,
-    interpreted_kernels,
-    jit_available,
-)
+from repro.core.batch import BatchLookup
+from repro.core.flatpath import RECORD_LANES, aligned_zeros
 from repro.faults.inject import FLAT_RECORD_KINDS, corrupt_record_word
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 from repro.core.updates import apply_trace
+
+from .conftest import assert_batch_matches_scalar, probe_keys, random_table
 
 BACKENDS = ("bloomier", "fuse")
 
@@ -41,50 +34,6 @@ def build_engine(backend, table, seed=2006, stride=4):
     config = ChiselConfig(width=table.width, stride=stride, seed=seed,
                           index_backend=backend)
     return ChiselLPM.build(table, config)
-
-
-def random_table(rng, width, routes):
-    table = RoutingTable(width=width)
-    for _ in range(routes):
-        length = rng.randint(0, width)
-        value = rng.getrandbits(length) if length else 0
-        table.add(Prefix(value, length, width), rng.randint(1, 200))
-    return table
-
-
-def probe_keys(engine, rng, extra=300):
-    """Random keys plus keys aimed under every stored route, at every
-    expansion corner (all-zeros, all-ones, random collapsed bits)."""
-    width = engine.config.width
-    keys = [rng.getrandbits(width) for _ in range(extra)]
-    for prefix, _hop in engine.iter_routes():
-        free = width - prefix.length
-        base_key = prefix.network_int()
-        keys.append(base_key)
-        if free:
-            keys.append(base_key | ((1 << free) - 1))
-            keys.append(base_key | rng.getrandbits(free))
-    return np.array(keys, dtype=np.uint64)
-
-
-def assert_flat_matches(engine, keys, scalar_sample=200):
-    """flat == legacy on the whole batch; both == scalar on a sample."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    legacy = BatchLookup(engine, datapath="legacy")
-    flat = BatchLookup(engine, datapath="flat")
-    expected = legacy.lookup_batch(keys)
-    got = flat.lookup_batch(keys)
-    assert np.array_equal(got, expected)
-    for position in range(min(scalar_sample, keys.size)):
-        answer = engine.lookup(int(keys[position]))
-        scalar = -1 if answer is None else int(answer)
-        assert int(expected[position]) == scalar
-    return flat
-
-
-def flat_plans(lookup):
-    return [plan for plan in lookup._plans if getattr(plan, "kind", "")
-            == "flat"]
 
 
 class TestEverySpan:
@@ -101,7 +50,7 @@ class TestEverySpan:
             value = rng.getrandbits(length) if length else 0
             table.add(Prefix(value, length, width), rng.randint(1, 200))
         engine = build_engine(backend, table, seed=7 + span)
-        assert_flat_matches(engine, probe_keys(engine, rng))
+        assert_batch_matches_scalar(engine, probe_keys(engine, rng))
 
 
 class TestHypothesisDifferential:
@@ -119,8 +68,8 @@ class TestHypothesisDifferential:
         rng = random.Random(seed)
         table = random_table(rng, width, routes)
         engine = build_engine(backend, table, seed=seed & 0xFFFF)
-        assert_flat_matches(engine, probe_keys(engine, rng, extra=120),
-                            scalar_sample=80)
+        assert_batch_matches_scalar(engine,
+                                    probe_keys(engine, rng, extra=120))
 
 
 class TestChurnRecompile:
@@ -132,15 +81,14 @@ class TestChurnRecompile:
         trace = synthesize_trace(table, 300, seed=12)
         for start in range(0, 300, 60):
             apply_trace(engine, trace[start:start + 60])
-            flat = assert_flat_matches(
-                engine, probe_keys(engine, rng, extra=150),
-                scalar_sample=60)
-            assert flat_plans(flat), "recompile should emit flat plans"
+            flat = assert_batch_matches_scalar(
+                engine, probe_keys(engine, rng, extra=150))
+            assert len(flat._plans) == len(engine.subcells)
 
     def test_stale_flag_tracks_updates(self):
         table = synthetic_table(400, seed=13)
         engine = build_engine("bloomier", table, seed=13)
-        flat = BatchLookup(engine, datapath="flat")
+        flat = BatchLookup(engine)
         assert not flat.stale
         apply_trace(engine, synthesize_trace(table, 5, seed=14)[:5])
         assert flat.stale
@@ -151,15 +99,14 @@ class TestSpillover:
     def test_spilled_keys_resolve_identically(self, backend):
         """Engines big enough to park entries in the TCAM: the flat
         spill override must shadow the decode exactly like the scalar
-        and legacy paths."""
+        path."""
         table = synthetic_table(4_000, seed=17)
         engine = build_engine(backend, table, seed=17)
-        flat = BatchLookup(engine, datapath="flat")
-        spilled = [plan for plan in flat_plans(flat)
-                   if len(plan.spill_keys)]
+        flat = BatchLookup(engine)
+        spilled = [plan for plan in flat._plans if len(plan.spill_keys)]
         rng = random.Random(17)
         keys = probe_keys(engine, rng)
-        assert_flat_matches(engine, keys)
+        assert_batch_matches_scalar(engine, keys, flat)
         if spilled:
             # Aim keys straight at every spilled collapsed prefix.
             width = engine.config.width
@@ -171,8 +118,8 @@ class TestSpillover:
                     aimed.append(base_key)
                     aimed.append(base_key | rng.getrandbits(free)
                                  if free else base_key)
-            assert_flat_matches(
-                engine, np.array(aimed, dtype=np.uint64))
+            assert_batch_matches_scalar(
+                engine, np.array(aimed, dtype=np.uint64), flat)
 
 
 class TestDegradedPaths:
@@ -182,79 +129,23 @@ class TestDegradedPaths:
     def test_unpacked_gather_fallback(self, backend):
         table = synthetic_table(900, seed=23)
         engine = build_engine(backend, table, seed=23)
-        flat = BatchLookup(engine, datapath="flat")
-        for plan in flat_plans(flat):
+        flat = BatchLookup(engine)
+        for plan in flat._plans:
             assert plan.fused.packed_tables is not None
             plan.fused.packed_tables = None  # force the unpacked loop
-        legacy = BatchLookup(engine, datapath="legacy")
-        keys = probe_keys(engine, random.Random(23))
-        assert np.array_equal(flat.lookup_batch(keys),
-                              legacy.lookup_batch(keys))
+        assert_batch_matches_scalar(
+            engine, probe_keys(engine, random.Random(23)), flat)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_true_modulus_fallback(self, backend):
         table = synthetic_table(900, seed=29)
         engine = build_engine(backend, table, seed=29)
-        flat = BatchLookup(engine, datapath="flat")
-        for plan in flat_plans(flat):
+        flat = BatchLookup(engine)
+        for plan in flat._plans:
             assert plan.fused.condsub_ok
             plan.fused.condsub_ok = False  # force np.mod
-        legacy = BatchLookup(engine, datapath="legacy")
-        keys = probe_keys(engine, random.Random(29))
-        assert np.array_equal(flat.lookup_batch(keys),
-                              legacy.lookup_batch(keys))
-
-    def test_group_fusion_error_keeps_reference_plan(self, monkeypatch):
-        table = synthetic_table(600, seed=31)
-        engine = build_engine("bloomier", table, seed=31)
-
-        def refuse(cls, legacy, use_jit=False):
-            raise GroupFusionError("forced by test")
-
-        monkeypatch.setattr(FlatSubCellPlan, "compile",
-                            classmethod(refuse))
-        flat = BatchLookup(engine, datapath="flat")
-        assert not flat_plans(flat)
-        assert all(isinstance(plan, _SubCellPlan)
-                   for plan in flat._plans)
-        legacy = BatchLookup(engine, datapath="legacy")
-        keys = probe_keys(engine, random.Random(31))
-        assert np.array_equal(flat.lookup_batch(keys),
-                              legacy.lookup_batch(keys))
-
-    def test_use_jit_without_numba_falls_back(self, monkeypatch):
-        monkeypatch.setitem(flatpath._JIT_STATE, "checked", True)
-        monkeypatch.setitem(flatpath._JIT_STATE, "kernels", None)
-        table = synthetic_table(600, seed=37)
-        engine = build_engine("bloomier", table, seed=37)
-        jit = BatchLookup(engine, datapath="flat", use_jit=True)
-        legacy = BatchLookup(engine, datapath="legacy")
-        keys = probe_keys(engine, random.Random(37))
-        assert np.array_equal(jit.lookup_batch(keys),
-                              legacy.lookup_batch(keys))
-
-
-class TestInterpretedKernelMirror:
-    """The per-key kernel, run interpreted, pins the JIT semantics on
-    boxes without numba."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kernel_matches_numpy_pipeline(self, backend):
-        table = synthetic_table(800, seed=41)
-        engine = build_engine(backend, table, seed=41)
-        flat = BatchLookup(engine, datapath="flat")
-        mirror = interpreted_kernels()
-        rng = random.Random(41)
-        keys = probe_keys(engine, rng, extra=60)[:250]
-        for plan in flat_plans(flat):
-            via_numpy = np.array(plan._lookup_numpy(keys))
-            via_kernel = np.array(plan._lookup_kernel(keys, mirror))
-            assert np.array_equal(via_kernel, via_numpy)
-
-    def test_jit_available_reports_probe_result(self):
-        # Whatever this box has, the probe must be stable and boolean.
-        assert jit_available() in (True, False)
-        assert jit_available() == jit_available()
+        assert_batch_matches_scalar(
+            engine, probe_keys(engine, random.Random(29)), flat)
 
 
 class TestCodecFlatRoundtrip:
@@ -267,8 +158,6 @@ class TestCodecFlatRoundtrip:
         fib = ForwardingEngine.from_table(table)
         router = SnapshotRouter(fib, RecompilePolicy())
         snapshot = router._snapshot  # the compiled BatchLookup
-        assert flat_plans(snapshot), \
-            "serve recompiles should emit flat plans"
         keys = np.array(
             [random.Random(43).getrandbits(table.width)
              for _ in range(3_000)], dtype=np.uint64)
@@ -277,10 +166,7 @@ class TestCodecFlatRoundtrip:
         try:
             attached = SharedSnapshot.attach(segment.name)
             shared = attached.to_lookup()
-            assert flat_plans(shared), \
-                "attached snapshot should rebuild flat plans"
-            for plan in flat_plans(shared):
-                assert plan.use_jit is False  # per-process choice
+            assert len(shared._plans) == len(snapshot._plans)
             assert np.array_equal(shared.lookup_batch(keys),
                                   snapshot.lookup_batch(keys))
             attached.close()
@@ -294,8 +180,8 @@ class TestRecordFaults:
     def _plan_with_live_bucket(self):
         table = synthetic_table(600, seed=47)
         engine = build_engine("bloomier", table, seed=47)
-        flat = BatchLookup(engine, datapath="flat")
-        for plan in flat_plans(flat):
+        flat = BatchLookup(engine)
+        for plan in flat._plans:
             live = np.flatnonzero(
                 plan.records[:, RECORD_LANES["valid"]])
             if live.size:
@@ -340,31 +226,38 @@ class TestFlatLayoutPrimitives:
     def test_record_rows_are_one_cache_line(self):
         table = synthetic_table(200, seed=53)
         engine = build_engine("bloomier", table, seed=53)
-        flat = BatchLookup(engine, datapath="flat")
-        for plan in flat_plans(flat):
+        flat = BatchLookup(engine)
+        for plan in flat._plans:
             assert plan.records.strides[0] == 64
             assert plan.records.ctypes.data % 64 == 0
 
     def test_legacy_view_properties_alias_records(self):
+        """Each record lane holds exactly what the sub-cell's own
+        per-table lists (the hardware view) hold for that bucket."""
         table = synthetic_table(200, seed=59)
         engine = build_engine("bloomier", table, seed=59)
-        flat = BatchLookup(engine, datapath="flat")
-        plan = flat_plans(flat)[0]
-        legacy = BatchLookup(engine, datapath="legacy")
-        reference = next(p for p in legacy._plans
-                         if p.base == plan.base and p.span == plan.span)
-        assert np.array_equal(plan.filter_values,
-                              reference.filter_values)
-        assert np.array_equal(plan.filter_valid, reference.filter_valid)
-        assert np.array_equal(plan.bit_vectors, reference.bit_vectors)
-        assert np.array_equal(plan.region_ptr, reference.region_ptr)
+        flat = BatchLookup(engine)
+        for subcell, plan in zip(engine.subcells, flat._plans):
+            assert (plan.base, plan.span) == (subcell.base, subcell.span)
+            records = plan.records
+            filters = [0 if value is None else value
+                       for value in subcell.filter_table]
+            valid = [int(value is not None and not dirty)
+                     for value, dirty in zip(subcell.filter_table,
+                                             subcell.dirty_table)]
+            assert records[:, RECORD_LANES["filter"]].tolist() == filters
+            assert records[:, RECORD_LANES["valid"]].tolist() == valid
+            assert (records[:, RECORD_LANES["bitvector"]].tolist()
+                    == list(subcell.bv_table))
+            assert (records.view(np.int64)[:, RECORD_LANES["regionptr"]]
+                    .tolist() == list(subcell.region_ptr))
 
     def test_packed_layout_active_on_standard_builds(self):
         for backend in BACKENDS:
             table = synthetic_table(400, seed=61)
             engine = build_engine(backend, table, seed=61)
-            flat = BatchLookup(engine, datapath="flat")
-            for plan in flat_plans(flat):
+            flat = BatchLookup(engine)
+            for plan in flat._plans:
                 fused = plan.fused
                 assert fused.packed_tables is not None
                 assert fused.condsub_ok

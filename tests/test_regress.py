@@ -47,8 +47,7 @@ def healthy_reports():
         },
         "flat_bench.json": {
             "flat_klookups_per_sec": 2000.0,
-            "flat_vs_legacy": 2.4,
-            "jit_vs_legacy": 3.5,
+            "flat_vs_scalar": 38.0,
         },
         "store_bench.json": {
             "coldstart_speedup": 2.3,
@@ -159,46 +158,39 @@ class TestCompare:
 
 
 class TestFloorChecks:
-    """The flat-datapath speedup bars (baseline-independent ratios)."""
+    """The flat-datapath speedup bar (a baseline-independent ratio)."""
 
     def test_ratio_below_floor_fails(self):
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 1.6
+        currents["flat_bench.json"]["flat_vs_scalar"] = 20.0
         report = regress.compare_reports(healthy_reports(), currents)
         assert not report["passed"]
-        assert any("flat_vs_legacy" in failure and "floor" in failure
+        assert any("flat_vs_scalar" in failure and "floor" in failure
                    for failure in report["failures"]), report["failures"]
-
-    def test_jit_ratio_below_floor_fails(self):
-        currents = healthy_reports()
-        currents["flat_bench.json"]["jit_vs_legacy"] = 2.1
-        report = regress.compare_reports(healthy_reports(), currents)
-        assert not report["passed"]
-        assert any("jit_vs_legacy" in failure
-                   for failure in report["failures"])
 
     def test_ratio_at_floor_passes(self):
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 2.0
+        currents["flat_bench.json"]["flat_vs_scalar"] = \
+            regress.FLAT_VS_SCALAR_FLOOR
         assert regress.compare_reports(healthy_reports(),
                                        currents)["passed"]
 
-    def test_missing_jit_metric_skips_without_numba(self):
-        """flat-bench omits jit_vs_legacy when numba is absent; the
-        floor must report "not measured", never fail."""
+    def test_missing_floor_metric_fails(self):
+        """Every floor metric is always emitted, so one missing from a
+        report that is present means the bench broke: fail, not skip."""
         currents = healthy_reports()
-        del currents["flat_bench.json"]["jit_vs_legacy"]
+        del currents["flat_bench.json"]["flat_vs_scalar"]
         report = regress.compare_reports(healthy_reports(), currents)
-        assert report["passed"]
-        assert any("jit_vs_legacy" in note and "not measured" in note
-                   for note in report["skipped"])
+        assert not report["passed"]
+        assert any("flat_vs_scalar" in failure and "missing" in failure
+                   for failure in report["failures"]), report["failures"]
 
     def test_floor_ignores_baseline_value(self):
         """Committing a weaker baseline must not weaken the bar."""
         baselines = healthy_reports()
-        baselines["flat_bench.json"]["flat_vs_legacy"] = 0.5
+        baselines["flat_bench.json"]["flat_vs_scalar"] = 1.0
         currents = healthy_reports()
-        currents["flat_bench.json"]["flat_vs_legacy"] = 1.9
+        currents["flat_bench.json"]["flat_vs_scalar"] = 20.0
         report = regress.compare_reports(baselines, currents)
         assert not report["passed"]
 

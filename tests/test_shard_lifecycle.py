@@ -21,6 +21,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,7 +36,7 @@ from repro.shard.names import (
     reap_stale_segments,
     segment_name,
 )
-from repro.shard.worker import _WorkerRuntime
+from repro.shard.worker import _ORPHAN_POLL_SECONDS, _WorkerRuntime
 from repro.workloads import synthetic_table
 
 SHM_DIR = "/dev/shm"
@@ -75,34 +76,75 @@ def build_router(size=200, seed=17):
 #: ``Process`` exits through ``_bootstrap`` without running ``atexit``
 #: hooks, and its daemon workers would inherit pytest's capture pipes.
 _COORDINATOR_SCRIPT = """
-import os, signal
+import os, signal, time
+from multiprocessing import resource_tracker
 from repro.router import ForwardingEngine
 from repro.serve import SnapshotRouter
 from repro.shard.coordinator import ShardCoordinator
 from repro.workloads import synthetic_table
-
+{prelude}
 fib = ForwardingEngine.from_table(synthetic_table(120, seed=17))
 coordinator = ShardCoordinator(SnapshotRouter(fib), workers=1)
 {ending}
 """
 
+#: Script ending: report the worker (and resource-tracker) pids on
+#: stdout, then die without any cleanup.
+_PRINT_PIDS_AND_KILL = """
+print(*(p.pid for p in coordinator._processes), flush=True)
+print(resource_tracker._resource_tracker._pid, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
-def run_coordinator_subprocess(ending):
+
+def run_coordinator_subprocess(ending, prelude="", lines=0):
+    """Run the coordinator script; -> (pid, returncode, printed ints).
+
+    Reads exactly ``lines`` lines instead of waiting for EOF: a worker
+    that outlives the script holds the pipe open.
+    """
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(src)
+    script = _COORDINATOR_SCRIPT.format(prelude=prelude, ending=ending)
     process = subprocess.Popen(
-        [sys.executable, "-c", _COORDINATOR_SCRIPT.format(ending=ending)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        [sys.executable, "-c", script], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
     )
     try:
+        printed = []
+        for _ in range(lines):
+            printed.extend(map(int, process.stdout.readline().split()))
         returncode = process.wait(timeout=120)
     except subprocess.TimeoutExpired:
         process.kill()
         process.wait()
         raise
-    return process.pid, returncode
+    finally:
+        process.stdout.close()
+    return process.pid, returncode, printed
+
+
+def process_alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z"
+
+
+def wait_gone(pids, timeout):
+    """Poll until every pid is gone; SIGKILL and return the survivors."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and any(map(process_alive, pids)):
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if process_alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)  # never leak them past the test
+    return survivors
 
 
 class TestNames:
@@ -147,20 +189,51 @@ class TestCoordinatorLifecycle:
 
     def test_killed_coordinator_is_reaped_on_next_start(self):
         """A SIGKILLed coordinator leaves segments; the next coordinator
-        start (or an explicit reap) removes them by dead-pid scan."""
-        pid, returncode = run_coordinator_subprocess(
-            "os.kill(os.getpid(), signal.SIGKILL)")
-        assert returncode == -signal.SIGKILL
-        stranded = our_segments(pid)
-        assert stranded, "the killed coordinator should strand segments"
-        removed = reap_stale_segments()
-        assert set(stranded) <= set(removed)
+        start (or an explicit reap) removes them by dead-pid scan, and
+        its orphaned worker (then its resource tracker) exits on its
+        own.  One batch is served first, so the worker is in its loop
+        (not attaching segments the reap below removes) when the
+        coordinator dies."""
+        pid, returncode, pids = run_coordinator_subprocess(
+            "coordinator.lookup_batch([1, 2, 3])" + _PRINT_PIDS_AND_KILL,
+            lines=2)
+        print(f"killed coordinator {pid}: worker, tracker pids {pids}")
+        try:
+            assert returncode == -signal.SIGKILL
+            stranded = our_segments(pid)
+            assert stranded, "the killed coordinator should strand segments"
+            removed = reap_stale_segments()
+            assert set(stranded) <= set(removed)
+            assert our_segments(pid) == []
+        finally:
+            survivors = wait_gone(pids, 3 * _ORPHAN_POLL_SECONDS)
+        assert survivors == [], "orphans outlived 3 orphan polls"
+
+    def test_worker_orphaned_before_its_loop_exits(self):
+        """Regression: a coordinator killed before its worker got far
+        enough to read ``os.getppid()`` left the worker comparing
+        against its new parent (the reaper), so it never exited.  The
+        slowed attach makes that interleaving certain."""
+        prelude = (
+            "from repro.shard.control import ControlBlock\n"
+            "_attach = ControlBlock.attach.__func__\n"
+            "ControlBlock.attach = classmethod(\n"
+            "    lambda cls, name: time.sleep(0.5) or _attach(cls, name))\n"
+        )
+        pid, returncode, pids = run_coordinator_subprocess(
+            _PRINT_PIDS_AND_KILL, prelude=prelude, lines=2)
+        try:
+            assert returncode == -signal.SIGKILL
+        finally:
+            survivors = wait_gone(pids, 3 * _ORPHAN_POLL_SECONDS)
+            reap_stale_segments()
+        assert survivors == [], "orphans outlived 3 orphan polls"
         assert our_segments(pid) == []
 
     def test_atexit_cleanup_on_interpreter_exit(self):
         """A coordinator alive at normal interpreter exit is closed by
         the atexit hook — nothing left in /dev/shm."""
-        pid, returncode = run_coordinator_subprocess(
+        pid, returncode, _pids = run_coordinator_subprocess(
             "pass  # fall off the end: interpreter exit runs atexit")
         assert returncode == 0
         assert our_segments(pid) == []

@@ -11,6 +11,8 @@ truncations, -1 sentinels, beyond-64-bit spillover keys — survives
 encode → append → replay → apply byte-for-byte.
 """
 
+import copy
+import json
 import os
 import shutil
 import tempfile
@@ -49,6 +51,8 @@ from repro.store import (
     encode_record,
     replay_log,
 )
+from repro.shard import codec
+from repro.shard.codec import SnapshotIntegrityError
 from repro.store.checkpoint import load_checkpoint, write_checkpoint
 from repro.store.deltalog import scan_frames
 from repro.store.store import checkpoint_path, list_generations, log_path
@@ -339,9 +343,53 @@ class TestDeltaLog:
         assert [record.seq for record in replay.records] == [1, 2, 3, 4, 5]
 
 
+def numeric_leaves(node, path=()):
+    """Paths to every int leaf of a parsed JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, int) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in children:
+        yield from numeric_leaves(child, path + (key,))
+
+
+def last_digit_offset(header, path):
+    """Byte offset, within the header JSON, of a leaf's last digit.
+
+    Everything before the leaf renders identically when the leaf is
+    swapped for a marker string, so the marker's position is the
+    leaf's position.
+    """
+    marked = copy.deepcopy(header)
+    node = marked
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    node[path[-1]] = "@@leaf@@"
+    rendered = json.dumps(marked, separators=(",", ":"))
+    return rendered.index('"@@leaf@@"') + len(str(value)) - 1
+
+
+def without_layout(monkeypatch):
+    """Make the exporter write sub-cells without ``layout: flat``
+    (the per-table layout older exporters wrote), checksums intact."""
+    real = codec._flatten_cell
+
+    def flatten_cell(*args):
+        meta = real(*args)
+        del meta["layout"]
+        return meta
+
+    monkeypatch.setattr(codec, "_flatten_cell", flatten_cell)
+
+
 class TestCheckpoint:
-    def _checkpointed(self, directory):
-        _table, router = build_router()
+    def _checkpointed(self, directory, size=300):
+        _table, router = build_router(size=size)
         path = os.path.join(directory, "checkpoint-00000001.chz")
         snapshot, overlay, fib_blob, healthy = router.persistence_cut()
         assert healthy
@@ -380,6 +428,46 @@ class TestCheckpoint:
         flip_file_bit(path, offset + 1, 2)
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+    def test_header_digit_flips_refused(self, store_dir):
+        """Flip bit 0 or 1 of the last digit of every numeric header
+        field a reader trusts (the ``meta`` tree, ``width``,
+        ``extra.seq``): each flip must be refused with the typed error.
+        Before the header digest, most passed ``verify()`` and either
+        served wrong answers or escaped as OverflowError/IndexError."""
+        path, _router = self._checkpointed(store_dir, size=3_000)
+        with open(path, "rb") as handle:
+            image = handle.read()
+        length = int.from_bytes(image[:8], "little")
+        header = json.loads(image[8:8 + length])
+        assert json.dumps(header, separators=(",", ":")).encode() \
+            == image[8:8 + length]
+        paths = [("width",), ("extra", "seq")] + [
+            ("meta",) + leaf for leaf in numeric_leaves(header["meta"])]
+        cells = len(header["meta"]["subcells"])
+        assert sum(leaf[-1] == "base" for leaf in paths) == cells > 1
+        flipped = os.path.join(store_dir, "flipped.chz")
+        for leaf in paths:
+            offset = 8 + last_digit_offset(header, leaf)
+            for bit in (0, 1):
+                with open(flipped, "wb") as handle:
+                    handle.write(image)
+                flip_file_bit(flipped, offset, bit)
+                with pytest.raises(SnapshotIntegrityError):
+                    checkpoint = load_checkpoint(flipped)
+                    try:
+                        checkpoint.to_lookup()
+                    finally:
+                        checkpoint.close()
+
+    def test_non_flat_layout_refused_typed(self, store_dir, monkeypatch):
+        without_layout(monkeypatch)
+        path, _router = self._checkpointed(store_dir)
+        monkeypatch.undo()
+        checkpoint = load_checkpoint(path)  # the checksums hold
+        with pytest.raises(SnapshotIntegrityError, match="layout"):
+            checkpoint.to_lookup()
+        checkpoint.close()
 
     def test_truncation_detected(self, store_dir):
         path, _router = self._checkpointed(store_dir)
@@ -511,6 +599,23 @@ class TestStoreIntegration:
             truncate_file(checkpoint_path(store_dir, generation), 16)
         with pytest.raises(RecoveryError):
             cold_start(store_dir, retries=1, backoff=0.0)
+
+    def test_unservable_layout_takes_the_fallback_path(self, store_dir,
+                                                      monkeypatch):
+        """A checkpoint whose checksums hold but whose datapath cannot
+        be rebuilt is refused like a corrupt one: RecoveryError without
+        a bootstrap table, a recompile with one."""
+        table, router = build_router()
+        without_layout(monkeypatch)
+        SnapshotStore.create(store_dir, router).close()
+        monkeypatch.undo()
+        with pytest.raises(RecoveryError, match="layout"):
+            cold_start(store_dir, retries=1, backoff=0.0)
+        result = cold_start(store_dir, retries=1, backoff=0.0,
+                            bootstrap=table)
+        assert result.report.boot == "recompile"
+        assert any("layout" in reason for reason in result.report.rejected)
+        result.store.close()
 
     def test_bootstrap_rebuild_when_store_unrecoverable(self, store_dir):
         table, router = build_router()
