@@ -29,10 +29,10 @@ from typing import Dict, List
 
 from repro.analysis.report import save_report
 from repro.core.config import ChiselConfig
-from repro.core.updates import ANNOUNCE
 from repro.replicate import ReplicationCoordinator, bootstrap
 from repro.replicate.harness import ReplicaHandle, _wait_until
 from repro.serve import SnapshotRouter
+from repro.verify import apply_update
 from repro.workloads import synthesize_trace, synthetic_table
 
 
@@ -55,12 +55,7 @@ def run(size: int, k_values: List[int], seed: int) -> Dict[str, object]:
     def apply_ops(count: int) -> None:
         nonlocal position
         for op in trace[position:position + count]:
-            if op.op == ANNOUNCE:
-                coordinator.announce(op.prefix,
-                                     f"10.8.{op.next_hop % 256}.1",
-                                     f"eth{op.next_hop % 8}")
-            else:
-                coordinator.withdraw(op.prefix)
+            apply_update(coordinator, op)
         position += count
 
     def caught_up() -> bool:

@@ -8,8 +8,8 @@ and replays only the delta-log tail.  This bench measures both boot
 paths over the same store directory and reports the ratio as the
 machine-independent acceptance floor (``coldstart_speedup``), plus a
 differential gate (``first_batch_ok``): the first batch served by the
-recovered router must be answer-identical to the freshly recompiled
-one.
+recovered router — half its keys under the prefixes the trace changed —
+must be answer-identical to the freshly recompiled one.
 
 Run directly (``python benchmarks/bench_store.py [--smoke]``).  The
 rendered report lands in ``results/store_bench.json``; refresh the
@@ -29,7 +29,7 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -37,33 +37,13 @@ from repro.analysis.report import save_report
 from repro.router import ForwardingEngine
 from repro.serve import SnapshotRouter
 from repro.store import CheckpointPolicy, SnapshotStore, cold_start
+from repro.verify import apply_update, keys_under
 from repro.workloads import synthesize_trace, synthetic_table
 
 #: Updates deliberately not divisible by the checkpoint interval so the
 #: measured cold start always includes a real tail replay, not just the
 #: mmap.
 _EVERY_RECORDS = 64
-
-
-def _ops(table, updates: int, seed: int) -> List[Tuple[str, object, str, str]]:
-    trace = synthesize_trace(table, updates, seed=seed + 1)
-    ops: List[Tuple[str, object, str, str]] = []
-    for op in trace:
-        if op.op == "announce":
-            ops.append(("announce", op.prefix,
-                        f"10.8.{op.next_hop % 256}.1",
-                        f"eth{op.next_hop % 8}"))
-        else:
-            ops.append(("withdraw", op.prefix, "", ""))
-    return ops
-
-
-def _apply(router: SnapshotRouter, ops) -> None:
-    for kind, prefix, gateway, interface in ops:
-        if kind == "announce":
-            router.announce(prefix, gateway, interface)
-        else:
-            router.withdraw(prefix)
 
 
 def _build_store(directory: str, table, ops) -> None:
@@ -75,7 +55,7 @@ def _build_store(directory: str, table, ops) -> None:
         sync=True,
     )
     for op in ops:
-        _apply(router, [op])
+        apply_update(router, op)
         store.maybe_checkpoint()
     store.close()
 
@@ -88,7 +68,8 @@ def _time_recompile(table, ops, keys: np.ndarray,
     for _ in range(repeats):
         started = time.perf_counter()
         router = SnapshotRouter(ForwardingEngine.from_table(table))
-        _apply(router, ops)
+        for op in ops:
+            apply_update(router, op)
         elapsed = time.perf_counter() - started
         if elapsed < best:
             best = elapsed
@@ -124,10 +105,11 @@ def _time_coldstart(directory: str, keys: np.ndarray,
 def run(size: int, updates: int, batch: int, repeats: int,
         seed: int) -> Dict[str, object]:
     table = synthetic_table(size, seed=seed)
-    ops = _ops(table, updates, seed)
-    rng = random.Random(seed)
+    ops = synthesize_trace(table, updates, seed=seed + 1)
+    # Half the compared keys lie under the prefixes the trace changes.
     keys = np.array(
-        [rng.getrandbits(table.width) for _ in range(batch)],
+        keys_under(random.Random(seed), table.width, batch,
+                   [op.prefix for op in ops]),
         dtype=np.uint64,
     )
     directory = tempfile.mkdtemp(prefix="chz-store-bench-")

@@ -25,7 +25,7 @@ import json
 import os
 import random
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .analysis.report import format_table
 from .core import ChiselConfig, ChiselLPM, apply_trace
@@ -146,32 +146,50 @@ def cmd_verify_claims(args) -> int:
     return 0 if all(result.passed for result in results) else 1
 
 
+def _smoke(args, **preset) -> None:
+    """Under ``--smoke``, replace the command's arguments with its CI preset."""
+    if args.smoke:
+        vars(args).update(preset)
+
+
+def _emit(args, payload: Dict[str, Any], name: str, title: str) -> int:
+    """The one report path of the self-checking commands.
+
+    Prints ``payload`` as JSON (``--json``) or as a table, saves it as
+    ``results/<name>``, prints a ``FAIL:`` line per ``payload["failures"]``
+    entry and returns the exit code: 1 when any gate failed.
+    """
+    from .analysis.report import format_metrics, save_report
+
+    rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    print(rendered if args.json else format_metrics(payload, title=title))
+    save_report(name, rendered)
+    for failure in payload["failures"]:
+        print(f"FAIL: {failure}")
+    return 1 if payload["failures"] else 0
+
+
 def cmd_serve_bench(args) -> int:
     """Churn-under-load: serve snapshot batches while a trace mutates the FIB."""
     import time
 
-    from .analysis.report import format_metrics, save_report
-    from .core.updates import ANNOUNCE
+    from .obs import get_registry
     from .router import ForwardingEngine
     from .serve import RecompilePolicy, SnapshotRouter
-    from .workloads.traces import synthesize_trace
+    from .verify import Oracle, apply_update, keys_under
 
-    size = 2_000 if args.smoke else args.size
-    batches = 10 if args.smoke else args.batches
-    batch_size = 2_000 if args.smoke else args.batch_size
-    churn = 8 if args.smoke else args.churn
-
-    table = synthetic_table(size, seed=args.seed)
+    _smoke(args, size=2_000, batches=10, batch_size=2_000, churn=8)
+    table = synthetic_table(args.size, seed=args.seed)
     fib = ForwardingEngine.from_table(table, config=_config_for(table, args))
     router = SnapshotRouter(fib, RecompilePolicy(
         max_overlay=args.max_overlay, max_age=args.max_age
     ))
-    trace = synthesize_trace(table, batches * churn, seed=args.seed)
+    trace = synthesize_trace(table, args.batches * args.churn, seed=args.seed)
     rng = random.Random(args.seed)
-    keys = [rng.getrandbits(table.width) for _ in range(batch_size)]
+    keys = [rng.getrandbits(table.width) for _ in range(args.batch_size)]
 
     # Scalar baseline on a sample of the same keys.
-    sample = keys[: min(1_000, batch_size)]
+    sample = keys[: min(1_000, args.batch_size)]
     scalar_lookup = fib.engine.lookup
     started = time.perf_counter()
     for key in sample:
@@ -181,62 +199,61 @@ def cmd_serve_bench(args) -> int:
     # Serve batches while the trace churns the tables.
     position = 0
     started = time.perf_counter()
-    for _ in range(batches):
-        for op in trace[position:position + churn]:
-            if op.op == ANNOUNCE:
-                router.announce(op.prefix, f"10.8.{op.next_hop % 256}.1",
-                                f"eth{op.next_hop % 8}")
-            else:
-                router.withdraw(op.prefix)
-        position += churn
+    for _ in range(args.batches):
+        for op in trace[position:position + args.churn]:
+            apply_update(router, op)
+        position += args.churn
         router.lookup_batch(keys)
         router.maybe_recompile()
     elapsed = time.perf_counter() - started
-    served = batches * batch_size
-    served_rate = served / elapsed
-
-    # Consistency self-check (after timing): served == live scalar path.
-    router.verify_sample(sample)
-
-    from .obs import get_registry
+    served_rate = args.batches * args.batch_size / elapsed
 
     registry = get_registry()
     payload = router.metrics_dict()
     payload.update({
         "table_size": len(table),
-        "batches": batches,
-        "batch_size": batch_size,
-        "updates_per_batch": churn,
+        "batches": args.batches,
+        "batch_size": args.batch_size,
+        "updates_per_batch": args.churn,
         "churn_elapsed_seconds": round(elapsed, 6),
         "snapshot_klookups_per_sec": round(served_rate / 1000, 1),
         "scalar_klookups_per_sec": round(scalar_rate / 1000, 1),
         "speedup_vs_scalar": round(served_rate / scalar_rate, 1),
         "registry": registry.to_dict(include_traces=False),
     })
+    failures = []
     lock_hist = registry.get("serve_lock_hold_seconds")
     lock_p99 = lock_hist.quantile(0.99) if lock_hist is not None else None
     if lock_p99 is not None:
         payload["update_lock_hold_p99_ms"] = round(lock_p99 * 1000, 3)
-    rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            payload, title=f"serve-bench: {size} prefixes under churn"
-        ))
-    save_report("serve_bench.json", rendered)
-    if args.smoke and lock_p99 is not None and lock_p99 >= 0.005:
-        # The recompile-stall regression gate: snapshot compiles must not
-        # hold the update lock (p99 covers announce/withdraw/overlay/swap).
-        print(f"FAIL: p99 update lock-hold {lock_p99 * 1000:.3f} ms "
-              f">= 5 ms — a recompile is stalling the update path")
-        return 1
-    return 0
+        if args.smoke and lock_p99 >= 0.005:
+            # The recompile-stall regression gate: snapshot compiles must
+            # not hold the update lock (p99 covers announce/withdraw/
+            # overlay/swap).
+            failures.append(
+                f"p99 update lock-hold {lock_p99 * 1000:.3f} ms >= 5 ms "
+                f"— a recompile is stalling the update path")
+
+    # Self-checks, after the metrics are read: half their keys lie under
+    # the churned prefixes, so the overlay re-answers them under the
+    # update lock.  Served == live scalar path, and == the trie.
+    oracle = Oracle(table)
+    for op in trace:
+        oracle.apply(op)
+    check = keys_under(rng, table.width, len(sample), oracle.changed)
+    router.verify_sample(check)
+    wrong = len(oracle.mismatches(check, router.forward_batch(check)))
+    payload.update({"lookups_checked": len(check), "wrong_answers": wrong})
+    if wrong:
+        failures.append(f"{wrong} of {len(check)} served answers differ "
+                        f"from the oracle")
+    payload["failures"] = failures
+    return _emit(args, payload, "serve_bench.json",
+                 f"serve-bench: {args.size} prefixes under churn")
 
 
 def cmd_shard_bench(args) -> int:
     """Multi-process sharded serving: aggregate throughput scaling."""
-    from .analysis.report import format_metrics, save_report
     from .shard import run_shard_bench, scaling_gate_active
 
     if args.workers:
@@ -253,35 +270,16 @@ def cmd_shard_bench(args) -> int:
     else:
         worker_counts = [1, 2, 4, 8]
 
-    shard_config = ChiselConfig(
-        stride=args.stride, seed=args.seed, index_backend=args.backend,
+    _smoke(args, size=2_000, batches=5, batch_size=4_000, churn=8)
+    report = run_shard_bench(
+        table_size=args.size, batches=args.batches,
+        batch_size=args.batch_size, churn=args.churn,
+        worker_counts=worker_counts, seed=args.seed,
+        config=ChiselConfig(stride=args.stride, seed=args.seed,
+                            index_backend=args.backend),
     )
-    if args.smoke:
-        report = run_shard_bench(
-            table_size=2_000, batches=5, batch_size=4_000, churn=8,
-            worker_counts=worker_counts, policy=args.policy,
-            seed=args.seed, config=shard_config,
-        )
-    else:
-        report = run_shard_bench(
-            table_size=args.size, batches=args.batches,
-            batch_size=args.batch_size, churn=args.churn,
-            worker_counts=worker_counts, policy=args.policy,
-            seed=args.seed, config=shard_config,
-        )
-    rendered = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            report,
-            title=f"shard-bench: workers {worker_counts} "
-                  f"({report['policy']})",
-        ))
-    save_report("shard_bench.json", rendered)
-    for failure in report["failures"]:
-        print(f"FAIL: {failure}")
-    return 0 if report["passed"] else 1
+    return _emit(args, report, "shard_bench.json",
+                 f"shard-bench: workers {worker_counts}")
 
 
 def cmd_flat_bench(args) -> int:
@@ -299,17 +297,13 @@ def cmd_flat_bench(args) -> int:
 
     import numpy as np
 
-    from .analysis.report import format_metrics, save_report
     from .core.batch import BatchLookup
 
-    size = 2_000 if args.smoke else args.size
-    batch_size = 2_000 if args.smoke else args.batch_size
-    repeats = 7 if args.smoke else args.repeats
-
-    table = synthetic_table(size, seed=args.seed)
+    _smoke(args, size=2_000, batch_size=2_000, repeats=7)
+    table = synthetic_table(args.size, seed=args.seed)
     engine = ChiselLPM.build(table, _config_for(table, args))
     rng = random.Random(args.seed)
-    key_list = [rng.getrandbits(table.width) for _ in range(batch_size)]
+    key_list = [rng.getrandbits(table.width) for _ in range(args.batch_size)]
     keys = np.array(key_list, dtype=np.uint64)
     flat = BatchLookup(engine)
 
@@ -326,7 +320,7 @@ def cmd_flat_bench(args) -> int:
 
     variants = {"flat": run_flat, "scalar": run_scalar}
     rates = {name: 0.0 for name in variants}
-    for _ in range(repeats):
+    for _ in range(args.repeats):
         for name, run in variants.items():
             # Untimed warm pass first: the other variant's pass just
             # evicted this one's tables (a cold flat pass after the
@@ -335,152 +329,91 @@ def cmd_flat_bench(args) -> int:
             started = time.perf_counter()
             run()
             elapsed = time.perf_counter() - started
-            rates[name] = max(rates[name], batch_size / elapsed)
+            rates[name] = max(rates[name], args.batch_size / elapsed)
 
     payload = {
         "table_size": len(table),
-        "batch_size": batch_size,
-        "repeats": repeats,
+        "batch_size": args.batch_size,
+        "repeats": args.repeats,
         "backend": args.backend,
         "divergences": divergences,
         "scalar_klookups_per_sec": round(rates["scalar"] / 1000, 1),
         "flat_klookups_per_sec": round(rates["flat"] / 1000, 1),
         "flat_vs_scalar": round(rates["flat"] / rates["scalar"], 3),
+        "failures": [
+            f"{divergences} divergence(s) from the scalar datapath — the "
+            f"flat pipeline must be bit-exact"
+        ] if divergences else [],
     }
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            payload, title=f"flat-bench: {size} prefixes ({args.backend})"
-        ))
-    save_report("flat_bench.json", rendered)
-    if divergences:
-        print(f"FAIL: {divergences} divergence(s) from the scalar "
-              f"datapath — the flat pipeline must be bit-exact")
-        return 1
-    return 0
+    return _emit(args, payload, "flat_bench.json",
+                 f"flat-bench: {args.size} prefixes ({args.backend})")
 
 
 def cmd_chaos(args) -> int:
-    """Chaos harness: churn + injected faults checked against an oracle."""
-    from .analysis.report import format_metrics, save_report
+    """Chaos harness: churn + injected faults checked against an oracle.
+
+    The resilience gates (docs/RESILIENCE.md): every answer correct or
+    visibly degraded, single-bit faults detected, setup failures
+    contained, and the router back to HEALTHY by the end.
+    """
     from .faults.chaos import run_chaos
 
-    if args.smoke:
-        report = run_chaos(
-            table_size=1_500, rounds=10, churn_per_round=30,
-            faults_per_round=65, batch_size=256, seed=args.seed,
-            backend=args.backend,
-        )
-    else:
-        report = run_chaos(
-            table_size=args.size, rounds=args.rounds,
-            churn_per_round=args.churn,
-            faults_per_round=args.faults_per_round,
-            batch_size=args.batch_size, seed=args.seed,
-            backend=args.backend,
-        )
-    payload = report.to_dict()
-    rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            payload,
-            title=f"chaos: {report.faults_injected} faults under churn "
-                  f"vs golden oracle",
-        ))
-    save_report("chaos.json", rendered)
-    if not report.ok:
-        # The resilience gates (docs/RESILIENCE.md): every answer correct
-        # or visibly degraded, single-bit faults detected, setup failures
-        # contained, and the router back to HEALTHY by the end.
-        for failure in report.failures:
-            print(f"FAIL: {failure}")
-        return 1
-    return 0
+    _smoke(args, size=1_500, rounds=10, churn=30, faults_per_round=65,
+           batch_size=256)
+    report = run_chaos(
+        table_size=args.size, rounds=args.rounds,
+        churn_per_round=args.churn, faults_per_round=args.faults_per_round,
+        batch_size=args.batch_size, seed=args.seed, backend=args.backend,
+    )
+    return _emit(args, report.to_dict(), "chaos.json",
+                 f"chaos: {report.faults_injected} faults under churn "
+                 f"vs golden oracle")
 
 
 def cmd_crash(args) -> int:
-    """Kill-anywhere crash harness for the persistent store."""
-    from .analysis.report import format_metrics, save_report
+    """Kill-anywhere crash harness for the persistent store.
+
+    The persistence gates (docs/PERSISTENCE.md): every durable update
+    survives, every recovered lookup matches the oracle, damage is
+    detected — a corrupt image is never silently served.
+    """
     from .store.crash import run_crash
 
-    if args.smoke:
-        report = run_crash(
-            table_size=250, updates=20, every_records=8, seed=args.seed,
-            probes=32,
-        )
-    else:
-        report = run_crash(
-            table_size=args.size, updates=args.updates,
-            every_records=args.every_records, seed=args.seed,
-            probes=args.probes,
-            kill_matrix=not args.corruption_only,
-            corruption_matrix=not args.kill_only,
-        )
-    payload = report.to_dict()
-    rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            payload,
-            title=f"crash: {report.kills_delivered} kills + "
-                  f"{report.corruption_cases} corruption cases vs "
-                  f"golden replay",
-        ))
-    save_report("crash.json", rendered)
-    if not report.ok:
-        # The persistence gates (docs/PERSISTENCE.md): every durable
-        # update survives, every recovered lookup matches golden, damage
-        # is detected — a corrupt image is never silently served.
-        for failure in report.failures:
-            print(f"FAIL: {failure}")
-        return 1
-    return 0
+    _smoke(args, size=250, updates=20, every_records=8, probes=32,
+           kill_only=False, corruption_only=False)
+    report = run_crash(
+        table_size=args.size, updates=args.updates,
+        every_records=args.every_records, seed=args.seed,
+        probes=args.probes, kill_matrix=not args.corruption_only,
+        corruption_matrix=not args.kill_only,
+    )
+    return _emit(args, report.to_dict(), "crash.json",
+                 f"crash: {report.kills_delivered} kills + "
+                 f"{report.corruption_cases} corruption cases vs the oracle")
 
 
 def cmd_replicate(args) -> int:
-    """Kill/corrupt/partition replication matrix (repro.replicate)."""
-    from .analysis.report import format_metrics, save_report
+    """Kill/corrupt/partition replication matrix (repro.replicate).
+
+    The replication gates (docs/REPLICATION.md): catch-up traffic
+    proportional to the miss count and o(checkpoint), divergence healed
+    by IBLT fix-ups (not resyncs), zero answers that differ from the
+    oracle and byte-identical canonical images after convergence.
+    """
     from .replicate import run_replicate
 
-    if args.smoke:
-        table = synthetic_table(800, seed=args.seed)
-        report = run_replicate(
-            table, _config_for(table, args), replicas=min(args.replicas, 2),
-            churn=160, catchup_k=24, probes=192, seed=args.seed,
-        )
-    else:
-        table = synthetic_table(args.size, seed=args.seed)
-        report = run_replicate(
-            table, _config_for(table, args), replicas=args.replicas,
-            churn=args.updates, catchup_k=args.catchup_k,
-            probes=args.probes, seed=args.seed,
-        )
-    payload = report.to_dict()
-    rendered = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if args.json:
-        print(rendered)
-    else:
-        print(format_metrics(
-            payload,
-            title=f"replicate: {report.replicas} replicas, "
-                  f"{report.updates_applied} updates, "
-                  f"{report.recon_sessions} IBLT recons",
-        ))
-    save_report("replicate.json", rendered)
-    if not report.ok:
-        # The replication gates (docs/REPLICATION.md): catch-up traffic
-        # proportional to the miss count and o(checkpoint), divergence
-        # healed by IBLT fix-ups (not resyncs), zero divergent answers
-        # and byte-identical canonical images after convergence.
-        for failure in report.failures:
-            print(f"FAIL: {failure}")
-        return 1
-    return 0
+    _smoke(args, size=800, replicas=min(args.replicas, 2), updates=160,
+           catchup_k=24, probes=192)
+    table = synthetic_table(args.size, seed=args.seed)
+    report = run_replicate(
+        table, _config_for(table, args), replicas=args.replicas,
+        churn=args.updates, catchup_k=args.catchup_k, probes=args.probes,
+        seed=args.seed,
+    )
+    return _emit(args, report.to_dict(), "replicate.json",
+                 f"replicate: {report.replicas} replicas, "
+                 f"{report.updates_applied} updates, "
+                 f"{report.recon_sessions} IBLT recons")
 
 
 def _metrics_workload(args):
@@ -491,10 +424,9 @@ def _metrics_workload(args):
     """
     import numpy as np
 
-    from .core.updates import ANNOUNCE
     from .router import ForwardingEngine
     from .serve import RecompilePolicy, SnapshotRouter
-    from .workloads.traces import synthesize_trace
+    from .verify import apply_update
 
     table = synthetic_table(args.size, seed=args.seed)
     fib = ForwardingEngine.from_table(table, config=_config_for(table, args),
@@ -507,11 +439,7 @@ def _metrics_workload(args):
     position = 0
     for _round in range(8):
         for op in trace[position:position + 24]:
-            if op.op == ANNOUNCE:
-                router.announce(op.prefix, f"10.8.{op.next_hop % 256}.1",
-                                f"eth{op.next_hop % 8}")
-            else:
-                router.withdraw(op.prefix)
+            apply_update(router, op)
         position += 24
         router.lookup_batch(keys)
         router.maybe_recompile()
@@ -844,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="sweep powers of two up to N workers "
                         "(default: 1,2,4,8; smoke: 1,2[,4])")
-    p.add_argument("--policy", choices=["round-robin", "hash"],
-                   default="round-robin",
-                   help="how key batches are partitioned across workers")
     p.add_argument("--smoke", action="store_true",
                    help="small fast run with scaling/differential gates (CI)")
     p.add_argument("--json", action="store_true",

@@ -2,8 +2,8 @@
 
 One run drives a ``SnapshotRouter`` through rounds of BGP-style churn
 while a seeded :class:`FaultInjector` corrupts the hardware tables and
-forces setup-path failures, and checks every served answer against an
-exact :class:`BinaryTrie` oracle replaying the same updates.  The
+forces setup-path failures, and checks every served answer against the
+:class:`repro.verify.Oracle` replaying the same updates.  The
 contract under test is the resilience invariant (docs/RESILIENCE.md):
 
     every answer is either *correct* or the fault was *detected* and the
@@ -24,27 +24,27 @@ Fault schedule per run (all from one seed, fully reproducible):
 * one round corrupts a *shadow* bucket pointer, the uncorrectable case
   that must push the router into DEGRADED;
 * after every round a lookup batch is served and compared to the
-  oracle, and the recovery heartbeat runs on a fake clock so the run
-  also exercises DEGRADED -> RECOVERING -> HEALTHY.
+  oracle — half uniform keys, half keys under the prefixes the run has
+  changed so far — and the recovery heartbeat runs on a fake clock so
+  the run also exercises DEGRADED -> RECOVERING -> HEALTHY.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
-from ..baselines.binary_trie import BinaryTrie
 from ..core.updates import ANNOUNCE, MalformedUpdateError, UpdateOp
 from ..obs import get_registry
 from ..prefix.prefix import Prefix
-from ..router.fib import ForwardingEngine, _default_naming
-from ..router.nexthop import NextHopInfo
+from ..router.fib import ForwardingEngine
 from ..serve.snapshot import (
     _SETUP_FAILURES,
     RecompilePolicy,
     RouterState,
     SnapshotRouter,
 )
+from ..verify import HarnessReport, Oracle, apply_update, keys_under
 from ..workloads.synthetic import synthetic_table
 from ..workloads.traces import synthesize_trace
 from .inject import FaultInjector
@@ -54,7 +54,7 @@ DETECTION_GATE = 0.99
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(HarnessReport):
     """Outcome of one chaos run, with the pass/fail gates attached."""
 
     rounds: int = 0
@@ -77,23 +77,16 @@ class ChaosReport:
     recoveries: int = 0
     lookups_checked: int = 0
     wrong_answers: int = 0
+    #: Detected fraction of single-bit faults (1.0 when none injected),
+    #: set by :meth:`evaluate`.
+    detection_rate: float = 1.0
     final_state: str = ""
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def detection_rate(self) -> float:
-        """Detected fraction of single-bit faults (1.0 when none injected)."""
-        if not self.single_bit_faults:
-            return 1.0
-        return self.single_bit_detected / self.single_bit_faults
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def evaluate(self) -> None:
-        """Apply the acceptance gates; failures land in ``self.failures``."""
-        self.failures = []
+        """Apply the acceptance gates; failures join ``self.failures``."""
+        if self.single_bit_faults:
+            self.detection_rate = (self.single_bit_detected
+                                   / self.single_bit_faults)
         if self.faults_injected < self.faults_required:
             self.failures.append(
                 f"only {self.faults_injected} faults injected; the run "
@@ -132,26 +125,6 @@ class ChaosReport:
                 f"run ended in state {self.final_state!r}, not healthy"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        payload = {
-            name: getattr(self, name)
-            for name in (
-                "rounds", "faults_required", "updates_applied",
-                "malformed_rejected",
-                "malformed_accepted", "faults_injected", "single_bit_faults",
-                "single_bit_detected", "multi_bit_faults",
-                "multi_bit_detected", "faults_repaired",
-                "uncorrectable_events", "setup_failures_forced",
-                "setup_failures_absorbed", "setup_errors_escaped",
-                "degraded_entries", "degraded_lookups", "recoveries",
-                "lookups_checked", "wrong_answers", "final_state",
-            )
-        }
-        payload["detection_rate"] = round(self.detection_rate, 6)
-        payload["ok"] = self.ok
-        payload["failures"] = list(self.failures)
-        return payload
-
 
 def run_chaos(
     table_size: int = 2_000,
@@ -186,9 +159,7 @@ def run_chaos(
         clock=lambda: clock[0],
         backoff_initial=backoff,
     )
-    oracle = BinaryTrie(table.width)
-    for prefix, next_hop in table:
-        oracle.insert(prefix, _default_naming(next_hop))
+    oracle = Oracle(table)
 
     trace = synthesize_trace(table, rounds * churn_per_round, seed=seed + 1)
     trace = injector.mangle_trace(trace)
@@ -198,37 +169,30 @@ def run_chaos(
     overflow_round = 2 % rounds
     shadow_round = rounds // 2
 
+    def apply(op: UpdateOp) -> None:
+        try:
+            apply_update(router, op)
+        except _SETUP_FAILURES:
+            report.setup_errors_escaped += 1
+        oracle.apply(op)
+        report.updates_applied += 1
+
     def apply_churn(count: int) -> None:
         nonlocal position
         for op in trace[position:position + count]:
-            try:
-                if op.op == ANNOUNCE:
-                    router.announce(
-                        op.prefix,
-                        f"10.8.{op.next_hop % 256}.1",
-                        f"eth{op.next_hop % 8}",
-                    )
-                    oracle.insert(op.prefix, _default_naming(op.next_hop))
-                else:
-                    router.withdraw(op.prefix)
-                    oracle.remove(op.prefix)
-            except _SETUP_FAILURES:
-                report.setup_errors_escaped += 1
-            report.updates_applied += 1
+            apply(op)
         position += count
 
     def serve_and_check() -> None:
-        keys = [rng.getrandbits(table.width) for _ in range(batch_size)]
-        served = router.forward_batch(keys)
-        for key, got in zip(keys, served):
-            want = oracle.lookup(key)
-            report.lookups_checked += 1
-            if got != want:
-                report.wrong_answers += 1
-                get_registry().trace(
-                    "chaos_wrong_answer", key=key,
-                    served=str(got), expected=str(want),
-                )
+        keys = keys_under(rng, table.width, batch_size, oracle.changed)
+        wrong = oracle.mismatches(keys, router.forward_batch(keys))
+        report.lookups_checked += len(keys)
+        report.wrong_answers += len(wrong)
+        for key, got, want in wrong:
+            get_registry().trace(
+                "chaos_wrong_answer", key=key,
+                served=str(got), expected=str(want),
+            )
 
     def announce_fresh(octet: int, delivered: List[int]) -> None:
         """Announce new prefixes until one hits the (patched) setup path.
@@ -237,15 +201,9 @@ def run_chaos(
         Index Table; a fresh collapsed prefix is what forces the insert
         whose failure the round is meant to exercise.
         """
-        info = NextHopInfo("10.9.0.1", "eth0")
         for i in range(32):
-            prefix = Prefix.from_string(f"203.{octet}.{i}.0/24")
-            try:
-                router.announce(prefix, info.gateway, info.interface)
-            except _SETUP_FAILURES:
-                report.setup_errors_escaped += 1
-            oracle.insert(prefix, info)
-            report.updates_applied += 1
+            apply(UpdateOp(ANNOUNCE,
+                           Prefix.from_string(f"203.{octet}.{i}.0/24")))
             if delivered[0]:
                 return
 
@@ -334,10 +292,5 @@ def run_chaos(
     report.degraded_lookups = router.metrics.degraded_lookups
     report.recoveries = router.metrics.recoveries
     report.final_state = router.state.value
-    preset_failures = list(report.failures)
     report.evaluate()
-    report.failures = preset_failures + [
-        failure for failure in report.failures
-        if failure not in preset_failures
-    ]
     return report

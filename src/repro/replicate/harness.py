@@ -19,11 +19,13 @@ E. **Partition / heal** — a replica stops touching its socket while the
    writer churns; the kernel buffers the stream, the heal drains it in
    order, no reconciliation needed.
 
-Afterwards every replica must answer a probe set identically to the
-writer's live engine (zero divergent lookups) and rebuild to a
-byte-identical canonical :class:`~repro.core.image.HardwareImage`
-(``diff().word_count == 0``).  All waits are deadline-bounded; a hang
-becomes a named gate failure, not a stuck process.
+Afterwards the writer and every replica must answer a probe set — half
+uniform keys, half keys under the prefixes the trace changed — exactly
+like the :class:`~repro.verify.Oracle` trie (zero divergent lookups),
+and every replica must rebuild to a byte-identical canonical
+:class:`~repro.core.image.HardwareImage` (``diff().word_count == 0``).
+All waits are deadline-bounded; a hang becomes a named gate failure,
+not a stuck process.
 
 Control (probe/corrupt/partition/stop) rides multiprocessing queues so
 the socket byte counters measure replication traffic and nothing else.
@@ -37,15 +39,16 @@ import random
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ChiselConfig
 from ..core.image import HardwareImage
-from ..core.updates import ANNOUNCE
 from ..prefix.table import RoutingTable
+from ..router.nexthop import NextHopInfo
 from ..serve.snapshot import SnapshotRouter
+from ..verify import HarnessReport, Oracle, apply_update, keys_under
 from ..workloads.traces import synthesize_trace
 from .coordinator import ReplicationCoordinator
 from .replica import (
@@ -76,7 +79,7 @@ class HarnessError(RuntimeError):
 
 
 @dataclass
-class ReplicateReport:
+class ReplicateReport(HarnessReport):
     """Everything the replication gates measure, JSON-ready."""
 
     replicas: int = 0
@@ -106,19 +109,6 @@ class ReplicateReport:
     elapsed_seconds: float = 0.0
     bytes_sent: int = 0
     bytes_received: int = 0
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__
-        }
-        payload["ok"] = self.ok
-        return payload
 
 
 class ReplicaHandle:
@@ -242,6 +232,7 @@ def run_replicate(table: RoutingTable, config: ChiselConfig,
     trace = synthesize_trace(table, churn + 10 * catchup_k, seed=seed)
     position = 0
 
+    oracle = Oracle(table)
     fib, ledger = bootstrap(table, config)
     router = SnapshotRouter(fib)
     coordinator = ReplicationCoordinator(router, ledger, config)
@@ -260,12 +251,8 @@ def run_replicate(table: RoutingTable, config: ChiselConfig,
         nonlocal position
         applied = 0
         for op in trace[position:position + count]:
-            if op.op == ANNOUNCE:
-                coordinator.announce(
-                    op.prefix, f"10.8.{op.next_hop % 256}.1",
-                    f"eth{op.next_hop % 8}")
-            else:
-                coordinator.withdraw(op.prefix)
+            apply_update(coordinator, op)
+            oracle.apply(op)
             applied += 1
         position += applied
         report.updates_applied += applied
@@ -389,25 +376,16 @@ def run_replicate(table: RoutingTable, config: ChiselConfig,
             _wait_until(lambda h=handle: replica_caught_up(h),
                         f"replica {handle.replica_id} final convergence",
                         report.failures)
-        keys = [rng.getrandbits(table.width) for _ in range(probes // 3)]
-        entries = coordinator.ledger.sorted_entries()
-        while len(keys) < probes and entries:
-            entry = entries[rng.randrange(len(entries))]
-            low_bits = table.width - entry.length
-            suffix = rng.getrandbits(low_bits) if low_bits else 0
-            keys.append((entry.value << low_bits) | suffix)
+        keys = keys_under(rng, table.width, probes, oracle.changed)
         report.probe_keys = len(keys)
-        expected = []
-        for key in keys:
-            info = router.fib.forward(key)
-            expected.append(None if info is None
-                            else (info.gateway, info.interface))
-        divergent = 0
+        divergent = len(oracle.mismatches(
+            keys, [router.fib.forward(key) for key in keys]))
         for handle in handles:
             answers = handle.command(CMD_PROBE, keys)[2]
-            divergent += sum(
-                1 for mine, theirs in zip(expected, answers)
-                if mine != theirs)
+            divergent += len(oracle.mismatches(keys, [
+                None if answer is None else NextHopInfo(*answer)
+                for answer in answers
+            ]))
         report.divergent_answers = divergent
         if divergent:
             report.failures.append(

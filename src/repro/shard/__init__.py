@@ -25,21 +25,12 @@ See docs/SHARDING.md for the full protocol and failure-mode table.
 from .bench import run_shard_bench, scaling_gate_active
 from .codec import SharedSnapshot, SnapshotIntegrityError, table_digest
 from .control import ControlBlock, ControlBlockError
-from .coordinator import (
-    HASH_OF_KEY,
-    POLICIES,
-    ROUND_ROBIN,
-    ShardCoordinator,
-    ShardError,
-)
+from .coordinator import ShardCoordinator, ShardError
 from .worker import worker_main
 
 __all__ = [
     "ControlBlock",
     "ControlBlockError",
-    "HASH_OF_KEY",
-    "POLICIES",
-    "ROUND_ROBIN",
     "ShardCoordinator",
     "ShardError",
     "SharedSnapshot",

@@ -1,10 +1,12 @@
 """Shard scaling bench: aggregate throughput at 1/2/4/8 workers.
 
 Shared by ``chisel-repro shard-bench`` and ``benchmarks/bench_shard.py``.
-Each worker-count configuration gets a fresh table/router built from the
-same seed, serves the same churn-under-load workload the serve bench
-uses, and is differential-checked against the single-process router it
-wraps — a divergence count other than zero fails the bench.
+Each worker-count configuration gets a fresh router over the same seeded
+table, serves the same churn-under-load workload the serve bench uses,
+and after timing is checked on keys half under the churned prefixes:
+against the single-process router it wraps, and against the
+:class:`~repro.verify.Oracle` trie.  A divergence or a wrong answer
+fails the bench.
 
 Scaling expectations are hardware-dependent: the ≥2× aggregate gate at
 4 workers only makes sense with ≥4 cores, so the report carries a
@@ -22,12 +24,14 @@ from typing import Dict, List, Optional, Sequence, cast
 import numpy as np
 
 from ..core import ChiselConfig
-from ..core.updates import ANNOUNCE
+from ..core.updates import UpdateOp
+from ..prefix.table import RoutingTable
 from ..router import ForwardingEngine
 from ..serve import RecompilePolicy, SnapshotRouter
+from ..verify import Oracle, apply_update, keys_under
 from ..workloads.synthetic import synthetic_table
 from ..workloads.traces import synthesize_trace
-from .coordinator import ROUND_ROBIN, ShardCoordinator
+from .coordinator import ShardCoordinator
 
 #: Aggregate speedup the 4-worker configuration must reach when the
 #: host has enough cores to make the question meaningful.
@@ -44,22 +48,18 @@ def scaling_gate_active() -> bool:
     return (os.cpu_count() or 1) >= SCALING_GATE_WORKERS
 
 
-def _bench_one(worker_count: int, table_size: int, batches: int,
-               batch_size: int, churn: int, policy: str, seed: int,
-               repeats: int = 3,
+def _bench_one(worker_count: int, table: RoutingTable,
+               trace: List[UpdateOp], oracle: Oracle, batches: int,
+               batch_size: int, churn: int, seed: int, repeats: int = 3,
                config: Optional[ChiselConfig] = None) -> Dict[str, object]:
-    table = synthetic_table(table_size, seed=seed)
     fib = ForwardingEngine.from_table(table, config=config)
     router = SnapshotRouter(fib, RecompilePolicy(max_overlay=64))
-    trace = synthesize_trace(table, batches * churn * repeats, seed=seed)
     rng = random.Random(seed)
     keys = np.array(
         [rng.getrandbits(table.width) for _ in range(batch_size)],
         dtype=np.uint64,
     )
-    divergences = 0
-    with ShardCoordinator(router, workers=worker_count,
-                          policy=policy) as coordinator:
+    with ShardCoordinator(router, workers=worker_count) as coordinator:
         # Warm-up: first dispatch pays worker attach + fork costs.
         coordinator.lookup_batch(keys[: min(256, batch_size)])
         # Best-of-N timing: the smoke sections are short enough that a
@@ -72,22 +72,24 @@ def _bench_one(worker_count: int, table_size: int, batches: int,
             started = time.perf_counter()
             for _ in range(batches):
                 for op in trace[position:position + churn]:
-                    if op.op == ANNOUNCE:
-                        router.announce(
-                            op.prefix, f"10.9.{op.next_hop % 256}.1",
-                            f"eth{op.next_hop % 8}",
-                        )
-                    else:
-                        router.withdraw(op.prefix)
+                    apply_update(router, op)
                 position += churn
                 coordinator.lookup_batch(keys)
                 coordinator.maybe_publish()
             elapsed = min(elapsed, time.perf_counter() - started)
-        # Differential gate (outside the timed loop): the sharded plane
-        # must answer exactly like the single-process router it wraps.
-        sharded = coordinator.lookup_batch(keys)
-        single = router.lookup_batch(keys)
+        # Differential gates (outside the timed loop): the sharded plane
+        # must answer exactly like the single-process router it wraps,
+        # and both like the trie.
+        check = np.array(
+            keys_under(rng, table.width, batch_size, oracle.changed),
+            dtype=np.uint64)
+        sharded = coordinator.lookup_batch(check)
+        single = router.lookup_batch(check)
         divergences = int(np.count_nonzero(sharded != single))
+        resolve = fib.next_hops.resolve
+        wrong = len(oracle.mismatches(check, [
+            None if value < 0 else resolve(int(value)) for value in sharded
+        ]))
         generation = coordinator.generation
         acks = coordinator.worker_acks()
     served = batches * batch_size
@@ -97,6 +99,7 @@ def _bench_one(worker_count: int, table_size: int, batches: int,
         "elapsed_seconds": round(elapsed, 6),
         "aggregate_klookups_per_sec": round(rate / 1000, 1),
         "divergences": divergences,
+        "wrong_answers": wrong,
         "generations_published": generation,
         "worker_acks": acks,
     }
@@ -105,35 +108,40 @@ def _bench_one(worker_count: int, table_size: int, batches: int,
 def run_shard_bench(table_size: int = 20_000, batches: int = 20,
                     batch_size: int = 20_000, churn: int = 8,
                     worker_counts: Sequence[int] = (1, 2, 4, 8),
-                    policy: str = ROUND_ROBIN, seed: int = 1234,
-                    repeats: int = 3,
+                    seed: int = 1234, repeats: int = 3,
                     config: Optional[ChiselConfig] = None,
                     ) -> Dict[str, object]:
     """Run the scaling sweep; returns the JSON-ready report dict."""
-    runs: List[Dict[str, object]] = []
-    for worker_count in worker_counts:
-        runs.append(_bench_one(
-            worker_count, table_size, batches, batch_size, churn,
-            policy, seed, repeats=repeats, config=config,
-        ))
+    table = synthetic_table(table_size, seed=seed)
+    trace = synthesize_trace(table, batches * churn * repeats, seed=seed)
+    # Every worker count replays the whole trace, so one oracle serves all.
+    oracle = Oracle(table)
+    for op in trace:
+        oracle.apply(op)
+    runs = [
+        _bench_one(worker_count, table, trace, oracle, batches, batch_size,
+                   churn, seed, repeats=repeats, config=config)
+        for worker_count in worker_counts
+    ]
     base_rate = cast(float, runs[0]["aggregate_klookups_per_sec"]) or 1e-9
     for run in runs:
         run["speedup_vs_1_worker"] = round(
             cast(float, run["aggregate_klookups_per_sec"]) / base_rate, 2)
     gate_active = scaling_gate_active()
     divergences = sum(cast(int, run["divergences"]) for run in runs)
+    wrong = sum(cast(int, run["wrong_answers"]) for run in runs)
     report: Dict[str, object] = {
         "table_size": table_size,
         "batches": batches,
         "batch_size": batch_size,
         "updates_per_batch": churn,
         "timing_repeats": repeats,
-        "policy": policy,
         "backend": (config.index_backend if config is not None
                     else "bloomier"),
         "cpu_count": os.cpu_count() or 1,
         "scaling_gate_active": gate_active,
         "total_divergences": divergences,
+        "total_wrong_answers": wrong,
         "runs": runs,
     }
     failures: List[str] = []
@@ -142,6 +150,8 @@ def run_shard_bench(table_size: int = 20_000, batches: int = 20,
             f"{divergences} divergences between sharded and "
             f"single-process serving"
         )
+    if wrong:
+        failures.append(f"{wrong} sharded answers differ from the oracle")
     gate_run = _run_for(runs, SCALING_GATE_WORKERS)
     if gate_active and gate_run is not None:
         speedup = cast(float, gate_run["speedup_vs_1_worker"])

@@ -14,16 +14,14 @@ of the *serving state*, not just the tables — into a single
     [u64 header length][header JSON][64-byte-aligned array payload ...]
 
 The header carries the generation number, every table's name, dtype,
-shape and payload offset, and a block checksum over per-table digests
-computed with :func:`repro.faults.block_checksums` — the same SECDED-style
-machinery the scrub engine uses, here detecting a torn or corrupted
-*publish* instead of a soft error — followed by a 64-bit digest of the
-header itself (everything but the checksums), so a flipped sub-cell
-base, table offset or sequence number is refused like a flipped table
-word.  ``attach`` verifies both and rebuilds zero-copy read-only
-``np.ndarray`` views over the segment, so N worker processes share one
-physical copy of the tables (the software analogue of §4.3.2's parallel
-sub-cell lookups reading one memory).
+shape and payload offset, and ``checksums``: each table's full 64-bit
+digest, followed by a 64-bit digest of the header itself (everything but
+the checksums), so a flipped sub-cell base, table offset or sequence
+number is refused like a flipped table word — a torn or corrupted
+*publish* is detected, never served.  ``attach`` verifies both and
+rebuilds zero-copy read-only ``np.ndarray`` views over the segment, so N
+worker processes share one physical copy of the tables (the software
+analogue of §4.3.2's parallel sub-cell lookups reading one memory).
 
 Segments are **immutable after export**: a new generation is a new
 segment, never an in-place rewrite — that is what makes the generation
@@ -49,16 +47,12 @@ import numpy as np
 
 from ..core.batch import BatchLookup
 from ..core.flatpath import FlatSubCellPlan, _FusedIndex
-from ..faults.checksum import block_checksums
 
 _MAGIC = "chisel-shard-v1"
 
 #: Payload arrays start on 64-byte boundaries (cache-line alignment; also
 #: keeps uint64 views legal regardless of neighbouring array sizes).
 _ALIGN = 64
-
-#: Tables folded per checksum block (mirrors the scrub engine's default).
-_CHECKSUM_BLOCK = 8
 
 #: Fibonacci-hash odd constant for the position-dependent digest mix.
 _DIGEST_MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -81,9 +75,7 @@ def table_digest(array: np.ndarray) -> int:
     seconds on megabyte tables): the byte image is widened to uint64
     words, each word is mixed with its position (so reordering words is
     detected, unlike a plain XOR fold), and the words are XOR-reduced.
-    The per-table digests then feed :func:`repro.faults.block_checksums`,
-    which contributes the block structure and word-swap detection across
-    tables.
+    Images store every table's digest in full.
     """
     flat = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
     usable = len(flat) - (len(flat) % 8)
@@ -103,10 +95,9 @@ def table_digest(array: np.ndarray) -> int:
 def header_digest(header: Dict[str, object]) -> int:
     """A 64-bit digest of the canonical header, ``checksums`` excluded.
 
-    Stored as the last ``checksums`` entry in full: the per-block
-    syndrome fold keeps only a few bits of each word, too few for a
-    header where any single flipped digit (a sub-cell base, a table
-    offset) would otherwise serve wrong answers.
+    Stored as the last ``checksums`` entry, after the table digests:
+    any single flipped digit (a sub-cell base, a table offset) would
+    otherwise serve wrong answers.
     """
     canonical = json.dumps(
         {key: value for key, value in header.items() if key != "checksums"},
@@ -221,7 +212,7 @@ def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
 
     ``blobs`` adds opaque byte strings (e.g. the store's pickled
     forwarding-engine state) as uint8 tables named ``blob/<name>`` —
-    covered by the same block checksums as every other table.  ``extra``
+    covered by a digest like every other table.  ``extra``
     is merged into the header under ``"extra"`` (checkpoint sequence
     numbers and friends); it must be JSON-serializable.
     """
@@ -246,7 +237,6 @@ def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
         })
         arrays.append(array)
         offset += array.nbytes
-    digests = [table_digest(array) for array in arrays]
     header: Dict[str, object] = {
         "magic": magic,
         "generation": int(generation),
@@ -254,11 +244,10 @@ def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
         "meta": meta,
         "tables": entries,
         "blobs": sorted(blobs or {}),
-        "checksum_block": _CHECKSUM_BLOCK,
     }
     if extra:
         header["extra"] = extra
-    header["checksums"] = (block_checksums(digests, _CHECKSUM_BLOCK)
+    header["checksums"] = ([table_digest(array) for array in arrays]
                            + [header_digest(header)])
     rendered = json.dumps(header, separators=(",", ":")).encode("utf-8")
     payload_start = _aligned(8 + len(rendered))
@@ -341,8 +330,8 @@ class SnapshotImage:
     # -- validation ----------------------------------------------------------
 
     def verify(self) -> None:
-        """Recompute the header digest and block checksums; raise on any
-        disagreement.
+        """Recompute the header digest and every table digest; raise on
+        any disagreement, naming the damaged table.
 
         The header digest goes first: once it matches, the metadata the
         table views are rebuilt from is the metadata that was written.
@@ -350,7 +339,8 @@ class SnapshotImage:
         impossible shape, an offset past the buffer — is damage too, so
         it surfaces as the same ``SnapshotIntegrityError``, never a raw
         TypeError/ValueError.  Images written before the header digest
-        existed fail here too (their checksum list is one entry short).
+        or the per-table digests existed fail here too (their checksum
+        list is shorter than the table list).
         """
         stored = self._header.get("checksums")
         if not isinstance(stored, list) or not stored or \
@@ -359,9 +349,15 @@ class SnapshotImage:
                 f"{self._context}: header digest mismatch — corrupted "
                 f"header or an image written before header digests"
             )
+        tables = self._header.get("tables")
+        if not isinstance(tables, list) or len(stored) != len(tables) + 1:
+            raise SnapshotIntegrityError(
+                f"{self._context}: {len(stored) - 1} digests for "
+                f"{len(tables) if isinstance(tables, list) else '?'} "
+                f"tables — an image written before per-table digests"
+            )
         try:
-            tables = self._header["tables"]
-            last = tables[-1] if tables else None  # type: ignore[index]
+            last = tables[-1] if tables else None
             if last is not None:
                 shape = tuple(last["shape"])
                 count = int(np.prod(shape)) if shape else 1
@@ -373,28 +369,18 @@ class SnapshotImage:
                         f"payload truncated ({len(self._buf)} bytes, needs "
                         f"{end}) — torn or incomplete write"
                     )
-            digests = [
-                table_digest(self._array_view(entry))
-                for entry in tables  # type: ignore[union-attr]
-            ]
+            for entry, digest in zip(tables, stored):
+                if table_digest(self._array_view(entry)) != digest:
+                    raise SnapshotIntegrityError(
+                        f"{self._context} generation {self.generation}: "
+                        f"digest mismatch in table {entry['name']!r} — "
+                        f"torn or corrupted publish"
+                    )
         except (TypeError, ValueError, KeyError, OverflowError) as error:
             raise SnapshotIntegrityError(
                 f"{self._context}: malformed table metadata "
                 f"({error}) — corrupted header"
             ) from error
-        current = block_checksums(
-            digests, self._header["checksum_block"])  # type: ignore[arg-type]
-        stored = stored[:-1]
-        if current != stored:
-            damaged = [
-                index for index, (a, b) in enumerate(zip(current, stored))  # type: ignore[arg-type]
-                if a != b
-            ]
-            raise SnapshotIntegrityError(
-                f"{self._context} generation {self.generation}: "
-                f"checksum mismatch in block(s) {damaged} — torn or "
-                f"corrupted publish"
-            )
 
     # -- reconstruction ------------------------------------------------------
 

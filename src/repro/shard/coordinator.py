@@ -11,11 +11,11 @@ worker processes over shared memory:
   words during the export bumps ``words_written`` and the half-repaired
   image is discarded, never published (the §4.4.1 dirty-bit-consistency
   analogue; regression-tested in tests/test_shard.py).
-* **lookup_batch** partitions each key batch across the workers
-  (round-robin or hash-of-key), scatters their answers back, and
-  re-answers overlay-covered keys through the live scalar path under the
-  router lock — the same consistency model as the single-process router,
-  so the sharded plane is differential-testable against it.
+* **lookup_batch** partitions each key batch round-robin across the
+  workers, scatters their answers back, and re-answers overlay-covered
+  keys through the live scalar path under the router lock — the same
+  consistency model as the single-process router, so the sharded plane
+  is differential-testable against it.
 * **the fence**: an old generation's segment is retired only after every
   live worker's control-block ack reaches the new generation; dead
   workers are respawned (and attach the current generation on startup,
@@ -59,15 +59,6 @@ from .worker import (
     worker_main,
 )
 
-#: Partition policies: how a key batch is split across workers.
-ROUND_ROBIN = "round-robin"
-HASH_OF_KEY = "hash"
-POLICIES = (ROUND_ROBIN, HASH_OF_KEY)
-
-#: Fibonacci-hash mix for the hash-of-key policy (decorrelates the
-#: partition choice from the table's own hash functions).
-_PARTITION_MIX = np.uint64(0x9E3779B97F4A7C15)
-
 #: Poll interval while waiting on worker results / fence acks.
 _POLL_SECONDS = 0.05
 
@@ -80,19 +71,14 @@ class ShardCoordinator:
     """Single-writer coordinator over N shard worker processes."""
 
     def __init__(self, router: SnapshotRouter, workers: int = 2,
-                 policy: str = ROUND_ROBIN,
                  start_method: Optional[str] = None,
                  batch_timeout: float = 60.0,
                  ack_timeout: float = 30.0,
                  store: Optional["SnapshotStore"] = None) -> None:
         if workers < 1:
             raise ValueError("need at least one shard worker")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown partition policy {policy!r}; "
-                             f"expected one of {POLICIES}")
         self.router = router
         self.workers = workers
-        self.policy = policy
         self.batch_timeout = batch_timeout
         self.ack_timeout = ack_timeout
         self.store = store
@@ -222,17 +208,10 @@ class ShardCoordinator:
     # -- partitioning --------------------------------------------------------
 
     def _partition(self, keys: np.ndarray) -> List[np.ndarray]:
-        """Index arrays, one per worker, covering the batch exactly once."""
-        if self.policy == ROUND_ROBIN:
-            return [
-                np.arange(worker_id, len(keys), self.workers)
-                for worker_id in range(self.workers)
-            ]
-        # Fibonacci-style partition mix: the wrap mod 2**64 is the hash.
-        mixed = (keys * _PARTITION_MIX) >> np.uint64(32)  # chisel: noqa[ANZ302]
-        assignment = mixed % np.uint64(self.workers)
+        """Round-robin index arrays, one per worker, covering the batch
+        exactly once."""
         return [
-            np.flatnonzero(assignment == np.uint64(worker_id))
+            np.arange(worker_id, len(keys), self.workers)
             for worker_id in range(self.workers)
         ]
 
@@ -481,7 +460,6 @@ class ShardCoordinator:
         payload = self.router.metrics_dict()
         payload.update({
             "shard_workers": self.workers,
-            "shard_policy": self.policy,
             "shard_generation": self._generation,
             "shard_worker_acks": self.worker_acks(),
         })

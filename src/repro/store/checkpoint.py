@@ -6,8 +6,8 @@ checkpoint-specific magic, written to disk instead of shared memory.  It
 carries:
 
 * every compiled ``BatchLookup`` table (reusing
-  :func:`repro.shard.codec.encode_image`'s flattening, digests and
-  :func:`repro.faults.checksum.block_checksums`);
+  :func:`repro.shard.codec.encode_image`'s flattening and its full
+  64-bit per-table digests);
 * the router's overlay at cut time (so a boot maps a coherent serving
   cut, not just tables);
 * a pickled :class:`~repro.router.fib.ForwardingEngine` blob — the §4.4

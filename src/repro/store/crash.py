@@ -13,11 +13,13 @@ parent then cold-starts from whatever the child left on disk and gates:
 
 * recovery reaches at least the sequence number that was durable when
   the child died (acknowledged updates are never lost);
-* probe lookups at the recovered sequence number match a golden
-  single-process router replayed to the same point;
+* probe lookups at the recovered sequence number match the
+  :class:`repro.verify.Oracle` trie replayed to the same point; half
+  the probes lie under prefixes the trace changes;
 * catching the recovered router up with the remaining trace yields a
   hardware image byte-identical (bidirectional ``HardwareImage.diff``)
-  to the golden end state — replay converges, it does not drift.
+  to a golden router rebuilt to the end state — replay converges, it
+  does not drift.
 
 A boot that *refuses* (``RecoveryError``) is only acceptable while no
 checkpoint had ever been renamed into place — before that there is
@@ -38,15 +40,18 @@ identical verdicts.
 from __future__ import annotations
 
 import os
+import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.image import HardwareImage
+from ..core.updates import UpdateOp
+from ..prefix.table import RoutingTable
 from ..router.fib import ForwardingEngine
-from ..router.nexthop import NextHopInfo
 from ..serve.snapshot import SnapshotRouter
+from ..verify import Answer, HarnessReport, Oracle, apply_update, keys_under
 from ..workloads import synthetic_table
 from ..workloads.traces import synthesize_trace
 from .boot import RecoveryError, cold_start
@@ -64,11 +69,9 @@ from .store import (
 #: the writer" from organic crashes).
 KILL_EXIT = 137
 
-_ANNOUNCE = "announce"
-
 
 @dataclass
-class CrashReport:
+class CrashReport(HarnessReport):
     """Outcome of one crash campaign, with acceptance gates attached."""
 
     kill_points: int = 0
@@ -85,17 +88,10 @@ class CrashReport:
     duplicates_skipped: int = 0
     corruption_cases: int = 0
     corruption_passed: int = 0
-    kill_tags: List[str] = field(default_factory=list)
     case_results: Dict[str, str] = field(default_factory=dict)
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def evaluate(self) -> None:
-        """Apply the acceptance gates; failures land in ``self.failures``."""
-        self.failures = []
+        """Apply the acceptance gates; failures join ``self.failures``."""
         if self.kills_delivered < self.kill_points:
             self.failures.append(
                 f"only {self.kills_delivered} of {self.kill_points} kills "
@@ -131,22 +127,6 @@ class CrashReport:
                 f"corruption cases failed: {', '.join(failed)}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            name: getattr(self, name)
-            for name in (
-                "kill_points", "kills_delivered", "boots", "boots_refused",
-                "refusals_legitimate", "seq_regressions", "wrong_answers",
-                "lookups_checked", "divergent_replays", "fallbacks",
-                "torn_tails", "duplicates_skipped", "corruption_cases",
-                "corruption_passed",
-            )
-        }
-        payload["case_results"] = dict(sorted(self.case_results.items()))
-        payload["ok"] = self.ok
-        payload["failures"] = list(self.failures)
-        return payload
-
 
 @dataclass
 class _Workload:
@@ -158,67 +138,39 @@ class _Workload:
     every_records: int
     probes: int = 64
 
-    def table(self):
+    def table(self) -> RoutingTable:
         return synthetic_table(self.table_size, seed=self.seed)
 
-    def ops(self) -> List[Tuple[str, Any, str, str]]:
-        table = self.table()
-        trace = synthesize_trace(table, self.updates, seed=self.seed + 1)
-        ops: List[Tuple[str, Any, str, str]] = []
-        for op in trace:
-            if op.op == _ANNOUNCE:
-                ops.append((_ANNOUNCE, op.prefix,
-                            f"10.9.{op.next_hop % 256}.1",
-                            f"eth{op.next_hop % 8}"))
-            else:
-                ops.append(("withdraw", op.prefix, "", ""))
-        return ops
+    def trace(self) -> List[UpdateOp]:
+        return synthesize_trace(self.table(), self.updates,
+                                seed=self.seed + 1)
 
     def probe_keys(self) -> List[int]:
-        import random
-
-        rng = random.Random(self.seed + 2)
-        return [rng.getrandbits(32) for _ in range(self.probes)]
-
-
-def _build_router(workload: _Workload) -> SnapshotRouter:
-    fib = ForwardingEngine.from_table(workload.table())
-    return SnapshotRouter(fib)
+        """Probes half uniform, half under the prefixes the trace changes."""
+        return keys_under(random.Random(self.seed + 2), 32, self.probes,
+                          [op.prefix for op in self.trace()])
 
 
-def _apply(router: SnapshotRouter, op: Tuple[str, Any, str, str]) -> None:
-    kind, prefix, gateway, interface = op
-    if kind == _ANNOUNCE:
-        router.announce(prefix, gateway, interface)
-    else:
-        router.withdraw(prefix)
-
-
-def _resolved(router: SnapshotRouter, keys: List[int]) -> List[
-        Optional[NextHopInfo]]:
-    """Probe answers as interned infos (stable across id reallocation)."""
-    answers = router.lookup_many(keys)
-    return [
-        None if answer is None else router.fib.next_hops.resolve(answer)
-        for answer in answers
-    ]
-
-
-def writer_workload(directory: str, workload: _Workload) -> None:
-    """The child body: create a store and push the whole trace through it.
+def writer_workload(
+        directory: str, workload: _Workload,
+        opened: Callable[[SnapshotStore], None] = lambda store: None,
+) -> None:
+    """The writer: create a store and push the whole trace through it.
 
     Module-level and hook-free so the kill logic stays in the caller;
     with a crashpoint hook installed this never returns past the kill.
+    ``opened`` sees the store before the first update.
     """
-    router = _build_router(workload)
+    router = SnapshotRouter(ForwardingEngine.from_table(workload.table()))
     store = SnapshotStore.create(
         directory, router,
         policy=CheckpointPolicy(every_records=workload.every_records,
                                 retain=2),
         sync=True,
     )
-    for op in workload.ops():
-        _apply(router, op)
+    opened(store)
+    for op in workload.trace():
+        apply_update(router, op)
         store.maybe_checkpoint()
     store.close()
 
@@ -235,29 +187,18 @@ def enumerate_crashpoints(
     """
     directory = tempfile.mkdtemp(prefix="chz-crash-golden-")
     points: List[Tuple[str, int, bool]] = []
-    state = {"store": None, "renamed": False}
+    stores: List[SnapshotStore] = []
+    renamed = [False]
 
     def recorder(tag: str) -> None:
-        store: Optional[SnapshotStore] = state["store"]
-        durable = store.durable_seq if store is not None else 0
-        points.append((tag, durable, state["renamed"]))
+        durable = stores[0].durable_seq if stores else 0
+        points.append((tag, durable, renamed[0]))
         if tag == "ckpt:renamed":
-            state["renamed"] = True
+            renamed[0] = True
 
     set_crashpoint_hook(recorder)
     try:
-        router = _build_router(workload)
-        store = SnapshotStore.create(
-            directory, router,
-            policy=CheckpointPolicy(every_records=workload.every_records,
-                                    retain=2),
-            sync=True,
-        )
-        state["store"] = store
-        for op in workload.ops():
-            _apply(router, op)
-            store.maybe_checkpoint()
-        store.close()
+        writer_workload(directory, workload, opened=stores.append)
     finally:
         set_crashpoint_hook(None)
     return points, directory
@@ -303,20 +244,26 @@ def _killed_writer_main(directory: str, workload: _Workload,
     writer_workload(directory, workload)
 
 
-def _golden_states(workload: _Workload) -> Tuple[
-        List[List[Optional[NextHopInfo]]], HardwareImage]:
-    """Probe answers at every sequence number, and the final image."""
-    router = _build_router(workload)
+def _golden_states(workload: _Workload) -> Tuple[List[List[Answer]],
+                                                 HardwareImage]:
+    """Oracle probe answers at every sequence number, and the final image.
+
+    The answers come from the trie; the golden router is rebuilt only
+    for the byte-level image the caught-up recoveries must match.
+    """
     keys = workload.probe_keys()
-    answers = [_resolved(router, keys)]
-    for op in workload.ops():
-        _apply(router, op)
-        answers.append(_resolved(router, keys))
+    oracle = Oracle(workload.table())
+    router = SnapshotRouter(ForwardingEngine.from_table(workload.table()))
+    answers = [[oracle.lookup(key) for key in keys]]
+    for op in workload.trace():
+        oracle.apply(op)
+        apply_update(router, op)
+        answers.append([oracle.lookup(key) for key in keys])
     return answers, HardwareImage.snapshot(router.fib.engine)
 
 
 def _verify_recovery(directory: str, workload: _Workload,
-                     golden_answers: List[List[Optional[NextHopInfo]]],
+                     golden_answers: List[List[Answer]],
                      golden_final: HardwareImage,
                      min_seq: int, report: CrashReport,
                      context: str) -> Optional[str]:
@@ -340,7 +287,7 @@ def _verify_recovery(directory: str, workload: _Workload,
             return (f"{context}: recovered seq {seq} beyond the "
                     f"{len(golden_answers) - 1}-update trace")
         keys = workload.probe_keys()
-        served = _resolved(result.router, keys)
+        served = result.router.forward_batch(keys)
         report.lookups_checked += len(keys)
         wrong = sum(
             1 for got, want in zip(served, golden_answers[seq])
@@ -349,11 +296,11 @@ def _verify_recovery(directory: str, workload: _Workload,
         if wrong:
             report.wrong_answers += wrong
             return (f"{context}: {wrong}/{len(keys)} probe lookups "
-                    f"diverge from golden at seq {seq}")
+                    f"diverge from the oracle at seq {seq}")
         # Catch-up: the remaining trace must drive the recovered FIB to
         # the exact golden end state — replay converges, never drifts.
-        for op in workload.ops()[seq:]:
-            _apply(result.router, op)
+        for op in workload.trace()[seq:]:
+            apply_update(result.router, op)
         recovered = HardwareImage.snapshot(result.router.fib.engine)
         forward = golden_final.diff(recovered)
         backward = recovered.diff(golden_final)
@@ -389,7 +336,6 @@ def run_kill_matrix(workload: _Workload, report: CrashReport,
                 )
                 continue
             report.kills_delivered += 1
-            report.kill_tags.append(tag)
             failure = _verify_recovery(
                 directory, workload, golden_answers, golden_final,
                 durable_seq, report, context=f"kill {kill_index} ({tag})",
@@ -503,7 +449,7 @@ def _flip_midlog(directory: str, newest: int, flip) -> int:
 
 
 def _corruption_verdict(name: str, directory: str, workload: _Workload,
-                        golden_answers: List[List[Optional[NextHopInfo]]],
+                        golden_answers: List[List[Answer]],
                         golden_final: HardwareImage,
                         report: CrashReport) -> str:
     if name == "all-checkpoints-corrupt":

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.batch import BatchLookup
 from repro.prefix import Prefix, RoutingTable
+from repro.verify import keys_under
 from repro.workloads import synthetic_table
 
 
@@ -49,14 +50,8 @@ def brute_force_lookup(table: RoutingTable, key: int):
 
 
 def sample_keys(table: RoutingTable, rng: random.Random, count: int):
-    """Half random keys, half keys under known prefixes (hit-heavy)."""
-    keys = [rng.getrandbits(table.width) for _ in range(count // 2)]
-    prefixes = list(table.prefixes())
-    for _ in range(count - len(keys)):
-        prefix = prefixes[rng.randrange(len(prefixes))]
-        free = table.width - prefix.length
-        keys.append(prefix.network_int() | (rng.getrandbits(free) if free else 0))
-    return keys
+    """Half random keys, half keys under the table's prefixes (hit-heavy)."""
+    return keys_under(rng, table.width, count, list(table.prefixes()))
 
 
 def random_table(rng: random.Random, width: int, routes: int) -> RoutingTable:

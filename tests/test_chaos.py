@@ -1,10 +1,14 @@
 """The chaos harness: gates, determinism, and the CLI entry point."""
 
 import json
+import random
 
 import pytest
 
 from repro.faults.chaos import ChaosReport, run_chaos
+from repro.prefix import Prefix
+from repro.router.fib import ForwardingEngine
+from repro.verify import keys_under
 
 SMALL = dict(table_size=700, rounds=6, churn_per_round=20,
              faults_per_round=25, batch_size=128, seed=11,
@@ -49,6 +53,38 @@ def test_small_run_exercises_the_failure_paths(small_report):
     assert small_report.malformed_rejected > 0
     assert small_report.malformed_accepted == 0
     assert small_report.lookups_checked > 0
+
+
+def test_wrong_next_hop_on_churned_routes_fails_the_run(monkeypatch):
+    """The oracle's keys land under the routes the trace changed, so a
+    router that installs a wrong next hop on every trace announce cannot
+    pass."""
+    announce = ForwardingEngine.announce
+
+    def misroute(self, prefix, gateway, interface):
+        if gateway.startswith("10.8."):  # the next_hop_for naming
+            gateway = "192.0.2.1"
+        return announce(self, prefix, gateway, interface)
+
+    monkeypatch.setattr(ForwardingEngine, "announce", misroute)
+    report = run_chaos(**SMALL)
+    assert report.wrong_answers > 0
+    assert not report.ok
+
+
+def test_keys_under_puts_half_under_the_prefixes_and_is_seeded():
+    prefixes = [Prefix.from_string("203.0.113.0/24"),
+                Prefix.from_string("198.51.100.128/25")]
+
+    def covered(key):
+        return any(prefix.covers(key) for prefix in prefixes)
+
+    keys = keys_under(random.Random(5), 32, 400, prefixes)
+    assert len(keys) == 400
+    assert not any(covered(key) for key in keys[:200])
+    assert all(covered(key) for key in keys[200:])
+    assert keys == keys_under(random.Random(5), 32, 400, prefixes)
+    assert keys != keys_under(random.Random(6), 32, 400, prefixes)
 
 
 def test_chaos_is_deterministic_per_seed(small_report):

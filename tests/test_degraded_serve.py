@@ -176,17 +176,13 @@ def test_scrub_repairs_keep_router_healthy(rig):
 
 def test_spillover_overflow_during_churn_is_contained(rig):
     router, fib, clock, injector, table = rig
+    from repro.verify import apply_update
     from repro.workloads.traces import synthesize_trace
-    from repro.core.updates import ANNOUNCE
 
     trace = synthesize_trace(table, 200, seed=5)
     with injector.force_spillover_overflow(fib.engine):
         for op in trace:
-            if op.op == ANNOUNCE:
-                router.announce(op.prefix, f"10.8.{op.next_hop % 256}.1",
-                                f"eth{op.next_hop % 8}")
-            else:
-                router.withdraw(op.prefix)
+            apply_update(router, op)
     # Contained: whatever happened, no exception escaped and the router
     # is either still healthy or visibly degraded — and recoverable.
     for _ in range(8):

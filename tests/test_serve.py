@@ -13,9 +13,9 @@ import pytest
 
 from repro.analysis.report import format_metrics
 from repro.core.batch import BatchLookup
-from repro.core.updates import ANNOUNCE
 from repro.router import ForwardingEngine, NextHopInfo
 from repro.serve import RecompilePolicy, SnapshotRouter
+from repro.verify import apply_update
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
@@ -54,11 +54,7 @@ class TestServingCorrectness:
             targeted = []
             for op in window:
                 prefix = op.prefix
-                if op.op == ANNOUNCE:
-                    router.announce(prefix, f"10.9.{op.next_hop % 256}.1",
-                                    f"eth{op.next_hop % 8}")
-                else:
-                    router.withdraw(prefix)
+                apply_update(router, op)
                 free = 32 - prefix.length
                 targeted.append(prefix.network_int()
                                 | (rng.getrandbits(free) if free else 0))

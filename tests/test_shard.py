@@ -4,7 +4,7 @@ The acceptance properties:
 
 * **differential**: a ``ShardCoordinator`` fleet answers exactly like the
   single-process ``SnapshotRouter`` it wraps, over churn, for every
-  worker count and both partition policies;
+  worker count;
 * **fence**: a worker never serves a generation older than the one
   current at dispatch, worker-observed generations are monotone
   (hypothesis property over the control block), and retired segments are
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.updates import ANNOUNCE
 from repro.faults import FaultInjector
 from repro.router import ForwardingEngine
 from repro.serve import RecompilePolicy, SnapshotRouter
@@ -35,6 +34,7 @@ from repro.shard import (
     SnapshotIntegrityError,
 )
 from repro.shard.codec import table_digest
+from repro.verify import apply_update
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
@@ -48,11 +48,7 @@ def build_router(table_size=1200, seed=21, **policy_kwargs):
 
 def churn(router, trace, start, count):
     for op in trace[start:start + count]:
-        if op.op == ANNOUNCE:
-            router.announce(op.prefix, f"10.9.{op.next_hop % 256}.1",
-                            f"eth{op.next_hop % 8}")
-        else:
-            router.withdraw(op.prefix)
+        apply_update(router, op)
 
 
 def random_keys(width, count, seed=0):
@@ -124,24 +120,23 @@ class TestSnapshotCodec:
 
 
 class TestDifferentialSharding:
-    @pytest.mark.parametrize("policy", ["round-robin", "hash"])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_sharded_equals_single_process_over_churn(
-            self, policy, workers):
-        """The tentpole gate: every worker count, both policies, zero
-        divergences from the single-process router while churn flows and
-        generations swap underneath."""
+    # The ids keep the partition name the coordinator uses.
+    @pytest.mark.parametrize("workers", [1, 2, 3],
+                             ids=lambda workers: f"{workers}-round-robin")
+    def test_sharded_equals_single_process_over_churn(self, workers):
+        """The tentpole gate: every worker count, zero divergences from
+        the single-process router while churn flows and generations swap
+        underneath."""
         table, _fib, router = build_router(max_overlay=16, max_age=1e9)
         trace = synthesize_trace(table, 120, seed=22)
         keys = random_keys(table.width, 2500, seed=22)
-        with ShardCoordinator(router, workers=workers,
-                              policy=policy) as coordinator:
+        with ShardCoordinator(router, workers=workers) as coordinator:
             for round_index in range(6):
                 churn(router, trace, round_index * 20, 20)
                 sharded = coordinator.lookup_batch(keys)
                 single = router.lookup_batch(keys)
                 assert np.array_equal(sharded, single), (
-                    f"{policy}/{workers}w diverged on round {round_index}"
+                    f"{workers}w diverged on round {round_index}"
                 )
                 coordinator.maybe_publish()
             # Worker-observed generations are monotone per worker.
@@ -152,12 +147,10 @@ class TestDifferentialSharding:
     def test_partitions_cover_batch_exactly_once(self):
         _table, _fib, router = build_router(table_size=600)
         keys = random_keys(32, 999, seed=3)
-        for policy in ("round-robin", "hash"):
-            with ShardCoordinator(router, workers=3,
-                                  policy=policy) as coordinator:
-                parts = coordinator._partition(keys)
-                merged = np.sort(np.concatenate(parts))
-                assert np.array_equal(merged, np.arange(len(keys)))
+        with ShardCoordinator(router, workers=3) as coordinator:
+            parts = coordinator._partition(keys)
+            merged = np.sort(np.concatenate(parts))
+            assert np.array_equal(merged, np.arange(len(keys)))
 
 
 class TestGenerationFence:
