@@ -1,13 +1,12 @@
 """Churn-under-load serving benchmark (``repro.serve``).
 
 The ROADMAP regime: heavy lookup traffic served while BGP updates churn
-the tables.  A ``SnapshotRouter`` answers 20K-key batches from compiled
-snapshots while a synthetic rrc-style trace announces/withdraws routes
-between batches; the recompile policy swaps snapshots as the overlay
-grows.  Reported against the scalar datapath rate on identical keys
-(the ``bench_lookup_rate.py`` baseline); the metrics (snapshot age,
-recompile latency, overlay size, updates absorbed) land in
-``results/bench_serve.json``.
+the tables.  A ``SnapshotRouter`` answers 20K-key batches from its
+compiled image while a synthetic rrc-style trace announces/withdraws
+routes between batches, each update patching the image in place.
+Reported against the scalar datapath rate on identical keys (the
+``bench_lookup_rate.py`` baseline); the metrics (updates applied,
+sub-cell replans, lock holds) land in ``results/bench_serve.json``.
 """
 
 import json
@@ -18,8 +17,8 @@ from repro.analysis import format_table
 from repro.analysis.report import save_report
 from repro.obs import get_registry
 from repro.router import ForwardingEngine
-from repro.serve import RecompilePolicy, SnapshotRouter
-from repro.verify import apply_update, keys_under
+from repro.serve import SnapshotRouter
+from repro.verify import apply_update, image_differences, keys_under
 from repro.workloads import synthetic_table
 
 from .conftest import emit
@@ -35,7 +34,7 @@ def test_serve_churn_under_load(benchmark):
 
     table = synthetic_table(TABLE_SIZE, seed=2006)
     fib = ForwardingEngine.from_table(table)
-    router = SnapshotRouter(fib, RecompilePolicy(max_overlay=256, max_age=5.0))
+    router = SnapshotRouter(fib)
     rng = random.Random(2006)
     keys = [rng.getrandbits(32) for _ in range(BATCH_SIZE)]
     trace = synthesize_trace(table, CHURN_PER_BATCH * (ROUNDS + 5), seed=2006)
@@ -56,7 +55,6 @@ def test_serve_churn_under_load(benchmark):
         for op in window:
             apply_update(router, op)
         router.lookup_batch(keys)
-        router.maybe_recompile()
         return BATCH_SIZE
 
     benchmark.pedantic(serve_round, rounds=ROUNDS, iterations=1)
@@ -90,11 +88,11 @@ def test_serve_churn_under_load(benchmark):
         title=f"serving throughput, {TABLE_SIZE} prefixes, "
               f"{CHURN_PER_BATCH} updates/batch",
     ))
-    # Correctness gate, after the metrics are read (the overlay
-    # re-answers keys under churned prefixes under the update lock):
-    # served answers equal the live scalar path.
+    # Correctness gate: served answers equal the live scalar path, and
+    # the served image equals a fresh compile.
     router.verify_sample(
         keys_under(rng, 32, 500, [op.prefix for op in trace]))
+    assert not image_differences(router)
     assert served_rate >= 10 * scalar_rate, (
         f"snapshot path {served_rate:,.0f}/s is not >=10x the scalar "
         f"path {scalar_rate:,.0f}/s"
@@ -102,8 +100,8 @@ def test_serve_churn_under_load(benchmark):
 
 
 def test_serve_recompile_latency(benchmark):
-    """Snapshot compile cost at the 100k scale: the swap-window length
-    the overlay has to cover."""
+    """Whole-image compile cost at the 100k scale: what a shard publish
+    or a recovery pays (updates patch the image instead)."""
     table = synthetic_table(TABLE_SIZE, seed=2007)
     fib = ForwardingEngine.from_table(table)
     router = SnapshotRouter(fib)

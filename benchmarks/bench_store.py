@@ -3,8 +3,8 @@
 
 The persistence tentpole's whole point is that a restarting router does
 *not* pay the Chisel compile (Bloomier planning + filter encode) again:
-it maps the newest valid checkpoint read-only, restores the overlay,
-and replays only the delta-log tail.  This bench measures both boot
+it maps the newest valid checkpoint copy-on-write and replays only the
+delta-log tail, each update patching the mapped image.  This bench measures both boot
 paths over the same store directory and reports the ratio as the
 machine-independent acceptance floor (``coldstart_speedup``), plus a
 differential gate (``first_batch_ok``): the first batch served by the

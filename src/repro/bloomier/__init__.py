@@ -13,7 +13,7 @@ from .backend import (
 )
 from .filter import BloomierFilter
 from .fuse import FuseIndexBackend, fuse_geometry
-from .partitioned import InsertOutcome, PartitionedBloomierFilter
+from .partitioned import Inserted, InsertOutcome, PartitionedBloomierFilter
 from .spillover import SpilloverCapacityError, SpilloverTCAM
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "SetupReport",
     "FuseIndexBackend",
     "fuse_geometry",
+    "Inserted",
     "InsertOutcome",
     "PartitionedBloomierFilter",
     "SpilloverCapacityError",

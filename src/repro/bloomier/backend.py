@@ -13,7 +13,8 @@ only relies on a small shared surface, captured here as the
   reports what spilled (:class:`SetupReport`),
 * ``lookup(key)``: XOR of the table words over ``neighborhood(key)``
   (garbage for non-members; a Filter Table eliminates those, §4.2),
-* O(1) ``try_insert`` via per-slot refcount singletons (§4.4.2),
+* O(1) ``try_insert`` via per-slot refcount singletons (§4.4.2), which
+  returns the one table word it wrote,
 * the raw ``table`` words, a software ``shadow`` of the encoded
   function (§4.4), and ``storage_bits()`` hardware accounting.
 
@@ -85,7 +86,7 @@ class IndexBackend(Protocol):
 
     def find_singleton(self, key: int) -> Optional[int]: ...
 
-    def try_insert(self, key: int, value: int) -> bool: ...
+    def try_insert(self, key: int, value: int) -> Optional[int]: ...
 
     def storage_bits(self) -> int: ...
 
@@ -238,16 +239,17 @@ class XorIndexTable:
                 return slot
         return None
 
-    def try_insert(self, key: int, value: int) -> bool:
+    def try_insert(self, key: int, value: int) -> Optional[int]:
         """Encode a new key in O(1) if it has a singleton slot.
 
         Writing a zero-refcount slot cannot disturb any encoded key, because
-        no encoded key's neighborhood includes it.
+        no encoded key's neighborhood includes it.  Returns that slot — the
+        only table word the insert wrote — or None when no singleton exists.
         """
         if key in self._shadow:
             raise KeyError(f"key {key:#x} already encoded")
         if len(self._shadow) >= self.capacity:
-            return False
+            return None
         slots = self.neighborhood(key)
         tau = None
         for slot in slots:
@@ -255,11 +257,11 @@ class XorIndexTable:
                 tau = slot
                 break
         if tau is None:
-            return False
+            return None
         self._table[tau] = 0
         self._encode_at(key, slots, tau, value)
         self._shadow[key] = value
-        return True
+        return tau
 
     # -- shadow bookkeeping ---------------------------------------------------
 

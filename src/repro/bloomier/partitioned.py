@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..hashing.tabulation import TabulationHash
 from ..obs import get_registry
@@ -31,6 +31,16 @@ class InsertOutcome(Enum):
     # Re-insert of a still-spilled key: its TCAM entry is refreshed in
     # place — one word written, no Index Table traffic.
     SPILL_REFRESH = "spill_refresh"
+
+
+class Inserted(NamedTuple):
+    """What one :meth:`PartitionedBloomierFilter.insert` did."""
+
+    outcome: InsertOutcome
+    #: ``(group, slot)`` of the Index-Table word a singleton insert
+    #: wrote, when that word is all it wrote; None when a TCAM entry
+    #: changed too or the group was re-setup.
+    word: Optional[Tuple[int, int]] = None
 
 
 class PartitionedBloomierFilter:
@@ -132,7 +142,7 @@ class PartitionedBloomierFilter:
 
     # -- dynamic updates -----------------------------------------------------------
 
-    def insert(self, key: int, value: int) -> InsertOutcome:
+    def insert(self, key: int, value: int) -> Inserted:
         """Add a key: O(1) when a singleton exists, else rebuild its group."""
         group_index = self.group_of(key)
         group = self._groups[group_index]
@@ -143,19 +153,20 @@ class PartitionedBloomierFilter:
             # value into the group would leave the stale TCAM value
             # shadowing it forever.  Prefer moving it into the table
             # (freeing a TCAM word); otherwise refresh the entry in place.
-            if group.try_insert(key, value):
+            if group.try_insert(key, value) is not None:
                 del spilled[key]
                 self.spillover.remove(key)
                 self.singleton_insert_count += 1
-                return InsertOutcome.SINGLETON
+                return Inserted(InsertOutcome.SINGLETON)
             spilled[key] = value
             self.spillover.insert(key, value)
-            return InsertOutcome.SPILL_REFRESH
-        if group.try_insert(key, value):
+            return Inserted(InsertOutcome.SPILL_REFRESH)
+        slot = group.try_insert(key, value)
+        if slot is not None:
             self.singleton_insert_count += 1
-            return InsertOutcome.SINGLETON
+            return Inserted(InsertOutcome.SINGLETON, (group_index, slot))
         self._rebuild_group(group_index, extra={key: value})
-        return InsertOutcome.REBUILD
+        return Inserted(InsertOutcome.REBUILD)
 
     def delete(self, key: int) -> None:
         """Physically remove a key (the purge path; dirty-marking is the
@@ -183,7 +194,7 @@ class PartitionedBloomierFilter:
         for group_index, spilled in enumerate(self._spilled_by_group):
             for key in list(spilled):
                 value = spilled[key]
-                if self._groups[group_index].try_insert(key, value):
+                if self._groups[group_index].try_insert(key, value) is not None:
                     del spilled[key]
                     self.spillover.remove(key)
                     drained += 1

@@ -175,15 +175,13 @@ def cmd_serve_bench(args) -> int:
 
     from .obs import get_registry
     from .router import ForwardingEngine
-    from .serve import RecompilePolicy, SnapshotRouter
-    from .verify import Oracle, apply_update, keys_under
+    from .serve import SnapshotRouter
+    from .verify import Oracle, apply_update, image_differences, keys_under
 
     _smoke(args, size=2_000, batches=10, batch_size=2_000, churn=8)
     table = synthetic_table(args.size, seed=args.seed)
     fib = ForwardingEngine.from_table(table, config=_config_for(table, args))
-    router = SnapshotRouter(fib, RecompilePolicy(
-        max_overlay=args.max_overlay, max_age=args.max_age
-    ))
+    router = SnapshotRouter(fib)
     trace = synthesize_trace(table, args.batches * args.churn, seed=args.seed)
     rng = random.Random(args.seed)
     keys = [rng.getrandbits(table.width) for _ in range(args.batch_size)]
@@ -204,7 +202,6 @@ def cmd_serve_bench(args) -> int:
             apply_update(router, op)
         position += args.churn
         router.lookup_batch(keys)
-        router.maybe_recompile()
     elapsed = time.perf_counter() - started
     served_rate = args.batches * args.batch_size / elapsed
 
@@ -229,14 +226,17 @@ def cmd_serve_bench(args) -> int:
         if args.smoke and lock_p99 >= 0.005:
             # The recompile-stall regression gate: snapshot compiles must
             # not hold the update lock (p99 covers announce/withdraw/
-            # overlay/swap).
+            # patch/swap).
             failures.append(
                 f"p99 update lock-hold {lock_p99 * 1000:.3f} ms >= 5 ms "
                 f"— a recompile is stalling the update path")
 
-    # Self-checks, after the metrics are read: half their keys lie under
-    # the churned prefixes, so the overlay re-answers them under the
-    # update lock.  Served == live scalar path, and == the trie.
+    # Self-checks, after the metrics are read: the served image equals a
+    # fresh compile, and half the checked keys lie under the churned
+    # prefixes.  Served == live scalar path, and == the trie.
+    differences = image_differences(router)
+    payload["image_differences"] = len(differences)
+    failures.extend(f"served image: {line}" for line in differences)
     oracle = Oracle(table)
     for op in trace:
         oracle.apply(op)
@@ -425,13 +425,13 @@ def _metrics_workload(args):
     import numpy as np
 
     from .router import ForwardingEngine
-    from .serve import RecompilePolicy, SnapshotRouter
+    from .serve import SnapshotRouter
     from .verify import apply_update
 
     table = synthetic_table(args.size, seed=args.seed)
     fib = ForwardingEngine.from_table(table, config=_config_for(table, args),
                                       dirty_purge_threshold=4)
-    router = SnapshotRouter(fib, RecompilePolicy(max_overlay=64, max_age=5.0))
+    router = SnapshotRouter(fib)
     trace = synthesize_trace(table, 192, seed=args.seed)
     rng = random.Random(args.seed)
     keys = np.array([rng.getrandbits(table.width) for _ in range(2_000)],
@@ -746,10 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keys per batch")
     p.add_argument("--churn", type=int, default=20,
                    help="route updates applied between batches")
-    p.add_argument("--max-overlay", type=int, default=512,
-                   help="recompile once this many prefixes changed")
-    p.add_argument("--max-age", type=float, default=5.0,
-                   help="recompile a dirty snapshot older than this (s)")
     p.add_argument("--smoke", action="store_true",
                    help="small fast run with correctness checks (CI)")
     p.add_argument("--json", action="store_true",

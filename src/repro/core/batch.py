@@ -10,22 +10,25 @@ key batches at a time, typically one to two orders of magnitude faster
 per key.
 
 Restrictions: key widths up to 64 bits (IPv4 comfortably; not IPv6 —
-numpy has no 128-bit integers) and a snapshot semantics: rebuild the
-``BatchLookup`` after updating the engine (``stale`` turns True when the
-engine's update counter moves).
+numpy has no 128-bit integers) and a snapshot semantics: after updating
+the engine, either rebuild the ``BatchLookup`` or :meth:`~BatchLookup.patch`
+it with the words the update wrote (``stale`` turns True when the
+engine's update counter moves past what the plans hold).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..prefix.table import NextHop
 from .chisel import ChiselLPM
 from .flatpath import FlatSubCellPlan
+from .subcell import WriteLog
 
 _MISS = np.int64(-1)
+
 
 _KEY_LIMIT = 2 ** 64
 
@@ -89,23 +92,90 @@ class BatchLookup:
 
     One ``FlatSubCellPlan`` per sub-cell, probed longest base first; the
     scalar ``ChiselLPM.lookup`` is the reference every answer matches.
+    Each plan remembers the sub-cell it was compiled from and that
+    sub-cell's ``words_written`` count, which is what :meth:`patch`
+    checks a burst against.
     """
 
     def __init__(self, engine: ChiselLPM):
         if engine.config.width > 64:
             raise ValueError("batch lookups support key widths up to 64 bits")
-        self.engine = engine
         self.width = engine.config.width
-        self._words_at_build = engine.words_written()
         self._plans: List[FlatSubCellPlan] = [
             FlatSubCellPlan.compile(subcell, self.width)
             for subcell in engine.subcells
         ]  # engine.subcells is already longest-base-first
+        self._current_for(engine)
+
+    def _current_for(self, engine: ChiselLPM) -> None:
+        """Note the engine, its sub-cells and their counts the plans hold."""
+        self.engine = engine
+        self._cells = list(engine.subcells)
+        self._words = [subcell.words_written for subcell in self._cells]
+
+    def bind(self, engine: ChiselLPM) -> None:
+        """Make this the image that tracks ``engine``, current as it stands.
+
+        Every sub-cell gets an empty ``WriteLog``, so from here on its
+        writes are named for :meth:`patch`.  A router binds the image it
+        serves: a fresh compile, or a cold start's checkpoint image and
+        the engine unpickled beside it (cut at the same instant).  An
+        engine no image tracks keeps no log; its writes are only counted.
+        """
+        if len(engine.subcells) != len(self._plans):
+            raise ValueError(
+                f"{len(self._plans)} plans for {len(engine.subcells)} "
+                f"sub-cells")
+        self._current_for(engine)
+        for subcell in self._cells:
+            subcell.log = WriteLog()
 
     @property
     def stale(self) -> bool:
-        """True once the engine has been updated since compilation."""
-        return self.engine.words_written() != self._words_at_build
+        """True once the engine has been updated past what the plans hold."""
+        if self.engine is None:
+            return False
+        return self.engine.words_written() != sum(self._words)
+
+    def patch(self) -> List[Tuple[int, str]]:
+        """Apply every sub-cell's logged writes in place; drain the logs.
+
+        A sub-cell whose log asks for a replan, that was replaced (a
+        capacity rebuild, ``grow``), or whose ``words_written`` moved by
+        more than its log accounts for (a write site that skipped the
+        log, ``unlogged``) is recompiled alone, at its position in the
+        plan list.  Returns ``(position, reason)`` for each such
+        replan; afterwards the plans equal a fresh compile and
+        ``stale`` is False.
+        """
+        replans: List[Tuple[int, str]] = []
+        words, cells, plans = self._words, self._cells, self._plans
+        for position, subcell in enumerate(self.engine.subcells):
+            log = subcell.log
+            if log is None:
+                # A sub-cell no image tracked yet (a capacity rebuild's
+                # replacement): its writes so far have no names.
+                log = subcell.log = WriteLog()
+            written = subcell.words_written
+            if (written == words[position] and log.replan is None
+                    and subcell is cells[position]):
+                continue  # nothing written since the last patch
+            if subcell is not cells[position]:
+                reason: Optional[str] = "grow"
+            elif words[position] + log.words != written:
+                reason = "unlogged"
+            elif log.replan is not None:
+                reason = log.replan
+            else:
+                plans[position].patch(subcell, log)
+                reason = None
+            if reason is not None:
+                plans[position] = FlatSubCellPlan.compile(subcell, self.width)
+                cells[position] = subcell
+                replans.append((position, reason))
+            words[position] = written
+            log.clear()
+        return replans
 
     def lookup_batch(self, keys) -> np.ndarray:
         """Next hops for a batch of keys (1-D int64); -1 marks misses.

@@ -154,7 +154,8 @@ class ChiselLPM:
         # the update counter by the rebuild cost on top of the old
         # total.  Copying it verbatim would leave ``engine.words_written()``
         # unchanged and hide the rebuild from ``BatchLookup.stale``.
-        grown.words_written = subcell.words_written + grown.capacity
+        grown.words_written = subcell.words_written
+        grown.wrote(grown.capacity, replan="grow")
         position = self.subcells.index(subcell)
         self.subcells[position] = grown
         self._by_base[grown.base] = grown
@@ -187,10 +188,11 @@ class ChiselLPM:
         drained = 0
         for subcell in self.subcells:
             moved = subcell.index.drain_spillover()
-            # Each drained key is one Index-Table singleton encode (plus a
-            # TCAM invalidate); count it so compiled snapshots see the
-            # mutation through ``words_written``.
-            subcell.words_written += moved
+            if moved:
+                # Each drained key is one Index-Table singleton encode
+                # plus a TCAM invalidate; the TCAM change has no word
+                # names, so serving images recompile the sub-cell.
+                subcell.wrote(moved, replan="drain")
             drained += moved
         reclaimed = sum(
             subcell.compact_result_table() for subcell in self.subcells

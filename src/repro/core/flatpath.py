@@ -26,6 +26,11 @@ Filter/bit-vector/Region state per bucket:
 The plan is compiled straight from the sub-cell's own tables
 (:meth:`FlatSubCellPlan.compile`) and must be bit-exact with the scalar
 ``ChiselLPM.lookup`` (``tests/test_flat_differential.py`` is the gate).
+:meth:`FlatSubCellPlan.patch` keeps a compiled plan equal to a fresh
+compile by copying the words one update wrote (the sub-cell's
+``WriteLog``): record rows, Result-Table ranges and Index-Table words.
+The arena carries geometric slack past ``arena_size`` so that Result
+Table growth lands in place too.
 """
 
 from __future__ import annotations
@@ -51,7 +56,13 @@ RECORD_LANES: Dict[str, int] = {
 #: uint64 words per record row; 8 × 8 bytes = one 64-byte cache line.
 RECORD_WIDTH = 8
 
+_FILTER = RECORD_LANES["filter"]
+_VALID = RECORD_LANES["valid"]
+_BITVECTOR = RECORD_LANES["bitvector"]
+_REGIONPTR = RECORD_LANES["regionptr"]
+
 _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U8 = np.uint64(8)
 _U63 = np.uint64(63)
 
@@ -331,6 +342,58 @@ class FlatSubCellPlan:
         plan.spill_values = np.array(
             [value for _key, value in spill_items], dtype=np.uint64)
         return plan
+
+    def patch(self, subcell, log) -> None:
+        """Copy the words ``log`` names from ``subcell`` into this plan.
+
+        Lane values are built exactly as :func:`build_records` builds
+        them, so a patched plan equals a fresh :meth:`compile` (with the
+        arena compared up to ``arena_size``).  The caller guarantees the
+        log holds no ``replan``: those writes have no word names.
+        """
+        # A burst is a handful of words: scalar stores beat building a
+        # numpy array per row or range.
+        records = self.records
+        filters, dirty = subcell.filter_table, subcell.dirty_table
+        for pointer in log.rows:
+            value = filters[pointer]
+            if value is None:
+                records[pointer, _FILTER] = 0
+                records[pointer, _VALID] = 0
+            else:
+                records[pointer, _FILTER] = value
+                records[pointer, _VALID] = not dirty[pointer]
+            records[pointer, _BITVECTOR] = subcell.bv_table[pointer]
+            records[pointer, _REGIONPTR] = subcell.region_ptr[pointer] & _MASK64
+        if log.results:
+            self._patch_arena(subcell.result.arena, log.results)
+        if log.slots:
+            # Groups sit concatenated in the fused table.
+            table = self.fused.table
+            groups = subcell.index.groups
+            length = int(self.fused.group_length)
+            for group, slot in log.slots:
+                table[group * length + slot] = groups[group].table[slot]
+
+    def _patch_arena(self, arena: List[int], ranges) -> None:
+        """Copy Result-Table ranges, growing the arena geometrically.
+
+        The new array is installed before ``arena_size`` moves, so a
+        concurrent reader never indexes past the array it holds.
+        """
+        size = len(arena)
+        if size > len(self.arena):
+            grown = np.zeros(max(size, 2 * len(self.arena)), dtype=np.int64)
+            grown[:self.arena_size] = self.arena[:self.arena_size]
+            self.arena = grown
+        served = self.arena
+        if size > self.arena_size:
+            # Fresh allocations: copied whole, written or not.
+            served[self.arena_size:size] = arena[self.arena_size:size]
+        for start, stop in ranges:
+            for address in range(start, stop):
+                served[address] = arena[address]
+        self.arena_size = size
 
     def _collapse(self, keys: np.ndarray, pool: _ScratchPool) -> np.ndarray:
         collapsed = pool.get("collapsed", keys.size, np.uint64)

@@ -14,13 +14,17 @@ A sub-cell owns all prefixes whose length falls in one collapse interval
 
 The announce/withdraw methods implement §4.4/Fig. 7 on the shadow buckets
 and push only the changed words to the hardware tables, counting those
-writes so the update benchmarks can report hardware traffic.
+writes so the update benchmarks can report hardware traffic.  Every
+count goes through :meth:`ChiselSubCell.wrote`, which also names the
+words in the sub-cell's :class:`WriteLog` — the burst a serving image
+copies to stay equal to the tables (§4.4's "transfer the modified
+portions of the data structure to the hardware engine").
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..bloomier.filter import SetupReport
 from ..bloomier.partitioned import InsertOutcome, PartitionedBloomierFilter
@@ -34,6 +38,51 @@ from .config import ChiselConfig
 from .events import CapacityError, UpdateKind
 
 
+class WriteLog:
+    """The hardware words one sub-cell wrote since its serving image took them.
+
+    ``rows`` are bucket pointers whose Filter/dirty/bit-vector/Region
+    words changed, ``results`` Result-Table ranges ``[start, stop)``,
+    ``slots`` Index-Table words as ``(group, slot)``.  Writes that cannot
+    be named word by word — a group setup that may rehash, a spillover
+    TCAM change, a purge, a compaction, a scrub repair, a capacity
+    rebuild — set ``replan`` to their reason instead (the first one
+    logged) and drop the names: the image then recompiles the whole
+    sub-cell.  So does a log that names more words than the sub-cell
+    has rows (``overflow``), which bounds what a log can hold.
+    ``words`` is the ``words_written`` total the log accounts for.
+
+    A sub-cell keeps a log only while a serving image tracks it
+    (``BatchLookup.bind``); otherwise its writes are only counted.
+    """
+
+    __slots__ = ("rows", "results", "slots", "replan", "words")
+
+    def __init__(self) -> None:
+        self.rows: Set[int] = set()
+        self.results: List[Tuple[int, int]] = []
+        self.slots: List[Tuple[int, int]] = []
+        self.replan: Optional[str] = None
+        self.words = 0
+
+    def mark(self, reason: str) -> None:
+        """Ask for a whole-sub-cell recompile; the names become moot."""
+        self.replan = reason
+        self.rows.clear()
+        self.results.clear()
+        self.slots.clear()
+
+    def clear(self) -> None:
+        if self.rows:
+            self.rows.clear()
+        if self.results:
+            self.results.clear()
+        if self.slots:
+            self.slots.clear()
+        self.replan = None
+        self.words = 0
+
+
 class ChiselSubCell:
     """The tables and shadow state for one collapse interval."""
 
@@ -41,7 +90,7 @@ class ChiselSubCell:
         "base", "span", "width", "capacity", "config", "pointer_bits",
         "index", "filter_table", "dirty_table", "bv_table", "region_ptr",
         "region_ptr_shadow", "region_block", "result", "buckets",
-        "_free_pointers", "words_written", "_obs_ranks",
+        "_free_pointers", "words_written", "log", "_obs_ranks",
     )
 
     def __init__(self, plan: SubCellPlan, capacity: int, config: ChiselConfig,
@@ -81,6 +130,8 @@ class ChiselSubCell:
         self.buckets: Dict[int, Bucket] = {}
         self._free_pointers = list(range(self.capacity - 1, -1, -1))
         self.words_written = 0  # hardware words pushed by incremental updates
+        # What those words were, while a serving image tracks this sub-cell.
+        self.log: Optional[WriteLog] = None
         self._obs_ranks = get_registry().counter(
             "chisel_bitvector_ranks_total",
             "bit-vector rank computations (Result-Table reads) on lookups",
@@ -102,14 +153,58 @@ class ChiselSubCell:
             bucket.originals.update(originals)
             self.buckets[collapsed_value] = bucket
             self.filter_table[pointer] = collapsed_value
-            self._write_bucket(bucket, fresh=True)
+            # Construction programs the tables wholesale: it is not an
+            # update, so nothing is counted or logged.
+            self._write_bucket(bucket, fresh=True, update=False)
             assignments[collapsed_value] = pointer
         return self.index.setup(assignments)
 
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # The write log belongs to the serving image tracking this
+        # sub-cell, not to its tables: a pickle carries none.
+        return None, {name: getattr(self, name)
+                      for name in self.__slots__ if name != "log"}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        _dict, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self.log = None
+
+    def wrote(self, words: int, row: Optional[int] = None,
+              result: Optional[Tuple[int, int]] = None,
+              slot: Optional[Tuple[int, int]] = None,
+              replan: Optional[str] = None) -> None:
+        """Count ``words`` hardware writes and log which words they were.
+
+        The one place ``words_written`` moves, so no write site can bump
+        the count without naming its words (or asking for a replan).
+        """
+        self.words_written += words
+        log = self.log
+        if log is None:
+            return  # no serving image tracks this sub-cell
+        log.words += words
+        if log.replan is not None:
+            return  # a recompile is owed already
+        if replan is not None:
+            log.mark(replan)
+            return
+        if row is not None:
+            log.rows.add(row)
+        if result is not None:
+            log.results.append(result)
+        if slot is not None:
+            log.slots.append(slot)
+        if len(log.results) + len(log.slots) > self.capacity:
+            log.mark("overflow")
+
     # -- hardware table maintenance ------------------------------------------------
 
-    def _write_bucket(self, bucket: Bucket, fresh: bool = False) -> int:
-        """Recompute a bucket's bit-vector and region; returns words written."""
+    def _write_bucket(self, bucket: Bucket, fresh: bool = False,
+                      update: bool = True) -> None:
+        """Recompute a bucket's bit-vector and region; an ``update``
+        counts and logs the words."""
         pointer = bucket.pointer
         vector = bucket.bit_vector()
         region = bucket.region()
@@ -135,9 +230,11 @@ class ChiselSubCell:
         if self.bv_table[pointer] != vector:
             self.bv_table[pointer] = vector
             written += 1
-        self.result.write_block(self.region_ptr_shadow[pointer], region)
-        written += len(region)
-        return written
+        start = self.region_ptr_shadow[pointer]
+        self.result.write_block(start, region)
+        if update:
+            self.wrote(written + len(region), pointer,
+                       (start, start + len(region)))
 
     def _retire_bucket(self, collapsed_value: int, bucket: Bucket) -> None:
         pointer = bucket.pointer
@@ -154,7 +251,7 @@ class ChiselSubCell:
         # bit-vector word: both are hardware writes.  Counting them keeps
         # ``words_written`` — and therefore ``BatchLookup.stale`` — moving
         # for maintenance mutations, not just announce/withdraw.
-        self.words_written += 2
+        self.wrote(2, row=pointer)
 
     # -- lookup (the Fig. 6 datapath) --------------------------------------------------
 
@@ -189,13 +286,13 @@ class ChiselSubCell:
                 kind = UpdateKind.ROUTE_FLAP
                 bucket.dirty = False
                 self.dirty_table[bucket.pointer] = False
-                self.words_written += 1
+                self.wrote(1, row=bucket.pointer)
             elif bucket.has(prefix.length, suffix):
                 kind = UpdateKind.NEXT_HOP
             else:
                 kind = UpdateKind.ADD_PC
             bucket.add(prefix.length, suffix, next_hop)
-            self.words_written += self._write_bucket(bucket)
+            self._write_bucket(bucket)
             return kind
         # New collapsed prefix: needs a table entry and an Index Table add.
         if not self._free_pointers:
@@ -205,9 +302,10 @@ class ChiselSubCell:
         bucket.add(prefix.length, suffix, next_hop)
         self.buckets[collapsed_value] = bucket
         self.filter_table[pointer] = collapsed_value
-        self.words_written += 1 + self._write_bucket(bucket, fresh=True)
+        self.wrote(1, row=pointer)
+        self._write_bucket(bucket, fresh=True)
         try:
-            outcome = self.index.insert(collapsed_value, pointer)
+            inserted = self.index.insert(collapsed_value, pointer)
         except Exception:
             # Index Table insertion failed (peel non-convergence, spillover
             # overflow).  Without the key encoded, the bucket written above
@@ -215,13 +313,20 @@ class ChiselSubCell:
             # a divergence every later retry would silently inherit.  Roll
             # the bucket back so the announce fails atomically.
             self._retire_bucket(collapsed_value, bucket)
+            self.wrote(0, replan="resetup")
             raise
-        if outcome in (InsertOutcome.SINGLETON, InsertOutcome.SPILL_REFRESH):
-            # Either one Index Table word (singleton) or one TCAM word
-            # (spilled-key refresh) — O(1) hardware traffic either way.
-            self.words_written += 1
-            return UpdateKind.SINGLETON
-        return UpdateKind.RESETUP
+        if inserted.outcome is InsertOutcome.REBUILD:
+            # The group setup may have rehashed: its words have no names.
+            self.wrote(0, replan="resetup")
+            return UpdateKind.RESETUP
+        # Either one Index Table word (singleton) or one TCAM word
+        # (spilled-key refresh or move) — O(1) hardware traffic either
+        # way, but a TCAM word has no name in the compiled image.
+        if inserted.word is None:
+            self.wrote(1, replan="spillover")
+        else:
+            self.wrote(1, slot=inserted.word)
+        return UpdateKind.SINGLETON
 
     def withdraw(self, prefix: Prefix) -> Optional[UpdateKind]:
         """Remove a route; None if it was not present (no-op)."""
@@ -236,9 +341,9 @@ class ChiselSubCell:
             # restore it without touching the Index Table (§4.4.1).
             bucket.dirty = True
             self.dirty_table[bucket.pointer] = True
-            self.words_written += 1
+            self.wrote(1, row=bucket.pointer)
         else:
-            self.words_written += self._write_bucket(bucket)
+            self._write_bucket(bucket)
         return UpdateKind.WITHDRAW
 
     def purge_dirty(self) -> int:
@@ -255,7 +360,7 @@ class ChiselSubCell:
             rebuilds = self.index.delete_many(
                 value for value, _bucket in dirty
             )
-            self.words_written += rebuilds
+            self.wrote(rebuilds, replan="purge")
         return len(dirty)
 
     def compact_result_table(self) -> int:
@@ -273,13 +378,17 @@ class ChiselSubCell:
             for bucket in self.buckets.values()
         }
         relocation = self.result.compact(live_blocks)
+        moved = 0
         for bucket in self.buckets.values():
             pointer = bucket.pointer
             old = self.region_ptr_shadow[pointer]
             if relocation.get(old, old) != old:
                 self.region_ptr[pointer] = relocation[old]
                 self.region_ptr_shadow[pointer] = relocation[old]
-                self.words_written += 1
+                moved += 1
+        if moved or len(self.result.arena) != before:
+            # The arena itself was rebuilt: its words have no names.
+            self.wrote(moved, replan="compact")
         return before - len(self.result.arena)
 
     def get_route(self, prefix: Prefix) -> Optional[NextHop]:

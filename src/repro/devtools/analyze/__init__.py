@@ -48,6 +48,8 @@ ANALYSIS_CATALOG: Dict[str, str] = {
     "ANZ203": "mutation of a zero-copy view of a published shared segment",
     "ANZ204": "segment exported then installed with no words_written() "
               "quiescence re-check in between",
+    "ANZ205": "seqlock-pointer image mutated outside its lock or with no "
+              "version bump before the mutation",
     "ANZ301": "numpy shift count provably reaches the dtype width "
               "(silently wraps)",
     "ANZ302": "uint64 product can exceed 2**64-1 (silently wraps)",

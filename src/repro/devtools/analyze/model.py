@@ -9,8 +9,9 @@ whole-program model the passes share:
 * **annotations** — trailing comments declare intent next to the state
   they protect::
 
-      self._overlay = {}        # guarded-by: _lock
-      self._snapshot = None     # rcu-pointer: _lock
+      self._journal = None      # guarded-by: _lock
+      self._published = None    # rcu-pointer: _lock
+      self._snapshot = None     # seqlock-pointer: _lock _version
       self.update_stats = ...   # guarded-by: external      (caller locks)
       self._segment = None      # guarded-by: single-writer (one thread)
 
@@ -46,6 +47,9 @@ Token = Tuple[str, ...]
 
 GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*(?P<guard>[A-Za-z_][A-Za-z0-9_-]*)")
 RCU_RE = re.compile(r"#\s*rcu-pointer:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
+SEQLOCK_RE = re.compile(
+    r"#\s*seqlock-pointer:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s+(?P<version>[A-Za-z_][A-Za-z0-9_]*)")
 SCOPE_RE = re.compile(r"#\s*chisel-analyze-scope:\s*(?P<passes>[a-z0-9_,\s]+)")
 
 #: Special ``guarded-by`` targets that name a discipline, not a lock.
@@ -79,6 +83,16 @@ def parse_rcu_comments(source: str) -> Dict[int, str]:
         match = RCU_RE.search(line)
         if match:
             pointers[lineno] = match.group("lock")
+    return pointers
+
+
+def parse_seqlock_comments(source: str) -> Dict[int, Tuple[str, str]]:
+    """Map line number -> (lock, version) for ``# seqlock-pointer:``."""
+    pointers: Dict[int, Tuple[str, str]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = SEQLOCK_RE.search(line)
+        if match:
+            pointers[lineno] = (match.group("lock"), match.group("version"))
     return pointers
 
 
@@ -178,6 +192,7 @@ class ClassModel:
     node: ast.ClassDef
     guarded: Dict[str, str] = field(default_factory=dict)
     rcu_pointers: Dict[str, str] = field(default_factory=dict)
+    seqlock_pointers: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     lock_attrs: Set[str] = field(default_factory=set)
     attr_types: Dict[str, str] = field(default_factory=dict)
     methods: Dict[str, FunctionModel] = field(default_factory=dict)
@@ -231,6 +246,7 @@ class ProjectModel:
         )
         guards = parse_guard_comments(source)
         rcu = parse_rcu_comments(source)
+        seqlock = parse_seqlock_comments(source)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 model = ClassModel(
@@ -240,7 +256,7 @@ class ProjectModel:
                         if isinstance(base, ast.Name)
                     ),
                 )
-                self._scan_class_body(model, node, guards, rcu)
+                self._scan_class_body(model, node, guards, rcu, seqlock)
                 module.classes[node.name] = model
                 if node.name in self._classes_by_name:
                     self._ambiguous_classes.add(node.name)
@@ -256,7 +272,8 @@ class ProjectModel:
         self.modules.append(module)
 
     def _scan_class_body(self, model: ClassModel, node: ast.ClassDef,
-                         guards: Dict[int, str], rcu: Dict[int, str]) -> None:
+                         guards: Dict[int, str], rcu: Dict[int, str],
+                         seqlock: Dict[int, Tuple[str, str]]) -> None:
         for stmt in ast.walk(node):
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
@@ -275,6 +292,9 @@ class ProjectModel:
                     lock = rcu[stmt.lineno]
                     model.rcu_pointers[attr] = lock
                     model.guarded.setdefault(attr, lock)
+                if stmt.lineno in seqlock:
+                    model.seqlock_pointers[attr] = seqlock[stmt.lineno]
+                    model.guarded.setdefault(attr, seqlock[stmt.lineno][0])
                 if isinstance(value, ast.Call):
                     func_path = dotted_path(value.func)
                     if func_path and func_path[-1] in _LOCK_FACTORIES:

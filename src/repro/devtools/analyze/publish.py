@@ -30,6 +30,16 @@
   re-check in between: exactly the PR 5 scrub-mid-export race, where a
   repair that landed *during* the export published a half-repaired
   image.
+
+* **ANZ205** — seqlock pointer discipline on attributes annotated
+  ``# seqlock-pointer: <lock> <version>``.  The pointed-to object is
+  patched in place while readers run it with no lock held; a reader
+  notes ``<version>`` under ``<lock>`` and retries if it moved.  So
+  every mutation through the pointer — a store through it, or a call of
+  one of its :data:`SEQLOCK_MUTATORS` — must sit inside ``with <lock>``
+  (lexically or on every call path), after a ``self.<version> += 1`` in
+  the same function.  A patch with no bump is invisible to readers; a
+  patch outside the lock races the reader's version read.
 """
 
 from __future__ import annotations
@@ -64,11 +74,15 @@ WRITER_ALLOWLIST = frozenset(
 #: window: they run before the segment name is visible to any reader.
 SEQLOCK_EXEMPT = frozenset({"create"}) | LIFECYCLE_EXEMPT
 
+#: Methods that mutate the object behind a seqlock pointer in place.
+SEQLOCK_MUTATORS = frozenset({"patch", "bind"})
+
 
 def check_publish_protocol(project: ProjectModel) -> List[Violation]:
     violations: List[Violation] = []
     for fn in project.functions():
         violations.extend(_check_rcu(project, fn))
+        violations.extend(_check_seqlock_pointer(fn))
         violations.extend(_check_published_views(fn))
         violations.extend(_check_export_fence(fn))
     violations.extend(_check_seqlock(project))
@@ -303,6 +317,94 @@ def _check_rcu(project: ProjectModel, fn: FunctionModel) -> List[Violation]:
                     message=(
                         f"{fn.qualname} assigns {owner.name}'s RCU pointer "
                         f"{path[-1]} from outside the owning class"
+                    ),
+                ))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ANZ205 — seqlock pointer discipline
+# ---------------------------------------------------------------------------
+
+def _statement_roots(stmt: ast.stmt) -> Sequence[ast.AST]:
+    """The parts of a recorded statement that belong to it alone.
+
+    Compound statements are recorded by their header; their bodies are
+    recorded statement by statement, with their own lock sets.
+    """
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    return [stmt]
+
+
+def _seqlock_mutations(stmt: ast.stmt, pointer: str,
+                       aliases: Set[str]) -> List[ast.expr]:
+    """Stores through ``self.<pointer>`` (or an alias) and mutator calls."""
+    def through(path: Optional[Tuple[str, ...]], minimum: int) -> bool:
+        if path is None:
+            return False
+        if path[:2] == ("self", pointer):
+            return len(path) >= minimum + 1
+        return path[0] in aliases and len(path) >= minimum
+    found: List[ast.expr] = []
+    for target in _assign_targets(stmt):
+        if isinstance(target, ast.Subscript):
+            if through(dotted_path(target.value), 1):
+                found.append(target)
+        elif through(dotted_path(target), 2):
+            found.append(target)
+    for root in _statement_roots(stmt):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Call):
+                path = dotted_path(node.func)
+                if (path is not None and path[-1] in SEQLOCK_MUTATORS
+                        and through(path[:-1], 1)):
+                    found.append(node)
+    return found
+
+
+def _check_seqlock_pointer(fn: FunctionModel) -> List[Violation]:
+    context = fn.module.classes.get(fn.class_name) if fn.class_name else None
+    if (context is None or not context.seqlock_pointers
+            or fn.name in LIFECYCLE_EXEMPT):
+        return []
+    out: List[Violation] = []
+    for pointer, (lock, version) in context.seqlock_pointers.items():
+        aliases: Set[str] = set()
+        bumped = False
+        for stmt, held in fn.statements:
+            locked = ("self", lock) in fn.effective(held)
+            if (isinstance(stmt, ast.AugAssign)
+                    and isinstance(stmt.op, ast.Add)
+                    and dotted_path(stmt.target) == ("self", version)
+                    and locked):
+                bumped = True
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target, value = stmt.targets[0], stmt.value
+                pairs = (list(zip(target.elts, value.elts))
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                for name, source in pairs:
+                    if (isinstance(name, ast.Name)
+                            and dotted_path(source) == ("self", pointer)):
+                        aliases.add(name.id)
+            for node in _seqlock_mutations(stmt, pointer, aliases):
+                if not locked:
+                    problem = f"outside `with self.{lock}`"
+                elif not bumped:
+                    problem = (f"with no `self.{version} += 1` before it "
+                               f"— readers cannot see the change")
+                else:
+                    continue
+                out.append(Violation(
+                    path=fn.module.path, line=node.lineno,
+                    col=node.col_offset, code="ANZ205",
+                    message=(
+                        f"{fn.qualname} mutates the image behind seqlock "
+                        f"pointer self.{pointer} {problem}"
                     ),
                 ))
     return out

@@ -40,11 +40,16 @@ from ..prefix.prefix import Prefix
 from ..router.fib import ForwardingEngine
 from ..serve.snapshot import (
     _SETUP_FAILURES,
-    RecompilePolicy,
     RouterState,
     SnapshotRouter,
 )
-from ..verify import HarnessReport, Oracle, apply_update, keys_under
+from ..verify import (
+    HarnessReport,
+    Oracle,
+    apply_update,
+    image_differences,
+    keys_under,
+)
 from ..workloads.synthetic import synthetic_table
 from ..workloads.traces import synthesize_trace
 from .inject import FaultInjector
@@ -77,6 +82,8 @@ class ChaosReport(HarnessReport):
     recoveries: int = 0
     lookups_checked: int = 0
     wrong_answers: int = 0
+    #: Plan tables that differed from a fresh compile at a check.
+    image_differences: int = 0
     #: Detected fraction of single-bit faults (1.0 when none injected),
     #: set by :meth:`evaluate`.
     detection_rate: float = 1.0
@@ -96,6 +103,11 @@ class ChaosReport(HarnessReport):
             self.failures.append(
                 f"{self.wrong_answers} silently-wrong lookups (of "
                 f"{self.lookups_checked}) — the one inviolable contract"
+            )
+        if self.image_differences:
+            self.failures.append(
+                f"{self.image_differences} served-image tables differed "
+                f"from a fresh compile of the live engine"
             )
         if self.detection_rate < DETECTION_GATE:
             self.failures.append(
@@ -154,10 +166,7 @@ def run_chaos(
     fib = ForwardingEngine.from_table(table, config=config,
                                       dirty_purge_threshold=64)
     router = SnapshotRouter(
-        fib,
-        RecompilePolicy(max_overlay=64, max_age=0.0),
-        clock=lambda: clock[0],
-        backoff_initial=backoff,
+        fib, clock=lambda: clock[0], backoff_initial=backoff,
     )
     oracle = Oracle(table)
 
@@ -188,6 +197,8 @@ def run_chaos(
         wrong = oracle.mismatches(keys, router.forward_batch(keys))
         report.lookups_checked += len(keys)
         report.wrong_answers += len(wrong)
+        if router.state is RouterState.HEALTHY:
+            report.image_differences += len(image_differences(router))
         for key, got, want in wrong:
             get_registry().trace(
                 "chaos_wrong_answer", key=key,

@@ -426,7 +426,7 @@ class FaultInjector:
 
         def failing_try_insert(self, key, value):
             if remaining[0] > 0:
-                return False  # deny the singleton; force a rebuild
+                return None  # deny the singleton; force a rebuild
             return original_try(self, key, value)
 
         XorIndexTable.setup = (

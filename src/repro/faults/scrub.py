@@ -27,9 +27,9 @@ Live words per table kind:
 * **spillover** — the TCAM's (key -> value) entries are compared
   against the per-group spill bookkeeping.
 
-Repairs count toward ``words_written`` so snapshot staleness
-(``BatchLookup.stale``, ``SnapshotRouter.maybe_recompile``) sees them
-like any other hardware write.
+Repairs count toward ``words_written`` like any other hardware write,
+and mark the sub-cell for a replan: a serving image recompiles the
+repaired sub-cell rather than trusting a word-by-word patch of it.
 
 Uncorrectable states — shadow bookkeeping itself inconsistent (bucket
 pointer out of range, duplicate pointers, a repair rebuild that fails to
@@ -156,25 +156,25 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
         pointer = bucket.pointer
         if _check_word(report, "filter", value, subcell.filter_table[pointer]):
             subcell.filter_table[pointer] = value
-            subcell.words_written += 1
+            subcell.wrote(1, replan="scrub")
             report._fixed("filter")
         if _check_word(report, "dirty", bucket.dirty,
                        subcell.dirty_table[pointer]):
             subcell.dirty_table[pointer] = bucket.dirty
-            subcell.words_written += 1
+            subcell.wrote(1, replan="scrub")
             report._fixed("dirty")
         if bucket.dirty:
             continue  # bv/regionptr/result are dead words behind the dirty bit
         if _check_word(report, "bitvector", bucket.bit_vector(),
                        subcell.bv_table[pointer]):
             subcell.bv_table[pointer] = bucket.bit_vector()
-            subcell.words_written += 1
+            subcell.wrote(1, replan="scrub")
             report._fixed("bitvector")
         shadow_ptr = subcell.region_ptr_shadow[pointer]
         if _check_word(report, "regionptr", shadow_ptr,
                        subcell.region_ptr[pointer]):
             subcell.region_ptr[pointer] = shadow_ptr
-            subcell.words_written += 1
+            subcell.wrote(1, replan="scrub")
             report._fixed("regionptr")
         region = bucket.region()
         arena = subcell.result.arena
@@ -188,7 +188,7 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
         for rank, hop in enumerate(region):
             if _check_word(report, "result", hop, arena[shadow_ptr + rank]):
                 arena[shadow_ptr + rank] = hop
-                subcell.words_written += 1
+                subcell.wrote(1, replan="scrub")
                 report._fixed("result")
 
     # -- index: every bucket's key must be encoded with its pointer ----------
@@ -206,7 +206,7 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
                 f"{value:#x} -> {bucket.pointer}: {error}"
             )
             continue
-        subcell.words_written += 1
+        subcell.wrote(1, replan="scrub")
         report._fixed("index")
 
     # -- index: decode-check every encoded key, rebuild corrupt groups -------
@@ -229,7 +229,7 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
                 f"rebuild failed: {error}"
             )
             continue
-        subcell.words_written += group.num_slots
+        subcell.wrote(group.num_slots, replan="scrub")
         report._fixed("index")
 
     # -- spillover TCAM vs the per-group spill bookkeeping --------------------
@@ -249,7 +249,7 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
         else:
             entries.clear()
             entries.update(expected_spill)
-            subcell.words_written += 1
+            subcell.wrote(1, replan="scrub")
             report._fixed("spillover")
 
     return report

@@ -19,7 +19,7 @@ Exporters:
   exposition format (``# HELP``/``# TYPE`` + cumulative ``le`` buckets).
 
 Collectors — callables run at snapshot time — let components with live
-state (a ``SnapshotRouter``'s overlay size, snapshot age) publish gauges
+state (a ``SnapshotRouter``'s route count, snapshot age) publish gauges
 lazily instead of on every mutation; a collector that returns ``False``
 is dropped, which is how weakref-holding collectors retire themselves.
 """

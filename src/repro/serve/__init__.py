@@ -1,9 +1,10 @@
-"""Snapshot-serving layer: RCU-style compiled snapshots over a live FIB.
+"""Snapshot-serving layer: a compiled image patched per update.
 
-``SnapshotRouter`` serves batched lookups from an immutable compiled
-``BatchLookup`` snapshot while announce/withdraw churn flows through the
-shadow path; an exact overlay of changed prefixes covers the recompile
-window.  See docs/SERVING.md for the consistency model.
+``SnapshotRouter`` serves batched lookups from a compiled ``BatchLookup``
+image while announce/withdraw churn flows through the shadow path; each
+update copies the words it wrote into the image under the update lock,
+and lock-free readers retry when an update overlapped them (seqlock).
+See docs/SERVING.md for the consistency model.
 """
 
 from .metrics import ServeMetrics

@@ -1,11 +1,12 @@
 """Serving-layer instrumentation.
 
 ``ServeMetrics`` is the counters object every ``SnapshotRouter`` carries:
-how much traffic the compiled snapshot absorbed, how often the overlay
-had to fall back to the authoritative shadow path, and what snapshot
-recompiles cost.  It is deliberately a plain mutable object — the serving
-hot loop bumps attributes directly — with ``to_dict``/``rows`` views for
-JSON emission and ``analysis.report.format_table`` rendering.
+how much traffic the compiled image absorbed, how often the shard plane
+bounced keys to the authoritative shadow path, how often an update had
+to recompile a sub-cell of the image rather than patch it, and what
+whole recompiles cost.  It is deliberately a plain mutable object — the
+serving hot loop bumps attributes directly — with ``to_dict``/``rows``
+views for JSON emission and ``analysis.report.format_table`` rendering.
 """
 
 from __future__ import annotations
@@ -18,27 +19,24 @@ class ServeMetrics:
 
     __slots__ = (
         "lookups_served", "batches_served", "overlay_lookups",
-        "updates_applied", "updates_since_snapshot",
+        "updates_applied", "read_retries", "replans",
         "snapshots_compiled", "last_recompile_seconds",
-        "total_recompile_seconds", "last_updates_absorbed",
-        "total_updates_absorbed", "max_overlay_size",
+        "total_recompile_seconds",
         "degraded_entered", "degraded_lookups", "degraded_updates",
         "recoveries", "recovery_failures", "setup_failures_absorbed",
         "last_degraded_reason",
     )
 
     def __init__(self) -> None:
-        self.lookups_served = 0          # keys answered (snapshot + overlay)
+        self.lookups_served = 0          # keys answered
         self.batches_served = 0          # lookup_batch calls
-        self.overlay_lookups = 0         # keys routed through the shadow path
+        self.overlay_lookups = 0         # keys the shard plane bounced
         self.updates_applied = 0         # announce + withdraw, lifetime
-        self.updates_since_snapshot = 0  # pending in the current overlay window
+        self.read_retries = 0            # batches re-run after a patch
+        self.replans: Dict[str, int] = {}  # sub-cell recompiles by reason
         self.snapshots_compiled = 0      # recompiles (includes the initial one)
         self.last_recompile_seconds = 0.0
         self.total_recompile_seconds = 0.0
-        self.last_updates_absorbed = 0   # updates folded in by the last swap
-        self.total_updates_absorbed = 0
-        self.max_overlay_size = 0        # high-water distinct changed prefixes
         self.degraded_entered = 0        # HEALTHY -> DEGRADED transitions
         self.degraded_lookups = 0        # keys answered by the trie fallback
         self.degraded_updates = 0        # updates applied to the trie fallback
@@ -54,37 +52,27 @@ class ServeMetrics:
         self.lookups_served += keys
         self.overlay_lookups += overlay_keys
 
-    def record_update(self, overlay_size: int) -> None:
+    def record_update(self) -> None:
         self.updates_applied += 1
-        self.updates_since_snapshot += 1
-        if overlay_size > self.max_overlay_size:
-            self.max_overlay_size = overlay_size
 
     def record_recompile(self, seconds: float) -> None:
         self.snapshots_compiled += 1
         self.last_recompile_seconds = seconds
         self.total_recompile_seconds += seconds
-        self.last_updates_absorbed = self.updates_since_snapshot
-        self.total_updates_absorbed += self.updates_since_snapshot
-        self.updates_since_snapshot = 0
 
     # -- views --------------------------------------------------------------------
 
     @property
-    def mean_updates_absorbed(self) -> float:
-        swaps = max(1, self.snapshots_compiled)
-        return self.total_updates_absorbed / swaps
-
-    @property
     def overlay_fraction(self) -> float:
-        """Share of served keys that needed the shadow-path fallback."""
+        """Share of served keys the shard plane bounced to the shadow path."""
         if not self.lookups_served:
             return 0.0
         return self.overlay_lookups / self.lookups_served
 
-    def to_dict(self) -> Dict[str, float]:
-        payload = {name: getattr(self, name) for name in self.__slots__}
-        payload["mean_updates_absorbed"] = round(self.mean_updates_absorbed, 3)
+    def to_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {
+            name: getattr(self, name) for name in self.__slots__}
+        payload["replans"] = dict(self.replans)
         payload["overlay_fraction"] = round(self.overlay_fraction, 6)
         return payload
 

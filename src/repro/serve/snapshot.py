@@ -1,34 +1,26 @@
-"""RCU-style snapshot serving over a live ``ForwardingEngine``.
+"""Snapshot serving over a live ``ForwardingEngine``, patched per update.
 
 The ROADMAP regime — heavy lookup traffic while BGP churn mutates the
 tables — needs both halves of the repository at once: the compiled
-``BatchLookup`` fast path answers millions of keys per second but is a
-frozen snapshot, while the scalar shadow path is always current but two
-orders of magnitude slower.  ``SnapshotRouter`` composes them:
+``BatchLookup`` fast path answers millions of keys per second, while the
+scalar shadow path is the authoritative §4.4 engine.  ``SnapshotRouter``
+keeps the first equal to the second:
 
-* **Reads** are served from an immutable compiled snapshot (numpy arrays
-  copied out of the engine at compile time; nothing the update path does
-  can tear them).
 * **Writes** (announce/withdraw) go through the engine's normal §4.4
-  shadow-then-hardware path, and additionally record the changed prefix
-  in a small exact *overlay* — the set of prefixes whose answers the
-  snapshot can no longer be trusted for.
-* **Overlay keys** — the (usually tiny) slice of a batch that matches a
-  changed prefix — are re-answered through the authoritative scalar
-  path, so a withdrawn route is never served and an announced route is
-  never missed, even mid-recompile-window.
-* **Recompiles** swap in a fresh snapshot atomically (one reference
-  assignment under the update lock) and clear the overlay, on a
-  size/age policy, either inline (``maybe_recompile``) or from a
-  background thread (``start``/``stop``).
+  shadow-then-hardware path, which logs every word it writes.  Under the
+  update lock the router then copies that burst — ~10 words — into the
+  served image (§4.4: "transfer the modified portions of the data
+  structure to the hardware engine").  Writes that cannot be named word
+  by word (a group re-setup, a purge, a scrub repair, a capacity
+  rebuild) recompile just their sub-cell.
+* **Reads** run lock-free against the one served image, seqlock style:
+  a batch notes the image version under the lock, runs, and retries if
+  an update bumped the version meanwhile.
+* **Recompiles** (``recompile``) still compile a fresh image outside the
+  lock and swap it in under it; the shard plane publishes through them.
 
-Only a route change can alter a forwarding answer, and every route
-change lands in the overlay until the next swap; maintenance mutations
-(purges, spillover drains, compaction) only rewrite state for prefixes
-that are already overlaid or rewrite it answer-equivalently, and the
-snapshot's private array copies keep it internally consistent
-regardless.  That argument — snapshot ∪ overlay ≡ live table — is the
-consistency model documented in docs/SERVING.md, and it only holds
+So the served image equals a fresh compile of the live engine after
+every update (docs/SERVING.md), which only serves correct answers
 because the compiled batch path is bit-exact with the scalar datapath
 (the differential suite in tests/test_batch_differential.py is the gate).
 """
@@ -42,7 +34,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -61,20 +53,24 @@ from ..router.nexthop import NextHopInfo
 from .metrics import ServeMetrics
 
 _OverlayArrays = List[Tuple[int, np.ndarray]]
+_Rendered = TypeVar("_Rendered")
 
 #: Optimistic compile attempts before falling back to compiling under the
 #: lock (each retry means updates landed mid-compile).
 _COMPILE_RETRIES = 3
+
+#: Lock-free batch attempts before a batch is answered under the lock
+#: (each retry means an update patched the image mid-batch).
+_READ_RETRIES = 3
 
 
 def overlay_mask(keys: np.ndarray, overlay: _OverlayArrays,
                  width: int) -> np.ndarray:
     """True for keys covered by any changed (overlaid) prefix.
 
-    Module-level so out-of-process consumers — shard workers serving an
-    attached :class:`repro.shard.SharedSnapshot` — apply the *same*
-    coverage predicate the router itself uses; any divergence here would
-    split the consistency model between the two serving planes.
+    The shard plane's predicate: its workers serve a published segment
+    and bounce the keys under prefixes changed since that publish (the
+    coordinator's changed-prefix set) back to the writer.
     """
     mask = np.zeros(keys.shape, dtype=bool)
     for length, values in overlay:
@@ -100,7 +96,7 @@ _SETUP_FAILURES = (
 class RouterState(Enum):
     """The serving state machine (docs/RESILIENCE.md §state-machine).
 
-    ``HEALTHY``    lookups from the compiled snapshot + overlay.
+    ``HEALTHY``    lookups from the compiled image, patched per update.
     ``DEGRADED``   Chisel tables are untrustworthy; every lookup goes
                    through an exact software trie rebuilt from the §4.4
                    shadow routes.  Slower, never wrong.
@@ -121,22 +117,27 @@ _STATE_GAUGE = {
 
 @dataclass(frozen=True)
 class RecompilePolicy:
-    """When the background recompiler should swap in a fresh snapshot.
+    """When a ``ShardCoordinator`` over this router publishes a generation.
 
-    ``max_overlay``  recompile once this many distinct prefixes changed
-                     (bounds the scalar-fallback slice of each batch).
-    ``max_age``      recompile a dirty snapshot older than this many
-                     seconds even if the overlay is small (bounds how
-                     long maintenance state diverges from the snapshot).
+    The router's own image is patched per update and never needs a
+    policy; the shard plane's segments are not, so each batch bounces
+    the keys under changed prefixes back to the writer until the next
+    publish.
+
+    ``max_overlay``  publish once this many distinct prefixes changed
+                     (bounds the bounced slice of each batch).
+    ``max_age``      publish a stale generation older than this many
+                     seconds even if few prefixes changed (bounds how
+                     long maintenance state diverges from the segment).
     """
 
     max_overlay: int = 512
     max_age: float = 5.0
 
-    def due(self, overlay_size: int, age: float, stale: bool) -> bool:
-        if overlay_size >= self.max_overlay > 0:
+    def due(self, changed: int, age: float, stale: bool) -> bool:
+        if changed >= self.max_overlay > 0:
             return True
-        return age >= self.max_age and (overlay_size > 0 or stale)
+        return age >= self.max_age and (changed > 0 or stale)
 
 
 def _serve_collector(router: "SnapshotRouter"):
@@ -157,7 +158,9 @@ def _serve_collector(router: "SnapshotRouter"):
         for name, value in live.metrics.to_dict().items():
             if isinstance(value, (int, float)):
                 registry.gauge(f"serve_{name}").set(value)
-        registry.gauge("serve_overlay_size").set(live.overlay_size)
+            elif isinstance(value, dict):  # replans by reason
+                for key, count in value.items():
+                    registry.gauge(f"serve_{name}_{key}").set(count)
         registry.gauge("serve_snapshot_age_seconds").set(live.snapshot_age)
         registry.gauge("serve_routes").set(len(live.fib))
         return True
@@ -166,7 +169,7 @@ def _serve_collector(router: "SnapshotRouter"):
 
 
 class SnapshotRouter:
-    """Serve ``lookup_batch`` traffic from snapshots while updates churn."""
+    """Serve ``lookup_batch`` traffic from a compiled image while updates churn."""
 
     def __init__(self, fib: ForwardingEngine,
                  policy: Optional[RecompilePolicy] = None,
@@ -186,22 +189,19 @@ class SnapshotRouter:
         self._recover_at = 0.0  # guarded-by: _lock
         self._clock = clock
         self._lock = threading.RLock()
-        # Overlay: changed original prefixes since the last swap, keyed by
-        # length -> set of prefix values.  Exact and tiny; consulted on
-        # every batch to find keys the snapshot cannot answer.
-        self._overlay: Dict[int, Set[int]] = {}  # guarded-by: _lock
-        self._overlay_size = 0  # guarded-by: _lock
-        self._overlay_version = 0  # guarded-by: _lock
-        self._overlay_cache: Tuple[int, _OverlayArrays] = (0, [])  # guarded-by: _lock
         self._journal = None  # guarded-by: _lock (persistence hook, see set_journal)
-        self._snapshot: BatchLookup = None  # rcu-pointer: _lock (set by the initial recompile)
+        self._tracker = None  # guarded-by: _lock (shard plane, see track_changes)
+        # Bumped under the lock before every change to the served image;
+        # a lock-free batch that sees it move retries (seqlock).
+        self._version = 0  # guarded-by: _lock
+        self._snapshot: BatchLookup = None  # seqlock-pointer: _lock _version
         self._compiled_at = 0.0  # guarded-by: _lock
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         registry = get_registry()
         self._obs_lock_hold = registry.histogram(
             "serve_lock_hold_seconds", LATENCY_BUCKETS,
-            "update-lock hold times (announce/withdraw/overlay/swap)",
+            "update-lock hold times (announce/withdraw/patch/swap)",
         )
         self._obs_compile = registry.histogram(
             "serve_recompile_compile_seconds", LATENCY_BUCKETS,
@@ -234,9 +234,9 @@ class SnapshotRouter:
             self.recompile()
         else:
             # Cold start from a persisted image (repro.store): serve the
-            # mapped snapshot immediately instead of paying a compile.
-            # Routed through the blessed swap path so metrics and the
-            # overlay epoch behave exactly as after a recompile.
+            # mapped image immediately instead of paying a compile.  It
+            # was cut with the FIB it arrives beside, so it is current
+            # for that engine; later updates patch its private pages.
             if initial_snapshot.width != fib.width:
                 raise ValueError(
                     f"initial snapshot width {initial_snapshot.width} "
@@ -291,37 +291,44 @@ class SnapshotRouter:
         if self._journal is not None:
             self._journal(op, prefix.value, prefix.length, gateway, interface)
 
-    def restore_overlay(self, overlay: _OverlayArrays) -> None:
-        """Re-install a persisted overlay (cold start).
+    def track_changes(self, tracker) -> None:
+        """Install (or clear) the shard plane's changed-prefix tracker.
 
-        The checkpointed snapshot was cut with this overlay pending;
-        restoring it keeps the snapshot ∪ overlay ≡ live-table invariant
-        from the first served batch, before any recompile has run.
-        """
-        with self._held():
-            for length, values in overlay:
-                for value in values:
-                    self._overlay_add(Prefix(int(value), length, self.width))
-
-    def persistence_cut(self):
-        """One coherent serving cut for the checkpoint writer.
-
-        Returns ``(snapshot, overlay_arrays, pickled FIB, healthy)``
-        read under the update lock: the three pieces describe the same
-        instant, so "map checkpoint + restore overlay + replay from its
-        sequence number" reconstructs exactly this state.  The FIB
-        pickle happens under the lock on purpose — checkpoints are rare
-        and a torn cut would be silently wrong forever.
+        While one is installed, ``tracker.add(prefix)`` runs under the
+        update lock for every announce and withdraw; its owner (the
+        ``ShardCoordinator``) clears it when a publish commits.  One
+        shard plane per router: installing replaces any previous one.
         """
         with self._lock:
-            healthy = self._state is RouterState.HEALTHY
+            self._tracker = tracker
+
+    def persistence_cut(
+            self, render: Callable[[BatchLookup, bytes], _Rendered],
+    ) -> Tuple[Optional[_Rendered], bool]:
+        """One coherent serving cut for the checkpoint writer.
+
+        Under the update lock, pickle the FIB and call
+        ``render(image, fib_blob)``, which must copy what it needs: the
+        next update patches the image in place.  Returns ``(rendered,
+        healthy)``; nothing is rendered unless HEALTHY.  Checkpoints are
+        rare and a torn cut would be silently wrong forever.
+        """
+        with self._lock:
+            if self._state is not RouterState.HEALTHY:
+                return None, False
+            if self._snapshot.stale:
+                # Engine writes made around the router: patch them in so
+                # the image and the FIB blob describe one instant.
+                self._apply_burst()
+                if self._state is not RouterState.HEALTHY:
+                    return None, False  # the patch failed and degraded
             blob = pickle.dumps(self.fib, protocol=pickle.HIGHEST_PROTOCOL)
-            return self._snapshot, self._overlay_arrays(), blob, healthy
+            return render(self._snapshot, blob), True
 
     # -- update path -------------------------------------------------------------
 
     def announce(self, prefix: PrefixLike, gateway: str, interface: str):
-        """Install a route; the prefix joins the overlay until the next swap.
+        """Install a route; the served image is patched before returning.
 
         A setup-path failure (peel non-convergence, spillover overflow,
         capacity exhaustion) never propagates to the caller: the router
@@ -339,12 +346,12 @@ class SnapshotRouter:
                 return self._absorb_announce_failure(
                     resolved, gateway, interface, error
                 )
-            self._overlay_add(resolved)
+            self._applied(resolved)
             self._journal_update("announce", resolved, gateway, interface)
         return kind
 
     def withdraw(self, prefix: PrefixLike):
-        """Remove a route; the prefix joins the overlay until the next swap.
+        """Remove a route; the served image is patched before returning.
 
         The withdraw itself cannot hit the Index Table setup path, but
         the maintenance purge it may trigger can; such a failure leaves
@@ -361,9 +368,10 @@ class SnapshotRouter:
                 # The route was removed and its reference released before
                 # the purge/rebuild blew up; only serving trust is lost.
                 self._degrade(f"withdraw-triggered maintenance: {error}")
+                self._track(resolved)
                 self._journal_update("withdraw", resolved)
                 return UpdateKind.WITHDRAW
-            self._overlay_add(resolved)
+            self._applied(resolved)
             if kind is not None:
                 self._journal_update("withdraw", resolved)
         return kind
@@ -388,7 +396,7 @@ class SnapshotRouter:
             "serve_setup_failure_absorbed",
             prefix=str(prefix), error=str(error),
         )
-        self._overlay_add(prefix)
+        self._applied(prefix)
         self._journal_update("announce", prefix, gateway, interface)
         return kind
 
@@ -413,6 +421,7 @@ class SnapshotRouter:
         if old_id is not None:
             self.fib.next_hops.release(old_id)
         self.metrics.degraded_updates += 1
+        self._track(prefix)
         self._journal_update("announce", prefix, gateway, interface)
         return UpdateKind.NEXT_HOP if old_id is not None else UpdateKind.ADD_PC
 
@@ -423,50 +432,69 @@ class SnapshotRouter:
             return None
         self.fib.next_hops.release(removed)
         self.metrics.degraded_updates += 1
+        self._track(prefix)
         self._journal_update("withdraw", prefix)
         return UpdateKind.WITHDRAW
 
-    def _overlay_add(self, prefix: Prefix) -> None:
-        values = self._overlay.setdefault(prefix.length, set())
-        if prefix.value not in values:
-            values.add(prefix.value)
-            self._overlay_size += 1
-            self._overlay_version += 1
-        self.metrics.record_update(self._overlay_size)
+    def _applied(self, prefix: Prefix) -> None:
+        """An update reached the engine: patch the image (lock held)."""
+        self._track(prefix)
+        self.metrics.record_update()
+        self._apply_burst()
+
+    def _track(self, prefix: Prefix) -> None:
+        """Tell the shard plane's tracker, if any, a route changed (lock held)."""
+        if self._tracker is not None:
+            self._tracker.add(prefix)
+
+    def _apply_burst(self) -> None:
+        """Copy the words the engine logged into the served image (lock held).
+
+        The version moves first, so a batch that overlaps the patch
+        retries.  A patch that cannot compile a sub-cell leaves the
+        engine untrustworthy for the datapath: serve from the shadow.
+        """
+        self._version += 1
+        try:
+            replans = self._snapshot.patch()
+        except Exception as error:
+            self._degrade(f"image patch failed: {error}")
+            return
+        for _position, reason in replans:
+            self.metrics.replans[reason] = (
+                self.metrics.replans.get(reason, 0) + 1)
 
     # -- lookup path ----------------------------------------------------------------
 
     def lookup_batch(self, keys) -> np.ndarray:
         """Next-hop ids for a key batch; -1 marks misses.
 
-        Snapshot arrays answer the whole batch lock-free; keys covered by
-        an overlaid (changed) prefix are then re-answered through the
-        live scalar path under the update lock.
+        The batch runs against the served image with no lock held; the
+        image version is noted under the lock first and re-read after,
+        and a batch an update overlapped is re-run (then, after
+        ``_READ_RETRIES`` overlaps, answered under the lock).
 
         Input is normalized exactly as ``BatchLookup.lookup_batch``:
         1-D, scalars accepted, negative/oversized keys rejected with a
-        clear ``ValueError`` (before this entry took the snapshot path's
-        behavior — an opaque ``OverflowError`` or a crash on 0-d input).
+        clear ``ValueError``.
         """
         key_array = normalize_keys(keys)
-        with self._held():
-            if self._state is not RouterState.HEALTHY:
-                return self._degraded_batch(key_array)
-            snapshot = self._snapshot
-            overlay = self._overlay_arrays()
-        result = snapshot.lookup_batch(key_array)
-        overlay_keys = 0
-        if overlay and len(key_array):
-            pending = self._overlay_mask(key_array, overlay)
-            indices = np.flatnonzero(pending)
-            overlay_keys = len(indices)
-            if overlay_keys:
-                with self._held():
-                    lookup = self.fib.engine.lookup
-                    for position in indices:
-                        answer = lookup(int(key_array[position]))
-                        result[position] = _MISS if answer is None else answer
-        self.metrics.record_batch(len(key_array), overlay_keys)
+        for _attempt in range(_READ_RETRIES):
+            with self._held():
+                if self._state is not RouterState.HEALTHY:
+                    return self._degraded_batch(key_array)
+                snapshot, version = self._snapshot, self._version
+            result = snapshot.lookup_batch(key_array)
+            # Single int read; a stale value only costs a retry.
+            if self._version == version:  # chisel: noqa[ANZ101]
+                break
+            self.metrics.read_retries += 1
+        else:
+            with self._held():
+                if self._state is not RouterState.HEALTHY:
+                    return self._degraded_batch(key_array)
+                result = self._snapshot.lookup_batch(key_array)
+        self.metrics.record_batch(len(key_array), 0)
         return result
 
     def lookup_many(self, keys) -> List[Optional[int]]:
@@ -500,34 +528,10 @@ class SnapshotRouter:
         self.metrics.degraded_lookups += len(key_array)
         return result
 
-    def _overlay_arrays(self) -> _OverlayArrays:
-        """The overlay as sorted per-length arrays (cached per version)."""
-        version, arrays = self._overlay_cache
-        if version != self._overlay_version:
-            arrays = [
-                (length, np.array(sorted(values), dtype=np.uint64))
-                for length, values in sorted(self._overlay.items())
-                if values
-            ]
-            self._overlay_cache = (self._overlay_version, arrays)
-        return arrays
-
-    def _overlay_mask(self, keys: np.ndarray,
-                      overlay: _OverlayArrays) -> np.ndarray:
-        """True for keys covered by any changed prefix."""
-        return overlay_mask(keys, overlay, self.width)
-
     def overlay_arrays(self) -> _OverlayArrays:
-        """The current overlay as (length, sorted uint64 array) pairs.
-
-        Taken under the update lock so the returned arrays are a
-        consistent cut; the arrays themselves are immutable (the cache is
-        rebuilt, never mutated, on overlay growth), so callers — the
-        shard coordinator stamping a batch, the snapshot codec embedding
-        the overlay in a segment — may hold them lock-free afterwards.
-        """
-        with self._lock:
-            return self._overlay_arrays()
+        """Always empty: the served image is current after every update
+        (the shard plane's changed-prefix set lives in its coordinator)."""
+        return []
 
     # -- degradation and recovery --------------------------------------------------------
 
@@ -548,6 +552,8 @@ class SnapshotRouter:
                 self._degrade(
                     f"scrub uncorrectable: {report.uncorrectable[0]}"
                 )
+            elif report.total_repaired:
+                self._apply_burst()
         return report
 
     def _degrade(self, reason: str) -> None:
@@ -638,32 +644,27 @@ class SnapshotRouter:
 
     @property
     def snapshot_age(self) -> float:
-        """Seconds since the serving snapshot was compiled."""
+        """Seconds since the served image was last compiled whole."""
         # Single float read; the age gauge is advisory.
         return self._clock() - self._compiled_at  # chisel: noqa[ANZ101]
 
     @property
     def overlay_size(self) -> int:
-        """Distinct changed prefixes pending the next swap."""
-        # Single int read; the gauge is advisory.
-        return self._overlay_size  # chisel: noqa[ANZ101]
+        """Always 0: no changed prefix is ever pending (see ``overlay_arrays``)."""
+        return 0
 
     def recompile(self, post_compile=None, commit=None,
                   discard=None) -> float:
         """Compile and atomically swap in a fresh snapshot; returns seconds.
 
-        The expensive ``BatchLookup`` compile (~100 ms at 100k routes)
-        runs *outside* the update lock, so announces/withdraws — and the
-        overlay scalar-fallback slice of ``lookup_batch`` — are never
-        stalled behind it.  The swap then re-checks the engine's
-        ``words_written`` under the lock: if any update (or a scrub
-        repair, which also counts as hardware writes) landed while the
-        compile ran, the (possibly torn) snapshot is discarded and the
-        compile retried; after ``_COMPILE_RETRIES`` discards it falls
-        back to the old compile-under-the-lock path, which is guaranteed
-        quiescent.  Only the reference swap itself — microseconds — ever
-        holds the lock, which is what the ``serve_lock_hold_seconds``
-        histogram proves.
+        Updates keep the served image current on their own; a recompile
+        is the shard plane's publish path and recovery's rebuild.  The
+        ``BatchLookup`` compile (~100 ms at 100k routes) runs *outside*
+        the update lock; the swap then re-checks the engine's
+        ``words_written`` under the lock, and if any update or scrub
+        repair landed meanwhile the (possibly torn) compile is discarded
+        and retried, falling back after ``_COMPILE_RETRIES`` discards to
+        compiling under the lock, which is guaranteed quiescent.
 
         The three hooks let a second publisher — ``ShardCoordinator``
         exporting shared-memory generations — ride the *same* optimistic
@@ -672,8 +673,8 @@ class SnapshotRouter:
         ``post_compile(snapshot) -> extra``
             runs after each successful compile (outside the lock on the
             optimistic attempts), e.g. exporting the compiled arrays to
-            a shared-memory segment.  ``BatchLookup`` plan arrays are
-            private immutable copies, so this needs no lock.
+            a shared-memory segment.  The fresh plans are private until
+            the swap, so this needs no lock.
         ``commit(snapshot, extra)``
             runs under the lock, in the same critical section as the
             quiescence re-check and the swap — the publish point.
@@ -741,12 +742,15 @@ class SnapshotRouter:
             return _commit_locked(snapshot, extra)
 
     def _swap(self, snapshot: BatchLookup, started: float) -> float:
-        """Swap in a compiled snapshot and clear the overlay (lock held)."""
+        """Serve a whole image current for the engine (lock held).
+
+        Its plans already hold every write (the words re-check or the
+        cold-start cut says so); binding it starts fresh write logs.
+        """
         swap_started = time.perf_counter()
+        self._version += 1
+        snapshot.bind(self.fib.engine)
         self._snapshot = snapshot
-        self._overlay.clear()
-        self._overlay_size = 0
-        self._overlay_version += 1
         self._compiled_at = self._clock()
         elapsed = self._compiled_at - started
         self.metrics.record_recompile(elapsed)
@@ -754,27 +758,23 @@ class SnapshotRouter:
         return elapsed
 
     def maybe_recompile(self) -> bool:
-        """Recompile if the staleness/age policy says so.
+        """The recovery heartbeat; returns True when a rebuild succeeded.
 
-        While degraded this is the recovery heartbeat instead: once the
+        A healthy router never needs a recompile (every update patches
+        the image), so this returns False.  While degraded, once the
         backoff window elapses, a rebuild from the trie is attempted.
         """
         with self._held():
             if self._state is not RouterState.HEALTHY:
                 return self._maybe_recover()
-            due = self.policy.due(
-                self._overlay_size, self.snapshot_age, self._snapshot.stale
-            )
-        if due:
-            self.recompile()
-        return due
+        return False
 
-    # -- background recompiler ---------------------------------------------------------------
+    # -- background heartbeat ------------------------------------------------------------------
 
     def start(self, interval: float = 0.05) -> None:
-        """Run the recompile policy from a daemon thread every ``interval`` s."""
+        """Run ``maybe_recompile`` from a daemon thread every ``interval`` s."""
         if self._thread is not None:
-            raise RuntimeError("background recompiler already running")
+            raise RuntimeError("background heartbeat already running")
         self._stop_event.clear()
 
         def worker() -> None:
@@ -787,7 +787,7 @@ class SnapshotRouter:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the background recompiler (idempotent)."""
+        """Stop the background heartbeat (idempotent)."""
         if self._thread is None:
             return
         self._stop_event.set()
@@ -807,16 +807,14 @@ class SnapshotRouter:
         """Counters plus live gauges, ready for JSON emission.
 
         The gauge sources are read under the update lock so the emitted
-        (age, overlay, stale, state) tuple is one coherent picture —
-        unlocked, a swap between two reads could pair a fresh snapshot
-        with the previous overlay size.  Raw ``_lock`` rather than
+        (age, stale, routes, state) tuple is one coherent picture.  Raw
+        ``_lock`` rather than
         ``_held()``: metrics scrapes should not pollute the update-path
         lock-hold histogram.
         """
         payload = self.metrics.to_dict()
         with self._lock:
             payload["snapshot_age_seconds"] = round(self.snapshot_age, 6)
-            payload["overlay_size"] = self._overlay_size
             payload["snapshot_stale"] = (
                 self._snapshot.stale if self._snapshot is not None else True
             )

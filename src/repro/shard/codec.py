@@ -162,34 +162,30 @@ def _flatten_cell(prefix: str, plan: FlatSubCellPlan,
         cell_meta["start_range"] = int(fused.start_range)
         tables.append((f"{prefix}/fused/start_tables", fused.start_tables))
     tables.append((f"{prefix}/records", plan.records))
-    tables.append((f"{prefix}/arena", plan.arena))
+    # A patched plan's arena carries growth slack past ``arena_size``;
+    # the image holds what a fresh compile would (one entry minimum).
+    tables.append((f"{prefix}/arena", plan.arena[:max(plan.arena_size, 1)]))
     tables.append((f"{prefix}/spill_keys", plan.spill_keys))
     tables.append((f"{prefix}/spill_values", plan.spill_values))
     return cell_meta
 
 
 class SharedBatchLookup(BatchLookup):
-    """A ``BatchLookup`` whose plan arrays are views on a shared segment.
+    """A ``BatchLookup`` whose plan arrays are views on an encoded image.
 
     Behaviourally identical to the snapshot it was exported from (the
-    differential suite in tests/test_shard.py is the gate); ``stale`` is
-    always False because a shared segment is immutable — staleness is
-    signalled by the generation fence instead.
+    differential suite in tests/test_shard.py is the gate).  A shard
+    segment is immutable and has no engine (``stale`` is False; the
+    generation fence signals staleness); a cold start binds the engine
+    unpickled beside a checkpoint and patches the views.
     """
 
     def __init__(self, width: int, plans: List[FlatSubCellPlan],
                  generation: int) -> None:
-        # No live engine behind a frozen segment; staleness is fenced
-        # by generation instead (see ``stale``).
         self.engine = None  # type: ignore[assignment]
         self.width = width
-        self._words_at_build = 0
         self._plans = plans
         self.generation = generation
-
-    @property
-    def stale(self) -> bool:
-        return False
 
 
 @dataclass
@@ -318,11 +314,15 @@ class SnapshotImage:
     """
 
     def __init__(self, buffer: memoryview, header: Dict[str, object],
-                 payload_start: int, context: str) -> None:
+                 payload_start: int, context: str,
+                 writable: bool = False) -> None:
         self._buf = buffer
         self._header = header
         self._payload_start = payload_start
         self._context = context
+        # A checkpoint's copy-on-write mapping hands out writable views;
+        # a shard segment, shared between processes, never does.
+        self._writable = writable
         self._entries: Dict[str, Dict[str, object]] = {
             entry["name"]: entry for entry in header["tables"]  # type: ignore[index, union-attr]
         }
@@ -392,7 +392,7 @@ class SnapshotImage:
             self._buf, dtype=dtype, count=count,
             offset=self._payload_start + int(entry["offset"]),  # type: ignore[call-overload]
         ).reshape(shape)
-        view.flags.writeable = False
+        view.flags.writeable = self._writable
         return view
 
     def _array(self, name: str) -> np.ndarray:

@@ -3,19 +3,26 @@
 Wraps a ``SnapshotRouter`` and fans its compiled snapshots out to N
 worker processes over shared memory:
 
+* **changed prefixes**: a published segment is frozen, while the
+  router's own image is patched per update.  The coordinator therefore
+  owns a :class:`ChangedPrefixes` set, registered with the router
+  (``track_changes``), which the router fills under its update lock and
+  a publish clears.
 * **publish** rides the router's optimistic ``words_written`` re-check
   path (``SnapshotRouter.recompile`` hooks): the snapshot is compiled
-  and exported *outside* the update lock, then committed — swap, overlay
-  clear, control-block publish — in one critical section only if no
-  update or scrub repair landed mid-compile.  A scrub that repaired
-  words during the export bumps ``words_written`` and the half-repaired
-  image is discarded, never published (the §4.4.1 dirty-bit-consistency
-  analogue; regression-tested in tests/test_shard.py).
+  and exported *outside* the update lock, then committed — swap,
+  changed-prefix clear, control-block publish — in one critical section
+  only if no update or scrub repair landed mid-compile.  A scrub that
+  repaired words during the export bumps ``words_written`` and the
+  half-repaired image is discarded, never published (the §4.4.1
+  dirty-bit-consistency analogue; regression-tested in
+  tests/test_shard.py).
 * **lookup_batch** partitions each key batch round-robin across the
-  workers, scatters their answers back, and re-answers overlay-covered
-  keys through the live scalar path under the router lock — the same
-  consistency model as the single-process router, so the sharded plane
-  is differential-testable against it.
+  workers, scatters their answers back, and re-answers the keys under
+  changed prefixes (which the workers bounce) through the live scalar
+  path under the router lock — so the sharded plane answers exactly
+  like the single-process router and is differential-testable against
+  it.
 * **the fence**: an old generation's segment is retired only after every
   live worker's control-block ack reaches the new generation; dead
   workers are respawned (and attach the current generation on startup,
@@ -42,6 +49,7 @@ import numpy as np
 
 from ..core.batch import _MISS, normalize_keys
 from ..obs import LATENCY_BUCKETS, get_registry
+from ..prefix.prefix import Prefix
 from ..serve.snapshot import RouterState, SnapshotRouter, _STATE_GAUGE
 from .codec import SharedSnapshot
 from .control import ControlBlock
@@ -65,6 +73,46 @@ _POLL_SECONDS = 0.05
 
 class ShardError(RuntimeError):
     """The sharded plane could not complete an operation."""
+
+
+class ChangedPrefixes:
+    """Prefixes changed since the shard plane's last publish.
+
+    The router calls :meth:`add` under its update lock; the coordinator
+    reads :meth:`arrays` under the same lock and clears the set when a
+    publish commits.  The arrays are rebuilt, never mutated, so a batch
+    may carry them to the workers after the lock is released.
+    """
+
+    def __init__(self) -> None:
+        self._by_length: Dict[int, set] = {}
+        self._size = 0
+        self._arrays: Optional[List] = None
+
+    def add(self, prefix: Prefix) -> None:
+        values = self._by_length.setdefault(prefix.length, set())
+        if prefix.value not in values:
+            values.add(prefix.value)
+            self._size += 1
+            self._arrays = None
+
+    def clear(self) -> None:
+        self._by_length.clear()
+        self._size = 0
+        self._arrays = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def arrays(self) -> List:
+        """(length, sorted uint64 values) pairs, as ``overlay_mask`` reads."""
+        if self._arrays is None:
+            self._arrays = [
+                (length, np.array(sorted(values), dtype=np.uint64))
+                for length, values in sorted(self._by_length.items())
+                if values
+            ]
+        return self._arrays
 
 
 class ShardCoordinator:
@@ -93,6 +141,9 @@ class ShardCoordinator:
         self._nonce = fresh_nonce()
         self._generation = 0  # guarded-by: single-writer
         self._segment: Optional[SharedSnapshot] = None  # guarded-by: single-writer
+        self._changes = ChangedPrefixes()
+        #: Engine ``words_written`` at the last publish (segment staleness).
+        self._published_words = 0  # guarded-by: single-writer
         self._stale_segments: List[SharedSnapshot] = []  # guarded-by: single-writer
         self._control = ControlBlock.create(
             workers, name=segment_name("ctl", self._nonce))
@@ -120,7 +171,7 @@ class ShardCoordinator:
             "shard_lookups_total", "keys answered by the shard plane")
         self._obs_overlay = registry.counter(
             "shard_overlay_patched_total",
-            "overlay-covered keys re-answered via the live scalar path",
+            "keys under changed prefixes re-answered via the live scalar path",
         )
         self._obs_publishes = registry.counter(
             "shard_publishes_total", "generations published to workers")
@@ -151,9 +202,8 @@ class ShardCoordinator:
             for worker_id in range(workers)
         ]
         self._obs_worker_count.set(workers)
-        # Bootstrap: publish the router's *current* snapshot + overlay so
-        # workers can serve immediately without forcing a recompile; the
-        # embedded overlay makes the segment a complete serving-state cut.
+        # Bootstrap: publish the router's current image so workers can
+        # serve immediately without forcing a recompile.
         self._publish_current()
         for worker_id in range(workers):
             self._spawn(worker_id)
@@ -233,7 +283,8 @@ class ShardCoordinator:
             self._control.set_state(_STATE_GAUGE[self.router.state])
             return self.router.lookup_batch(key_array)
         self._control.set_state(_STATE_GAUGE[RouterState.HEALTHY])
-        overlay = self.router.overlay_arrays()
+        with self.router._lock:
+            overlay = self._changes.arrays()
         parts = self._partition(key_array)
         self._batch_counter += 1
         batch_id = self._batch_counter
@@ -329,26 +380,22 @@ class ShardCoordinator:
     # -- publishing ----------------------------------------------------------
 
     def _publish_current(self) -> None:
-        """Bootstrap publish of the router's existing snapshot + overlay.
+        """Bootstrap publish of the router's served image.
 
-        The snapshot and overlay are read under the router lock (one
-        consistent cut); the export itself copies only immutable arrays,
-        so it runs lock-free.  Workers receive the *live* overlay with
-        every batch — always a superset of the embedded one until the
-        next swap — so bootstrapping from a dirty snapshot is safe.
+        Every update patches that image in place, so it is exported
+        under the router lock; the changed-prefix set is registered in
+        the same critical section, so each later update lands in it.
         """
         with self.router._lock:
             snapshot = self.router._snapshot
-            overlay = self.router._overlay_arrays()
             if snapshot is None:
                 raise ShardError("router has no compiled snapshot to publish")
-        segment = SharedSnapshot.export(
-            snapshot, overlay, self._generation + 1,
-            name=self._segment_name(self._generation + 1))
-        # Bootstrap runs before any worker exists, and the embedded
-        # overlay makes a mid-export update harmless (see docstring) —
-        # the steady-state path, publish(), does re-check quiescence.
-        self._install(segment)  # chisel: noqa[ANZ204]
+            segment = SharedSnapshot.export(
+                snapshot, [], self._generation + 1,
+                name=self._segment_name(self._generation + 1))
+            self.router.track_changes(self._changes)
+            self._published_words = self.router.fib.engine.words_written()
+        self._install(segment)
 
     def _segment_name(self, generation: int) -> str:
         """Reapable /dev/shm name for one generation's segment."""
@@ -388,7 +435,11 @@ class ShardCoordinator:
                 name=self._segment_name(candidate))
 
         def commit(snapshot: Any, segment: SharedSnapshot) -> None:
+            # Under the router lock: no update lands between the clear
+            # and the segment going live.
             self._install(segment)
+            self._changes.clear()
+            self._published_words = self.router.fib.engine.words_written()
 
         def discard(segment: Optional[SharedSnapshot]) -> None:
             if segment is not None:
@@ -403,18 +454,21 @@ class ShardCoordinator:
         return elapsed
 
     def maybe_publish(self) -> bool:
-        """Publish if the router's recompile policy says a swap is due.
+        """Publish if the router's ``RecompilePolicy`` says one is due.
 
-        While degraded this delegates to the router's recovery heartbeat
-        instead (mirroring ``SnapshotRouter.maybe_recompile``); the next
+        The policy weighs the changed-prefix count, the time since the
+        last whole compile, and whether any word changed since the last
+        publish.  While degraded this delegates to the router's recovery
+        heartbeat instead (``SnapshotRouter.maybe_recompile``); the next
         healthy ``publish`` re-arms the worker fleet.
         """
         with self.router._lock:
             if self.router.state is not RouterState.HEALTHY:
                 return self.router.maybe_recompile()
             due = self.router.policy.due(
-                self.router.overlay_size, self.router.snapshot_age,
-                self.router._snapshot.stale,
+                len(self._changes), self.router.snapshot_age,
+                self.router.fib.engine.words_written()
+                != self._published_words,
             )
         if due:
             self.publish()
@@ -473,6 +527,7 @@ class ShardCoordinator:
             return
         self._closed = True
         atexit.unregister(self.close)
+        self.router.track_changes(None)
         for worker_id, process in enumerate(self._processes):
             if process is not None and process.is_alive():
                 self._tasks[worker_id].put((TASK_STOP,))

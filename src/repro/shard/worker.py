@@ -10,11 +10,10 @@ from the reader side:
   checksum) and acks the new generation *before* serving — so no batch
   is ever answered from a generation older than the one current at
   dispatch time (the coordinator publishes before it dispatches);
-* keys covered by the batch's overlay arrays (the changed prefixes the
-  segment cannot be trusted for) are *not* answered here — their indices
-  go back to the coordinator, which re-answers them through the live
-  scalar path, exactly like the single-process ``SnapshotRouter``
-  overlay fallback;
+* keys covered by the batch's overlay arrays (the prefixes changed since
+  the segment was published, which it cannot be trusted for) are *not*
+  answered here — their indices go back to the coordinator, which
+  re-answers them through the live scalar path;
 * counters (keys served, serve seconds, generation) ride every result
   message and are folded into the ``repro.obs`` registry by the
   coordinator — workers never touch the registry themselves, so the

@@ -1,9 +1,10 @@
 """Cold start: map the newest valid checkpoint, replay the tail.
 
 Recovery walks checkpoint generations newest-first.  For each candidate
-it block-checksum-verifies the mapped image, unpickles the FIB blob and
-chains the delta logs from that generation forward, replaying their
-valid prefixes.  Any damage — bad magic, checksum mismatch, mid-log CRC
+it digest-verifies the image, mapped copy-on-write, unpickles the FIB
+blob and chains the delta logs from that generation forward, replaying
+their valid prefixes.  Replay patches the mapped image's private pages
+— never the file, and never a whole-plan copy.  Any damage — bad magic, checksum mismatch, mid-log CRC
 failure, sequence gap — is *detected and classified*, never served:
 
 * a damaged newest checkpoint falls back to the previous generation
@@ -31,8 +32,6 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
-
-import numpy as np
 
 from ..core.config import ChiselConfig
 from ..core.image import HardwareImage
@@ -63,9 +62,6 @@ from .store import (
     log_path,
     sweep_tmp_files,
 )
-
-_OverlayArrays = List[Tuple[int, np.ndarray]]
-
 
 class RecoveryError(RuntimeError):
     """No checkpoint chain could be recovered from the store directory."""
@@ -114,7 +110,7 @@ class RecoveryReport:
 @dataclass
 class _RecoveredState:
     checkpoint: MappedCheckpoint
-    lookup: SharedBatchLookup
+    lookup: Optional[SharedBatchLookup]
     generation: int
     checkpoint_seq: int
     fib_blob: bytes
@@ -318,11 +314,14 @@ def cold_start(directory: str,
                checkpoint_on_boot: bool = True) -> BootResult:
     """Boot a serving router from a store directory.
 
-    Happy path: map the newest valid checkpoint, rebuild the
-    ``BatchLookup`` as zero-copy views over the mapping (no recompile),
-    restore the overlay, replay the log tail through the live update
-    path, re-attach the journal and — by default — cut a fresh
+    Happy path: map the newest valid checkpoint copy-on-write, rebuild
+    the ``BatchLookup`` as views over the mapping (no recompile), replay
+    the log tail through the live update path (each update patches the
+    mapped image), re-attach the journal and — by default — cut a fresh
     checkpoint so repeated crash/boot cycles never accumulate tail.
+    A checkpoint that carries an overlay was cut while its writer still
+    kept one: its image predates those changes, so the router compiles
+    from the FIB blob instead of serving the mapping.
 
     Failure path: bounded retries with exponential backoff around the
     whole recovery, then degrade to a full recompile from ``bootstrap``
@@ -387,9 +386,15 @@ def cold_start(directory: str,
         raise RecoveryError(
             f"checkpoint generation {state.generation}: FIB blob failed "
             f"to unpickle: {error}") from error
-    router = SnapshotRouter(fib, policy=recompile_policy,
-                            initial_snapshot=state.lookup)
-    router.restore_overlay(state.checkpoint.overlay_arrays())
+    checkpoint: Optional[MappedCheckpoint] = state.checkpoint
+    if state.checkpoint.overlay_arrays():
+        router = SnapshotRouter(fib, policy=recompile_policy)
+        state.lookup = None
+        state.checkpoint.close()
+        checkpoint = None
+    else:
+        router = SnapshotRouter(fib, policy=recompile_policy,
+                                initial_snapshot=state.lookup)
     _replay_tail(router, fib, state, report)
     report.replay_seconds = time.perf_counter() - started
     replay_hist.observe(report.replay_seconds)
@@ -417,4 +422,4 @@ def cold_start(directory: str,
             seq=state.seq, log_valid_length=state.tail_valid_length,
             policy=policy, sync=sync, capture_deltas=capture_deltas)
     return BootResult(router=router, store=store, report=report,
-                      checkpoint=state.checkpoint)
+                      checkpoint=checkpoint)

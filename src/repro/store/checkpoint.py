@@ -8,11 +8,16 @@ carries:
 * every compiled ``BatchLookup`` table (reusing
   :func:`repro.shard.codec.encode_image`'s flattening and its full
   64-bit per-table digests);
-* the router's overlay at cut time (so a boot maps a coherent serving
-  cut, not just tables);
+* an overlay section, empty since the served image is current at every
+  cut (checkpoints written while the router still kept an overlay carry
+  one; :mod:`repro.store.boot` compiles those from their FIB blob);
 * a pickled :class:`~repro.router.fib.ForwardingEngine` blob — the §4.4
   shadow state replay chains onto — checksummed like any other table;
 * ``extra`` metadata: the absolute update sequence number of the cut.
+
+The image is rendered to bytes (:func:`render_checkpoint`) under the
+router's update lock, since updates patch the served image in place;
+only the file write (:func:`write_image`) runs outside it.
 
 Durability protocol (each step a :func:`crashpoint`)::
 
@@ -24,10 +29,11 @@ Durability protocol (each step a :func:`crashpoint`)::
 
 A crash before the rename leaves only a ``.tmp`` (ignored and swept by
 recovery); after the rename the checkpoint is complete-or-absent.
-Readers ``mmap`` the file read-only and rebuild zero-copy numpy views
+Readers ``mmap`` the file copy-on-write (a cold start's tail replay
+patches the image's private pages) and rebuild zero-copy numpy views
 through the shared :class:`~repro.shard.codec.SnapshotImage` machinery —
-block-checksum verification included, so a bit-flipped or truncated
-checkpoint is *detected*, never served.
+digest verification included, so a bit-flipped or truncated checkpoint
+is *detected*, never served.
 """
 
 from __future__ import annotations
@@ -70,16 +76,34 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def write_checkpoint(path: str, lookup: BatchLookup,
-                     overlay: _OverlayArrays, generation: int, seq: int,
-                     blobs: Optional[Dict[str, bytes]] = None) -> int:
-    """Write one checkpoint via tmp + fsync + rename; returns its size."""
+def render_checkpoint(lookup: BatchLookup, overlay: _OverlayArrays,
+                      generation: int, seq: int,
+                      blobs: Optional[Dict[str, bytes]] = None) -> bytearray:
+    """The checkpoint file's bytes: a private copy of every table."""
     encoded: EncodedImage = encode_image(
         lookup, overlay, generation, magic=CHECKPOINT_MAGIC,
         blobs=blobs, extra={"seq": int(seq)},
     )
     image = bytearray(encoded.total_size)
     write_image_into(memoryview(image), encoded)
+    return image
+
+
+def write_checkpoint(path: str, lookup: BatchLookup,
+                     overlay: _OverlayArrays, generation: int, seq: int,
+                     blobs: Optional[Dict[str, bytes]] = None) -> int:
+    """Render and write one checkpoint; returns its size.
+
+    The caller keeps ``lookup`` from changing meanwhile (the store
+    renders under the router's update lock and calls
+    :func:`write_image` itself).
+    """
+    return write_image(
+        path, render_checkpoint(lookup, overlay, generation, seq, blobs))
+
+
+def write_image(path: str, image: bytearray) -> int:
+    """Write rendered checkpoint bytes via tmp + fsync + rename."""
     tmp_path = path + ".tmp"
     crashpoint("ckpt:pre")
     with open(tmp_path, "wb") as handle:
@@ -99,12 +123,15 @@ def write_checkpoint(path: str, lookup: BatchLookup,
 
 
 class MappedCheckpoint(SnapshotImage):
-    """A checkpoint file mapped read-only.
+    """A checkpoint file mapped copy-on-write.
 
     The numpy views :meth:`to_lookup` hands out hold references to the
     mapping, so the OS page cache — not process heap — backs the tables;
     N cold-started processes mapping one checkpoint share one physical
-    copy, the on-disk analogue of the shared-memory segments.
+    copy, the on-disk analogue of the shared-memory segments.  The
+    mapping is ``ACCESS_COPY`` and the views are writable: a router
+    serving them patches private pages, and the file is never written.
+    Pages no update touches stay shared through the page cache.
     """
 
     def __init__(self, path: str) -> None:
@@ -119,7 +146,7 @@ class MappedCheckpoint(SnapshotImage):
             if size == 0:
                 raise CheckpointCorruptError(
                     f"checkpoint {path}: empty file")
-            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
+            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_COPY)
         except (OSError, ValueError) as error:
             os.close(self._fd)
             raise CheckpointCorruptError(
@@ -136,7 +163,7 @@ class MappedCheckpoint(SnapshotImage):
             self.close()
             raise CheckpointCorruptError(str(error)) from error
         super().__init__(memoryview(self._map), header, payload_start,
-                         context=f"checkpoint {path}")
+                         context=f"checkpoint {path}", writable=True)
         self._closed = False
 
     def verify(self) -> None:

@@ -10,9 +10,9 @@ Directory layout (one store, one writer)::
 Write path: every route update journaled by the attached
 :class:`~repro.serve.snapshot.SnapshotRouter` becomes one CRC-framed log
 record, fsynced before the update is acknowledged (``sync=True``).
-Checkpoints cut a coherent (compiled snapshot, overlay, pickled FIB)
-image under the router's update lock, write it tmp+fsync+rename, rotate
-to a fresh log, and prune old generations.  The ordering — log append →
+Checkpoints render a coherent (compiled image, pickled FIB) cut under
+the router's update lock, write it tmp+fsync+rename, rotate to a fresh
+log, and prune old generations.  The ordering — log append →
 fsync → checkpoint rename-into-place — means a crash at *any* boundary
 loses at most the un-acked suffix: recovery maps the newest valid
 checkpoint and replays the tail (see :mod:`repro.store.boot`).
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from ..core.image import HardwareImage, ImageDelta
 from ..obs import LATENCY_BUCKETS, get_registry
-from .checkpoint import fsync_directory, write_checkpoint
+from .checkpoint import fsync_directory, render_checkpoint, write_image
 from .crashpoints import crashpoint
 from .deltalog import DeltaLog
 from .records import ANNOUNCE, PUBLISH, WITHDRAW, LogRecord, encode_record
@@ -269,27 +269,26 @@ class SnapshotStore:
     def checkpoint(self) -> int:
         """Cut, write and rotate one checkpoint; returns its generation.
 
-        The cut (compiled snapshot + overlay + pickled FIB) is read
-        under the router's update lock, so it is one coherent serving
-        state at one sequence number.  Refused while the router is
-        degraded: a checkpoint of untrustworthy tables would poison
-        every future boot.
+        The cut (compiled image + pickled FIB) is rendered under the
+        router's update lock, so it is one coherent serving state at one
+        sequence number (journal appends run under that lock too).
+        Refused while the router is degraded: a checkpoint of
+        untrustworthy tables would poison every future boot.
         """
         router = self._router
         if router is None or self._closed:
             raise StoreError(f"store {self.directory}: no router attached")
         started = time.perf_counter()
-        snapshot, overlay, fib_blob, healthy = router.persistence_cut()
+        generation = self._generation + 1
+        image, healthy = router.persistence_cut(
+            lambda snapshot, fib_blob: render_checkpoint(
+                snapshot, [], generation, self._seq, blobs={"fib": fib_blob}))
         if not healthy:
             raise StoreError(
                 "checkpoint refused: router is degraded (tables are not "
                 "trustworthy); recover first"
             )
-        generation = self._generation + 1
-        write_checkpoint(
-            checkpoint_path(self.directory, generation), snapshot, overlay,
-            generation, self._seq, blobs={"fib": fib_blob},
-        )
+        write_image(checkpoint_path(self.directory, generation), image)
         new_log = DeltaLog.create(log_path(self.directory, generation),
                                   generation, sync=self.sync)
         fsync_directory(self.directory)

@@ -13,6 +13,8 @@ same way, so those pieces live here once:
   every applied update, which also records the prefixes that changed;
 * :func:`keys_under` — probe keys, half uniform and half under given
   prefixes, so a check lands on the routes the run changed;
+* :func:`image_differences` / :func:`image_matches_compile` — the
+  router's served image against a fresh compile of the live engine;
 * :class:`HarnessReport` — gate ``failures``, ``ok`` and ``to_dict``.
 """
 
@@ -113,6 +115,48 @@ def keys_under(rng: random.Random, width: int, count: int,
         keys.append(prefix.network_int()
                     | (rng.getrandbits(free) if free else 0))
     return keys
+
+
+def image_differences(router: Any) -> List[str]:
+    """How a ``SnapshotRouter``'s served image differs from a fresh compile.
+
+    Every plan is flattened the way the codec exports it — each table,
+    the arena up to ``arena_size``, and the scalar metadata — and
+    compared with ``FlatSubCellPlan.compile`` of its sub-cell.  Read
+    under the update lock; empty when the image equals the compile.
+    """
+    from .core.flatpath import FlatSubCellPlan
+    from .shard.codec import _flatten_cell
+
+    differences: List[str] = []
+    with router._lock:
+        snapshot, engine = router._snapshot, router.fib.engine
+        plans = snapshot._plans
+        if len(plans) != len(engine.subcells):
+            return [f"{len(plans)} plans for {len(engine.subcells)} "
+                    f"sub-cells"]
+        for position, (plan, subcell) in enumerate(
+                zip(plans, engine.subcells)):
+            fresh = FlatSubCellPlan.compile(subcell, snapshot.width)
+            served: List[Tuple[str, Any]] = []
+            compiled: List[Tuple[str, Any]] = []
+            served_meta = _flatten_cell(f"s{position}", plan, served)
+            compiled_meta = _flatten_cell(f"s{position}", fresh, compiled)
+            if served_meta != compiled_meta:
+                differences.append(
+                    f"s{position} metadata {served_meta} != {compiled_meta}")
+            for (name, mine), (_name, theirs) in zip(served, compiled):
+                if mine.dtype != theirs.dtype or not (
+                        mine.shape == theirs.shape and (mine == theirs).all()):
+                    differences.append(f"{name} differs from a fresh compile")
+        if snapshot.stale:
+            differences.append("served image is stale")
+    return differences
+
+
+def image_matches_compile(router: Any) -> bool:
+    """True when the served image equals a fresh compile of the engine."""
+    return not image_differences(router)
 
 
 @dataclass

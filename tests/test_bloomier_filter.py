@@ -97,7 +97,7 @@ class TestIncrementalInsert:
             key = rng.getrandbits(32)
             if key in items or key in inserted:
                 continue
-            if bf.try_insert(key, 1234 & ((1 << 12) - 1)):
+            if bf.try_insert(key, 1234 & ((1 << 12) - 1)) is not None:
                 inserted[key] = 1234 & ((1 << 12) - 1)
         assert inserted, "expected some singleton inserts to succeed"
         assert all(bf.lookup(k) == v for k, v in inserted.items())
@@ -129,7 +129,7 @@ class TestIncrementalInsert:
                 continue
             if len(bf) >= bf.capacity:
                 break
-            if not bf.try_insert(key, 1):
+            if bf.try_insert(key, 1) is None:
                 failures += 1
         assert failures > 0, "at high load some inserts must lack singletons"
 
@@ -137,7 +137,7 @@ class TestIncrementalInsert:
         bf = BloomierFilter(capacity=4, key_bits=32, value_bits=4,
                             rng=random.Random(0))
         bf.setup({1: 1, 2: 2, 3: 3, 4: 0})
-        assert bf.try_insert(99, 1) is False
+        assert bf.try_insert(99, 1) is None
 
     def test_find_singleton_consistency(self):
         bf, _items, _report = build(num_keys=500, seed=6)

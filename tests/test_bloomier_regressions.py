@@ -83,8 +83,9 @@ def test_reinsert_while_still_spilled_refreshes_tcam(backend):
     pbf, items, report = _build_with_spill(backend)
     key = next(iter(report.spilled))
     new_value = items[key] ^ 0xFF
-    outcome = pbf.insert(key, new_value)
+    outcome, word = pbf.insert(key, new_value)
     assert outcome in (InsertOutcome.SINGLETON, InsertOutcome.SPILL_REFRESH)
+    assert word is None  # a TCAM entry changed either way
     assert pbf.lookup(key) == new_value
     assert pbf.get(key) == new_value
     # The TCAM and the per-group spill bookkeeping must still agree

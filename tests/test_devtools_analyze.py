@@ -28,6 +28,7 @@ from repro.devtools.analyze.model import (
     parse_guard_comments,
     parse_rcu_comments,
     parse_scope_markers,
+    parse_seqlock_comments,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +68,11 @@ def test_rcu_pointer_comments_parse():
     assert parse_rcu_comments(source) == {1: "_lock"}
 
 
+def test_seqlock_pointer_comments_parse():
+    source = "self._snapshot = None  # seqlock-pointer: _lock _version\n"
+    assert parse_seqlock_comments(source) == {1: ("_lock", "_version")}
+
+
 def test_scope_marker_parses_only_in_header():
     marked = "# chisel-analyze-scope: dtype\nx = 1\n"
     assert parse_scope_markers(marked) == frozenset({"dtype"})
@@ -78,7 +84,7 @@ def test_catalog_is_sorted_and_complete():
     assert list(analysis_catalog()) == sorted(ANALYSIS_CATALOG)
     assert {code[:6] for code in ANALYSIS_CATALOG} <= {
         "ANZ101", "ANZ102", "ANZ201", "ANZ202", "ANZ203", "ANZ204",
-        "ANZ301", "ANZ302", "ANZ303", "ANZ304",
+        "ANZ205", "ANZ301", "ANZ302", "ANZ303", "ANZ304",
     }
 
 
@@ -491,6 +497,92 @@ def test_anz204_accepts_words_written_recheck(engine):
                 self._install(segment)
     """
     assert codes(engine, source) == []
+
+
+# ---------------------------------------------------------------------------
+# ANZ205 — seqlock pointer: patch in place inside a version window
+# ---------------------------------------------------------------------------
+
+SEQLOCK_POINTER_PREAMBLE = """\
+    import threading
+
+    class Router:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self._version = 0  # guarded-by: _lock
+            self._snapshot = None  # seqlock-pointer: _lock _version
+
+"""
+
+
+def seqlock_source(body):
+    return SEQLOCK_POINTER_PREAMBLE + textwrap.indent(textwrap.dedent(body),
+                                              "        ")
+
+
+def test_anz205_accepts_patch_after_bump_under_lock(engine):
+    source = seqlock_source("""\
+        def update(self):
+            with self._lock:
+                self._version += 1
+                self._snapshot.patch()
+                self._snapshot.arena_size = 3
+    """)
+    assert codes(engine, source) == []
+
+
+def test_anz205_accepts_private_helper_called_under_lock(engine):
+    source = seqlock_source("""\
+        def update(self):
+            with self._lock:
+                self._apply()
+
+        def _apply(self):
+            self._version += 1
+            image = self._snapshot
+            image.patch()
+    """)
+    assert codes(engine, source) == []
+
+
+def test_anz205_flags_patch_without_bump(engine):
+    source = seqlock_source("""\
+        def update(self):
+            with self._lock:
+                self._snapshot.patch()
+    """)
+    assert codes(engine, source) == ["ANZ205"]
+
+
+def test_anz205_flags_store_through_alias_without_bump(engine):
+    source = seqlock_source("""\
+        def update(self, rows):
+            with self._lock:
+                image, version = self._snapshot, self._version
+                image.records[rows] = 0
+    """)
+    assert codes(engine, source) == ["ANZ205"]
+
+
+def test_anz205_flags_patch_outside_lock(engine):
+    source = seqlock_source("""\
+        def update(self):
+            with self._lock:
+                self._version += 1
+            self._snapshot.patch()
+    """)
+    # The unlocked read of the pointer is ANZ101's; the patch is ANZ205's.
+    assert sorted(codes(engine, source)) == ["ANZ101", "ANZ205"]
+
+
+def test_anz205_leaves_rcu_pointers_to_anz202(engine):
+    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
+        def patch(self):
+            with self._lock:
+                self._snapshot.patch()
+                self._snapshot.plans = []
+    """), "        ")
+    assert codes(engine, source) == ["ANZ202"]
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,16 @@ class TestPartitionedDynamics:
             key = rng.getrandbits(32)
             if key in pbf:
                 continue
-            outcome = pbf.insert(key, 77)
+            outcome, word = pbf.insert(key, 77)
             outcomes.add(outcome)
             inserted[key] = 77
+            if outcome is InsertOutcome.SINGLETON:
+                # The one Index-Table word written, in the key's group.
+                group, slot = word
+                assert group == pbf.group_of(key)
+                assert slot in pbf.groups[group].neighborhood(key)
+            else:
+                assert word is None
         assert InsertOutcome.SINGLETON in outcomes
         assert all(pbf.lookup(k) == v for k, v in inserted.items())
         assert all(pbf.lookup(k) == v for k, v in items.items() if k not in inserted)

@@ -147,7 +147,7 @@ class TestBloomierProperties:
         bf.setup(base)
         added = {}
         for key in ordered[half:]:
-            if bf.try_insert(key, key & 0xFF):
+            if bf.try_insert(key, key & 0xFF) is not None:
                 added[key] = key & 0xFF
         for key, value in {**base, **added}.items():
             assert bf.lookup(key) == value

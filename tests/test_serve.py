@@ -2,8 +2,8 @@
 
 The acceptance property: a ``SnapshotRouter`` interleaving batched
 lookups with announce/withdraw churn never serves a stale withdrawn
-route and never misses an announced route — the overlay covers the
-whole recompile window.
+route and never misses an announced route — every update patches the
+served image, which then equals a fresh compile of the live engine.
 """
 
 import random
@@ -15,7 +15,7 @@ from repro.analysis.report import format_metrics
 from repro.core.batch import BatchLookup
 from repro.router import ForwardingEngine, NextHopInfo
 from repro.serve import RecompilePolicy, SnapshotRouter
-from repro.verify import apply_update
+from repro.verify import apply_update, image_differences
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
@@ -42,9 +42,7 @@ class TestServingCorrectness:
     def test_trace_driven_churn_under_load(self):
         """The acceptance test: trace-driven interleaving of lookups and
         updates, verified against the live scalar path at every step."""
-        table, fib, router = build_router(
-            table_size=1200, seed=12, max_overlay=24, max_age=1e9
-        )
+        table, fib, router = build_router(table_size=1200, seed=12)
         trace = synthesize_trace(table, 400, seed=12)
         rng = random.Random(12)
         background = [rng.getrandbits(32) for _ in range(400)]
@@ -61,11 +59,13 @@ class TestServingCorrectness:
             keys = background + targeted
             assert router.lookup_many(keys) == scalar_answers(fib, keys), \
                 f"divergence in window starting at {start}"
-            router.maybe_recompile()
-        # The small overlay cap forced snapshot swaps mid-trace, so the
-        # run exercised serving windows both before and after swaps.
-        assert router.metrics.snapshots_compiled > recompiles_before
-        assert router.metrics.overlay_lookups > 0
+            assert not image_differences(router)
+            assert not router.maybe_recompile()
+        # Patches alone kept the image current: no whole recompile ran,
+        # and no key needed the scalar path.
+        assert router.metrics.snapshots_compiled == recompiles_before
+        assert router.metrics.overlay_lookups == 0
+        assert "unlogged" not in router.metrics.replans
 
     def test_withdrawn_route_never_served(self):
         table, fib, router = build_router(seed=13)
@@ -115,62 +115,68 @@ class TestServingCorrectness:
 
 class TestSnapshotLifecycle:
     def test_overlay_clears_on_recompile(self):
-        _table, fib, router = build_router(seed=21, max_overlay=10**6,
-                                           max_age=1e9)
+        """No overlay exists to clear: each update patches the image, and
+        a recompile swaps in an image equal to the patched one."""
+        _table, fib, router = build_router(seed=21)
         router.announce("192.0.2.0/24", "10.0.0.1", "eth0")
         router.withdraw("192.0.2.0/24")
-        assert router.overlay_size == 1  # same prefix twice: exact dict
-        assert router.metrics.updates_since_snapshot == 2
-        router.recompile()
         assert router.overlay_size == 0
-        assert router.metrics.updates_since_snapshot == 0
-        assert router.metrics.last_updates_absorbed == 2
+        assert router.overlay_arrays() == []
+        assert router.metrics.updates_applied == 2
         assert not router._snapshot.stale
+        assert not image_differences(router)
+        patched = router._snapshot
+        router.recompile()
+        assert router._snapshot is not patched
+        assert not image_differences(router)
 
     def test_policy_overlay_threshold(self):
+        """``RecompilePolicy`` is the shard plane's publish policy; the
+        router itself never recompiles however many prefixes change."""
+        policy = RecompilePolicy(max_overlay=4, max_age=1e9)
+        assert not policy.due(3, 0.0, True)
+        assert policy.due(4, 0.0, False)
         _table, fib, router = build_router(seed=22, max_overlay=4,
                                            max_age=1e9)
         compiled = router.metrics.snapshots_compiled
-        for octet in range(4):
+        for octet in range(8):
             router.announce(f"192.0.{octet}.0/24", "10.0.0.1", "eth0")
-            router.maybe_recompile()
-        assert router.metrics.snapshots_compiled == compiled + 1
+            assert not router.maybe_recompile()
+        assert router.metrics.snapshots_compiled == compiled
+        assert not image_differences(router)
 
     def test_policy_age_threshold_with_fake_clock(self):
+        policy = RecompilePolicy(max_overlay=10**6, max_age=2.0)
+        assert not policy.due(1, 1.0, True)  # young generation
+        assert policy.due(1, 5.0, False)  # old + changed prefixes
+        assert policy.due(0, 5.0, True)  # old + changed words
+        assert not policy.due(0, 20.0, False)  # old but nothing changed
         table = synthetic_table(300, seed=23)
         fib = ForwardingEngine.from_table(table)
         now = [0.0]
-        router = SnapshotRouter(
-            fib, RecompilePolicy(max_overlay=10**6, max_age=2.0),
-            clock=lambda: now[0],
-        )
+        router = SnapshotRouter(fib, policy, clock=lambda: now[0])
         router.announce("192.0.2.0/24", "10.0.0.1", "eth0")
-        assert not router.maybe_recompile()  # young snapshot
         now[0] = 5.0
         assert router.snapshot_age == pytest.approx(5.0)
-        assert router.maybe_recompile()  # old + dirty
-        now[0] = 20.0
-        assert not router.maybe_recompile()  # old but nothing changed
+        assert not router.maybe_recompile()  # healthy: nothing to do
 
     def test_background_recompiler_thread(self):
+        """The background thread is the recovery heartbeat: it starts,
+        leaves a healthy router's image alone, and stops cleanly."""
         import time
 
-        _table, fib, router = build_router(seed=24, max_overlay=1,
-                                           max_age=1e9)
+        _table, fib, router = build_router(seed=24)
         compiled = router.metrics.snapshots_compiled
+        key = (192 << 24) | (0 << 16) | (2 << 8) | 7
         with router:
             router.announce("192.0.2.0/24", "10.0.0.1", "eth0")
-            deadline = time.monotonic() + 5.0
-            while (router.metrics.snapshots_compiled == compiled
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-        assert router.metrics.snapshots_compiled > compiled
-        assert router.overlay_size == 0
+            assert router.lookup_many([key]) == [fib.engine.lookup(key)]
+            time.sleep(0.2)
+        assert router.metrics.snapshots_compiled == compiled
         assert router._thread is None  # stopped cleanly
 
     def test_lookups_while_background_thread_runs(self):
-        table, fib, router = build_router(seed=25, max_overlay=8,
-                                          max_age=0.01)
+        table, fib, router = build_router(seed=25)
         rng = random.Random(25)
         prefixes = list(table.prefixes())
         keys = [rng.getrandbits(32) for _ in range(300)]
@@ -193,26 +199,37 @@ class TestMetrics:
         router.lookup_batch([rng.getrandbits(32) for _ in range(100)])
         payload = router.metrics_dict()
         for field in ("lookups_served", "batches_served", "overlay_lookups",
-                      "updates_applied", "snapshots_compiled",
-                      "last_recompile_seconds", "snapshot_age_seconds",
-                      "overlay_size", "snapshot_stale", "routes",
-                      "mean_updates_absorbed", "overlay_fraction"):
+                      "updates_applied", "read_retries", "replans",
+                      "snapshots_compiled", "last_recompile_seconds",
+                      "snapshot_age_seconds", "snapshot_stale", "routes",
+                      "overlay_fraction"):
             assert field in payload
+        for gone in ("overlay_size", "updates_since_snapshot",
+                     "last_updates_absorbed", "total_updates_absorbed",
+                     "mean_updates_absorbed", "max_overlay_size"):
+            assert gone not in payload
         assert payload["lookups_served"] == 100
         assert payload["updates_applied"] == 1
-        assert payload["overlay_size"] == 1
+        assert payload["snapshot_stale"] is False
         text = format_metrics(payload, title="serve metrics")
         assert "lookups_served" in text and "serve metrics" in text
 
     def test_overlay_fraction_counts_fallbacks(self):
+        """Only the shard plane bounces keys to the scalar path: the
+        router answers a just-announced route from its patched image."""
         _table, fib, router = build_router(seed=32)
         router.announce("203.0.113.0/24", "10.0.0.9", "eth3")
         key = (203 << 24) | (0 << 16) | (113 << 8) | 5
-        router.lookup_batch([key] * 10)
-        assert router.metrics.overlay_lookups == 10
-        assert router.metrics.overlay_fraction == 1.0
+        answers = router.lookup_batch([key] * 10)
+        assert answers.tolist() == [fib.engine.lookup(key)] * 10
+        assert router.metrics.overlay_lookups == 0
+        assert router.metrics.overlay_fraction == 0.0
+        router.metrics.record_batch(10, 5)
+        assert router.metrics.overlay_fraction == pytest.approx(5 / 20)
 
     def test_updates_absorbed_accounting(self):
+        """Every update is absorbed by a patch; whole compiles happen only
+        when asked for, and sub-cell replans are counted by reason."""
         _table, fib, router = build_router(seed=33)
         for octet in range(6):
             router.announce(f"198.18.{octet}.0/24", "10.0.0.1", "eth0")
@@ -221,11 +238,12 @@ class TestMetrics:
             router.announce(f"198.19.{octet}.0/24", "10.0.0.1", "eth0")
         router.recompile()
         metrics = router.metrics
-        assert metrics.total_updates_absorbed == 10
-        assert metrics.last_updates_absorbed == 4
+        assert metrics.updates_applied == 10
         # Initial compile + 2 explicit swaps.
         assert metrics.snapshots_compiled == 3
-        assert metrics.mean_updates_absorbed == pytest.approx(10 / 3)
+        assert sum(metrics.replans.values()) <= 10
+        assert "unlogged" not in metrics.replans
+        assert not image_differences(router)
 
 
 class TestLockFreeRecompile:

@@ -34,6 +34,7 @@ from repro.shard import (
     SnapshotIntegrityError,
 )
 from repro.shard.codec import table_digest
+from repro.shard.coordinator import ChangedPrefixes
 from repro.verify import apply_update
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
@@ -75,12 +76,15 @@ class TestSnapshotCodec:
             segment.retire()
 
     def test_overlay_arrays_roundtrip(self):
-        table, _fib, router = build_router(max_overlay=1_000_000,
-                                           max_age=1e9)
+        """A segment carries a changed-prefix set as its ``ov*`` tables."""
+        table, _fib, router = build_router()
         trace = synthesize_trace(table, 40, seed=21)
+        changes = ChangedPrefixes()
+        router.track_changes(changes)
         churn(router, trace, 0, 40)
-        overlay = router.overlay_arrays()
-        assert overlay, "churn should have dirtied the overlay"
+        assert router.overlay_arrays() == []
+        overlay = changes.arrays()
+        assert overlay, "churn should have filled the changed-prefix set"
         segment = SharedSnapshot.export(router._snapshot, overlay, 1)
         try:
             attached = SharedSnapshot.attach(segment.name)

@@ -33,7 +33,7 @@ from repro.faults.fileinject import (
     truncate_file,
 )
 from repro.router import ForwardingEngine
-from repro.serve import SnapshotRouter
+from repro.serve import RouterState, SnapshotRouter
 from repro.store import (
     ANNOUNCE,
     PUBLISH,
@@ -59,7 +59,9 @@ from repro.shard.codec import SnapshotIntegrityError
 from repro.store.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
+    render_checkpoint,
     write_checkpoint,
+    write_image,
 )
 from repro.store.deltalog import scan_frames
 from repro.store.store import checkpoint_path, list_generations, log_path
@@ -385,10 +387,11 @@ class TestCheckpoint:
     def _checkpointed(self, directory, size=300):
         _table, router = build_router(size=size)
         path = os.path.join(directory, "checkpoint-00000001.chz")
-        snapshot, overlay, fib_blob, healthy = router.persistence_cut()
+        image, healthy = router.persistence_cut(
+            lambda snapshot, fib_blob: render_checkpoint(
+                snapshot, [], generation=1, seq=0, blobs={"fib": fib_blob}))
         assert healthy
-        write_checkpoint(path, snapshot, overlay, generation=1, seq=0,
-                         blobs={"fib": fib_blob})
+        write_image(path, image)
         return path, router
 
     def test_write_load_verify(self, store_dir):
@@ -671,6 +674,32 @@ class TestStoreIntegration:
             store.checkpoint()
         store.close()
 
+    def test_checkpoint_refused_when_the_cut_patch_fails(self, store_dir,
+                                                         monkeypatch):
+        """A repair made around the router leaves the image stale; the
+        cut patches it in, and when that sub-cell compile fails the
+        router degrades and the checkpoint is refused, not written
+        from a half-patched image."""
+        from repro.core.flatpath import FlatSubCellPlan
+        from repro.faults import FaultInjector
+
+        _table, router = build_router()
+        store = SnapshotStore.create(store_dir, router)
+        before = list_generations(store_dir)
+        assert FaultInjector(seed=7).flip_table_bit(router.fib.engine)
+        assert router.fib.engine.scrub().total_repaired  # a replan owed
+        assert router._snapshot.stale
+
+        def failing_compile(*args, **kwargs):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(FlatSubCellPlan, "compile", failing_compile)
+        with pytest.raises(StoreError, match="refused"):
+            store.checkpoint()
+        assert router.state is RouterState.DEGRADED
+        assert list_generations(store_dir) == before
+        store.close()
+
     def test_delta_capture_cross_check(self, store_dir):
         table, router = build_router(size=150)
         store = SnapshotStore.create(
@@ -701,3 +730,129 @@ class TestStoreIntegration:
                 np.random.default_rng(7).integers(0, 2**32, size=300)]
         assert_identical(second.router, golden, keys)
         second.store.close()
+
+
+class TestOverlayFreeCheckpoints:
+    """Checkpoints carry an empty overlay, boots patch private pages, and
+    a checkpoint cut while an overlay was pending boots from its FIB."""
+
+    def test_checkpoint_overlay_is_empty(self, store_dir):
+        table, router = build_router()
+        store = SnapshotStore.create(store_dir, router)
+        churn(router, table, 20)
+        store.checkpoint()
+        store.close()
+        checkpoint = load_checkpoint(
+            checkpoint_path(store_dir, store.generation))
+        assert checkpoint.overlay_arrays() == []
+        checkpoint.close()
+
+    def test_checkpoint_with_overlay_boots_like_the_oracle(self, store_dir):
+        """An image cut before its pending changes, with those changes
+        as its overlay (what a mid-window checkpoint held): the boot
+        compiles from the FIB blob instead of serving the stale image."""
+        import pickle
+
+        from repro.core.batch import BatchLookup
+        from repro.verify import Oracle, image_differences, keys_under
+
+        table, router = build_router()
+        stale = BatchLookup(router.fib.engine)
+        ops = churn(router, table, 40)
+        oracle = Oracle(table)
+        for op in ops:
+            oracle.apply(op)
+        by_length = {}
+        for prefix in oracle.changed:
+            by_length.setdefault(prefix.length, set()).add(prefix.value)
+        overlay = [(length, np.array(sorted(values), dtype=np.uint64))
+                   for length, values in sorted(by_length.items())]
+        write_checkpoint(
+            checkpoint_path(store_dir, 1), stale, overlay, generation=1,
+            seq=0, blobs={"fib": pickle.dumps(router.fib)})
+        keys = keys_under(random.Random(5), 32, 400, oracle.changed)
+        resolve = router.fib.next_hops.resolve
+        served_stale = [None if hop < 0 else resolve(int(hop))
+                        for hop in stale.lookup_batch(keys)]
+        assert oracle.mismatches(keys, served_stale), \
+            "the stale image should disagree somewhere"
+
+        result = cold_start(store_dir)
+        assert result.checkpoint is None  # not served from the mapping
+        assert not oracle.mismatches(keys, result.router.forward_batch(keys))
+        assert image_differences(result.router) == []
+        result.store.close()
+
+    def test_cold_start_patches_private_pages(self, store_dir):
+        """Tail replay patches the copy-on-write mapping: the file is
+        untouched and the served tables stay views of the mapping."""
+        import hashlib
+
+        from repro.verify import image_differences
+
+        table, router = build_router()
+        store = SnapshotStore.create(
+            store_dir, router, policy=CheckpointPolicy(every_records=0))
+        ops = churn(router, table, 30)
+        store.close()
+        path = checkpoint_path(store_dir, store.generation)
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        result = cold_start(store_dir, checkpoint_on_boot=False)
+        assert result.report.updates_replayed == len(ops)
+        served = result.router._snapshot
+        assert result.checkpoint is not None
+        assert all(not plan.records.flags.owndata for plan in served._plans)
+        assert image_differences(result.router) == []
+        with open(path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest
+        golden = golden_replay(table, ops)
+        keys = [int(key) for key in
+                np.random.default_rng(9).integers(0, 2**32, size=300)]
+        assert result.router.lookup_many(keys) == golden.lookup_many(keys)
+        result.store.close()
+
+    def test_update_during_checkpoint_encode_cannot_tear(self, store_dir,
+                                                         monkeypatch):
+        """The encode holds the update lock: an update fired from inside
+        it waits, and the file holds the pre-update image."""
+        import pickle
+        import threading
+
+        from repro.store import checkpoint as checkpoint_module
+        from repro.verify import image_matches_compile
+
+        table, router = build_router()
+        prefix, _hop = next(iter(table))
+        free = 32 - prefix.length
+        key = prefix.network_int() | ((1 << free) - 1 if free else 0)
+        before = router.lookup_batch([key]).tolist()
+        real_encode = checkpoint_module.encode_image
+        updaters = []
+
+        def encode_with_update(*args, **kwargs):
+            updater = threading.Thread(target=router.withdraw,
+                                       args=(prefix,))
+            updater.start()
+            updater.join(0.2)
+            updaters.append((updater, updater.is_alive()))
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "encode_image",
+                            encode_with_update)
+        path = checkpoint_path(store_dir, 1)
+        image, healthy = router.persistence_cut(
+            lambda snapshot, fib_blob: render_checkpoint(
+                snapshot, [], 1, 0, blobs={"fib": fib_blob}))
+        [(updater, blocked)] = updaters
+        assert healthy and blocked  # the update waited for the lock
+        write_image(path, image)
+        updater.join(5)
+        assert router.lookup_batch([key]).tolist() != before
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.to_lookup().lookup_batch([key]).tolist() == before
+        fib = pickle.loads(checkpoint.blob("fib"))
+        assert fib.engine.lookup(key) == before[0]
+        booted = SnapshotRouter(fib, initial_snapshot=checkpoint.to_lookup())
+        assert image_matches_compile(booted)
+        checkpoint.close()
