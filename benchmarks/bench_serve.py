@@ -100,8 +100,9 @@ def test_serve_churn_under_load(benchmark):
 
 
 def test_serve_recompile_latency(benchmark):
-    """Whole-image compile cost at the 100k scale: what a shard publish
-    or a recovery pays (updates patch the image instead)."""
+    """Whole-image compile cost at the 100k scale: what a recovery
+    rebuild pays (updates patch the image, and a shard publish copies
+    it instead)."""
     table = synthetic_table(TABLE_SIZE, seed=2007)
     fib = ForwardingEngine.from_table(table)
     router = SnapshotRouter(fib)

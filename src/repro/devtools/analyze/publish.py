@@ -19,17 +19,20 @@
 
 * **ANZ203** — no mutation of arrays reachable from a published
   segment: names bound from ``to_lookup()`` / ``_array_view()`` /
-  ``overlay_arrays()`` / ``np.frombuffer(...)`` are zero-copy views a
-  peer process may be reading; only the designated writer functions
-  (``export``, ``create``, ``publish``, ``ack``) may store through
-  them.  Sealing a view read-only (``.flags.writeable = False``) is
-  always allowed.
+  ``np.frombuffer(...)`` / ``acks()`` are zero-copy views a peer process
+  may be reading; only the designated writer functions (``export``,
+  ``create``, ``publish``, ``ack``, ``write_image_into``) may store
+  through them.  Sealing a view read-only (``.flags.writeable = False``)
+  is always allowed.
 
 * **ANZ204** — a segment obtained from ``export(...)`` is installed
-  (``_install``/``publish``) with no ``words_written()`` quiescence
-  re-check in between: exactly the PR 5 scrub-mid-export race, where a
-  repair that landed *during* the export published a half-repaired
-  image.
+  (``_install``/``publish``) with no ``words_written()`` read in
+  between: the PR 5 scrub-mid-export race, where a repair that landed
+  *during* an unlocked export published a half-repaired image.  The
+  check is syntactic.  The live coordinator exports inside
+  ``SnapshotRouter.image_cut``, under the update lock, so nothing lands
+  mid-export; it reads ``words_written()`` there, to mark what the
+  segment holds, before it installs.
 
 * **ANZ205** — seqlock pointer discipline on attributes annotated
   ``# seqlock-pointer: <lock> <version>``.  The pointed-to object is
@@ -58,8 +61,7 @@ from .model import (
 
 #: Calls whose result is a view of (or into) a published shared segment.
 PUBLISHED_SOURCES = frozenset(
-    {"to_lookup", "overlay_arrays", "_overlay_arrays", "frombuffer",
-     "_array_view", "acks"}
+    {"to_lookup", "frombuffer", "_array_view", "acks"}
 )
 
 #: Functions allowed to store through published views: they *are* the

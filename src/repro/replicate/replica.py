@@ -21,13 +21,16 @@ count, not to history), and defends its state three ways:
 
 Persistence layout under the replica directory::
 
-    state.pkl   (width, base_seq, ledger entries)  — atomic tmp+rename
+    state.bin   header (magic, width, base_seq, CRC32) + the ledger as
+                ANNOUNCE records — tmp + fsync + rename + dir fsync
     tail.log    DeltaLog, generation == base_seq, records base_seq+1…
 
 After IBLT fix-ups or a resync the route set no longer corresponds to a
-contiguous record history, so the replica rewrites ``state.pkl`` at the
+contiguous record history, so the replica rewrites ``state.bin`` at the
 new base seq and rotates a fresh tail log; a restart rebuilds the
-engine *canonically* from the ledger (see ``state.canonical_fib``).
+engine *canonically* from the ledger (see ``state.canonical_fib``).  A
+damaged ``state.bin`` reads as no state: the replica boots from the
+table and the writer streams or reconciles the difference.
 
 The harness drives control (probe / corrupt / partition / verify /
 stop) over multiprocessing queues — never over the socket — so the
@@ -37,10 +40,11 @@ wire byte counters measure pure replication traffic.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import socket
+import struct
 import time
+import zlib
 from queue import Empty
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -49,12 +53,15 @@ from ..core.image import HardwareImage
 from ..faults.inject import FaultInjector
 from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
+from ..store.checkpoint import write_image
 from ..store.deltalog import DeltaLog, replay_log
 from ..store.records import (
     ANNOUNCE,
     LogRecord,
+    RecordDecodeError,
     decode_record,
-    encode_record,
+    decode_records,
+    encode_records,
 )
 from .iblt import IBLT, cells_for
 from .state import RouteEntry, RouteLedger, bootstrap, canonical_fib
@@ -87,8 +94,12 @@ from .wire import (
 )
 
 _ORPHAN_POLL_SECONDS = 2.0
-_STATE_FILE = "state.pkl"
+_STATE_FILE = "state.bin"
 _LOG_FILE = "tail.log"
+
+#: ``state.bin`` header: magic, table width, base seq, CRC32 of the body.
+_STATE_MAGIC = b"chzledg1"
+_STATE_HEADER = struct.Struct("<8sIQI")
 
 #: Control commands (harness -> replica, over the task queue).
 CMD_PROBE = "probe"
@@ -100,6 +111,41 @@ CMD_CORRUPT_PHANTOM = "corrupt-phantom"
 CMD_PARTITION = "partition"
 CMD_SCRUB = "scrub"
 CMD_STOP = "stop"
+
+
+def encode_state(ledger: RouteLedger, base_seq: int) -> bytes:
+    """A replica's persisted ledger: header, then one ANNOUNCE per entry."""
+    body = encode_records(ledger.to_records())
+    return _STATE_HEADER.pack(_STATE_MAGIC, ledger.width, base_seq,
+                              zlib.crc32(body)) + body
+
+
+def decode_state(data: bytes, width: int) -> Tuple[RouteLedger, int]:
+    """Parse :func:`encode_state` output for a ``width``-bit table.
+
+    Returns ``(ledger, base_seq)``.  Any damage — a short or foreign
+    header, another width, a CRC mismatch, a malformed record, an entry
+    no ``width``-bit table can hold — raises ``RecordDecodeError``.
+    """
+    if len(data) < _STATE_HEADER.size:
+        raise RecordDecodeError(f"state too short ({len(data)} bytes)")
+    magic, stored_width, base_seq, crc = _STATE_HEADER.unpack_from(data)
+    if magic != _STATE_MAGIC:
+        raise RecordDecodeError(f"state has bad magic {magic!r}")
+    if stored_width != width:
+        raise RecordDecodeError(
+            f"state width {stored_width}, table width {width}")
+    body = data[_STATE_HEADER.size:]
+    if zlib.crc32(body) != crc:
+        raise RecordDecodeError("state CRC mismatch")
+    records, end = decode_records(body)
+    if end != len(body):
+        raise RecordDecodeError(f"{len(body) - end} bytes after the ledger")
+    for record in records:
+        if (record.op != ANNOUNCE or record.prefix_length > width
+                or record.prefix_value >> record.prefix_length):
+            raise RecordDecodeError(f"impossible ledger entry {record}")
+    return RouteLedger.from_records(width, records), base_seq
 
 
 class _ReplicaRuntime:
@@ -133,6 +179,7 @@ class _ReplicaRuntime:
             "records_applied": 0, "duplicates_skipped": 0,
             "recons": 0, "resyncs": 0, "scrub_repaired": 0,
             "scrub_detected": 0, "reconnects": 0, "replayed": 0,
+            "state_rejected": 0,
         }
         self.total_bytes_sent = 0
         self.total_bytes_received = 0
@@ -177,31 +224,28 @@ class _ReplicaRuntime:
             self._persist(rotate_log=True)
 
     def _load_state(self) -> Optional[Tuple[RouteLedger, int]]:
+        """The persisted ledger and base seq; None if absent or damaged.
+
+        Damage is counted (``state_rejected``) and treated as no state:
+        the replica boots from the table and catches up from the writer.
+        """
         try:
             with open(self._state_path(), "rb") as handle:
-                width, base_seq, rows = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError):
+                data = handle.read()
+        except FileNotFoundError:
             return None
-        ledger = RouteLedger(width)
-        for value, length, gateway, interface, seq in rows:
-            ledger.set_entry(RouteEntry(value, length, gateway,
-                                        interface, seq))
-        return ledger, base_seq
+        except OSError:
+            self.stats["state_rejected"] += 1
+            return None
+        try:
+            return decode_state(data, self.table.width)
+        except RecordDecodeError:
+            self.stats["state_rejected"] += 1
+            return None
 
     def _persist(self, rotate_log: bool) -> None:
-        """Write state.pkl atomically; optionally start a fresh log."""
-        rows = [
-            (entry.value, entry.length, entry.gateway, entry.interface,
-             entry.seq)
-            for entry in self.ledger.sorted_entries()
-        ]
-        path = self._state_path()
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump((self.ledger.width, self.seq, rows), handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        """Write state.bin durably; optionally start a fresh log."""
+        write_image(self._state_path(), encode_state(self.ledger, self.seq))
         self.base_seq = self.seq
         if rotate_log:
             if self.log is not None:

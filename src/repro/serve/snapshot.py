@@ -16,8 +16,11 @@ keeps the first equal to the second:
 * **Reads** run lock-free against the one served image, seqlock style:
   a batch notes the image version under the lock, runs, and retries if
   an update bumped the version meanwhile.
-* **Recompiles** (``recompile``) still compile a fresh image outside the
-  lock and swap it in under it; the shard plane publishes through them.
+* **Copies** of the served image go through one method, ``image_cut``:
+  under the update lock it patches in any writes made around the router
+  and hands the image to a render callback.  Checkpoints and shard
+  publishes are such copies.  A whole compile (``recompile``) runs only
+  at construction and after a recovery rebuild.
 
 So the served image equals a fresh compile of the live engine after
 every update (docs/SERVING.md), which only serves correct answers
@@ -54,10 +57,6 @@ from .metrics import ServeMetrics
 
 _OverlayArrays = List[Tuple[int, np.ndarray]]
 _Rendered = TypeVar("_Rendered")
-
-#: Optimistic compile attempts before falling back to compiling under the
-#: lock (each retry means updates landed mid-compile).
-_COMPILE_RETRIES = 3
 
 #: Lock-free batch attempts before a batch is answered under the lock
 #: (each retry means an update patched the image mid-batch).
@@ -205,15 +204,11 @@ class SnapshotRouter:
         )
         self._obs_compile = registry.histogram(
             "serve_recompile_compile_seconds", LATENCY_BUCKETS,
-            "snapshot compile phase (runs outside the update lock)",
+            "whole snapshot compile (holds the update lock; rare)",
         )
         self._obs_swap = registry.histogram(
             "serve_recompile_swap_seconds", LATENCY_BUCKETS,
-            "snapshot swap phase (the only recompile work under the lock)",
-        )
-        self._obs_retries = registry.counter(
-            "serve_recompile_retries_total",
-            "optimistic snapshot compiles discarded because updates landed",
+            "snapshot swap phase of a whole compile",
         )
         self._obs_degraded = registry.counter(
             "serve_degraded_total", "transitions into DEGRADED serving")
@@ -302,28 +297,38 @@ class SnapshotRouter:
         with self._lock:
             self._tracker = tracker
 
-    def persistence_cut(
-            self, render: Callable[[BatchLookup, bytes], _Rendered],
+    def image_cut(
+            self, render: Callable[[BatchLookup], _Rendered],
     ) -> Tuple[Optional[_Rendered], bool]:
-        """One coherent serving cut for the checkpoint writer.
+        """The one way to copy the served image out of the router.
 
-        Under the update lock, pickle the FIB and call
-        ``render(image, fib_blob)``, which must copy what it needs: the
-        next update patches the image in place.  Returns ``(rendered,
-        healthy)``; nothing is rendered unless HEALTHY.  Checkpoints are
-        rare and a torn cut would be silently wrong forever.
+        Under the update lock, patch in any engine writes made around
+        the router, then call ``render(image)``, which must copy what it
+        needs: the next update patches the image in place.  Returns
+        ``(rendered, healthy)``; nothing is rendered unless HEALTHY, so
+        a copy never carries tables the router stopped trusting.
+        Checkpoints and shard publishes are cut here.
         """
         with self._lock:
             if self._state is not RouterState.HEALTHY:
                 return None, False
             if self._snapshot.stale:
-                # Engine writes made around the router: patch them in so
-                # the image and the FIB blob describe one instant.
                 self._apply_burst()
                 if self._state is not RouterState.HEALTHY:
                     return None, False  # the patch failed and degraded
-            blob = pickle.dumps(self.fib, protocol=pickle.HIGHEST_PROTOCOL)
-            return render(self._snapshot, blob), True
+            return render(self._snapshot), True
+
+    def persistence_cut(
+            self, render: Callable[[BatchLookup, bytes], _Rendered],
+    ) -> Tuple[Optional[_Rendered], bool]:
+        """An ``image_cut`` plus the pickled FIB, for the checkpoint writer.
+
+        ``render(image, fib_blob)`` runs under the same lock hold, so
+        the image and the blob describe one instant: a torn cut would
+        be silently wrong forever.
+        """
+        return self.image_cut(lambda image: render(
+            image, pickle.dumps(self.fib, protocol=pickle.HIGHEST_PROTOCOL)))
 
     # -- update path -------------------------------------------------------------
 
@@ -655,97 +660,49 @@ class SnapshotRouter:
 
     def recompile(self, post_compile=None, commit=None,
                   discard=None) -> float:
-        """Compile and atomically swap in a fresh snapshot; returns seconds.
+        """Compile the live engine whole and serve it; returns seconds.
 
-        Updates keep the served image current on their own; a recompile
-        is the shard plane's publish path and recovery's rebuild.  The
-        ``BatchLookup`` compile (~100 ms at 100k routes) runs *outside*
-        the update lock; the swap then re-checks the engine's
-        ``words_written`` under the lock, and if any update or scrub
-        repair landed meanwhile the (possibly torn) compile is discarded
-        and retried, falling back after ``_COMPILE_RETRIES`` discards to
-        compiling under the lock, which is guaranteed quiescent.
+        Every update patches the served image, so only construction and
+        recovery's rebuild compile whole.  The compile (~100 ms at 100k
+        routes) runs under the update lock, so no update can land
+        mid-compile.  Like the recovery rebuild it takes the raw lock:
+        its time goes to ``serve_recompile_compile_seconds``, not to the
+        update-path lock-hold histogram.  A compile error degrades the
+        router to the exact trie.
 
-        The three hooks let a second publisher — ``ShardCoordinator``
-        exporting shared-memory generations — ride the *same* optimistic
-        re-check path instead of reading engine state unfenced:
-
-        ``post_compile(snapshot) -> extra``
-            runs after each successful compile (outside the lock on the
-            optimistic attempts), e.g. exporting the compiled arrays to
-            a shared-memory segment.  The fresh plans are private until
-            the swap, so this needs no lock.
-        ``commit(snapshot, extra)``
-            runs under the lock, in the same critical section as the
-            quiescence re-check and the swap — the publish point.
-        ``discard(extra)``
-            runs whenever a post-compiled snapshot is abandoned (the
-            re-check failed, or the router degraded mid-compile).
+        ``post_compile(snapshot) -> extra`` runs after the compile and
+        ``commit(snapshot, extra)`` after the swap, both under the lock.
+        ``discard`` is accepted for callers that wrap this method; no
+        compile is ever discarded.
         """
         started = self._clock()
-        with self._held():
+        with self._lock:
             if self._state is not RouterState.HEALTHY:
                 # No trustworthy engine to compile from; reads are served
                 # by the trie fallback until recovery succeeds.
-                return 0.0
-
-        def _commit_locked(snapshot, extra) -> float:
-            """Swap + publish under the lock (caller holds it)."""
-            elapsed = self._swap(snapshot, started)
-            if commit is not None:
-                commit(snapshot, extra)
-            return elapsed
-
-        for _attempt in range(_COMPILE_RETRIES):
-            with self._held():
-                words_before = self.fib.engine.words_written()
-            compile_started = time.perf_counter()
-            try:
-                snapshot = BatchLookup(self.fib.engine)
-            except Exception:
-                # A concurrent update tore the shadow tables mid-copy
-                # (e.g. a Result-Table arena resize); discard and retry.
-                self._obs_retries.inc()
-                continue
-            self._obs_compile.observe(time.perf_counter() - compile_started)
-            extra = post_compile(snapshot) if post_compile is not None else None
-            with self._held():
-                if self._state is not RouterState.HEALTHY:
-                    # A concurrent scrub found uncorrectable damage and
-                    # degraded the router: the compiled image reflects
-                    # untrustworthy tables and must never be published.
-                    if discard is not None:
-                        discard(extra)
-                    return 0.0
-                if self.fib.engine.words_written() == words_before:
-                    return _commit_locked(snapshot, extra)
-            if discard is not None:
-                discard(extra)
-            self._obs_retries.inc()
-        # Sustained churn outran the optimistic path: compile under the
-        # lock against a quiescent engine (the pre-fix behavior).
-        with self._held():
-            if self._state is not RouterState.HEALTHY:
                 return 0.0
             compile_started = time.perf_counter()
             try:
                 snapshot = BatchLookup(self.fib.engine)
             except Exception as error:
-                # Under the lock nothing else mutates the engine, so this
-                # is not a torn read — the engine state itself cannot be
-                # compiled.  Serve exactly from the shadow until a
-                # recovery rebuild replaces it.
+                # The engine state itself cannot be compiled: serve
+                # exactly from the shadow until a recovery rebuild
+                # replaces it.
                 self._degrade(f"recompile failed: {error}")
                 return 0.0
             self._obs_compile.observe(time.perf_counter() - compile_started)
             extra = post_compile(snapshot) if post_compile is not None else None
-            return _commit_locked(snapshot, extra)
+            elapsed = self._swap(snapshot, started)
+            if commit is not None:
+                commit(snapshot, extra)
+            return elapsed
 
     def _swap(self, snapshot: BatchLookup, started: float) -> float:
         """Serve a whole image current for the engine (lock held).
 
-        Its plans already hold every write (the words re-check or the
-        cold-start cut says so); binding it starts fresh write logs.
+        Its plans already hold every write (it was compiled under the
+        lock, or cut beside the FIB a cold start unpickled); binding it
+        starts fresh write logs.
         """
         swap_started = time.perf_counter()
         self._version += 1

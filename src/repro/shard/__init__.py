@@ -14,10 +14,10 @@ across processes without copying tables per worker:
   bounce keys under changed prefixes back to the writer.
 * ``ShardCoordinator`` (coordinator) is the single writer: it owns the
   set of prefixes changed since its last publish, partitions batches
-  across workers, re-answers the bounced keys through the live scalar
-  path, and publishes new generations through the router's optimistic
-  ``words_written`` re-check so a scrub or update mid-export can never
-  publish a half-repaired image.
+  across workers, re-answers the bounced keys from the router's served
+  image, and publishes each generation as a copy of that image, cut
+  under the router's update lock so no update or scrub repair lands
+  mid-export.
 
 See docs/SHARDING.md for the full protocol and failure-mode table.
 """

@@ -4,10 +4,8 @@ A ``BatchLookup`` is already the right shape for multi-core serving: every
 table the Fig. 6 datapath reads (Index-Table group words, checksum-hash
 byte tables, Filter values/valid bits, bit-vectors, Region pointers, the
 Result-Table arena, the spillover TCAM arrays) is an immutable numpy
-array, private to the snapshot.  This codec flattens that array tree —
-plus the router's overlay arrays, so the segment is a self-contained cut
-of the *serving state*, not just the tables — into a single
-``multiprocessing.shared_memory`` segment:
+array, private to the snapshot.  This codec flattens that array tree
+into a single ``multiprocessing.shared_memory`` segment:
 
 ::
 
@@ -57,8 +55,6 @@ _ALIGN = 64
 #: Fibonacci-hash odd constant for the position-dependent digest mix.
 _DIGEST_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-_OverlayArrays = List[Tuple[int, np.ndarray]]
-
 
 class SnapshotIntegrityError(RuntimeError):
     """An attached segment failed header or checksum validation."""
@@ -106,22 +102,17 @@ def header_digest(header: Dict[str, object]) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def _flatten(lookup: BatchLookup,
-             overlay: _OverlayArrays) -> Tuple[List[Tuple[str, np.ndarray]],
-                                               Dict[str, object]]:
+def _flatten(lookup: BatchLookup) -> Tuple[List[Tuple[str, np.ndarray]],
+                                           Dict[str, object]]:
     """The (name, array) list and scalar metadata tree of a snapshot."""
     tables: List[Tuple[str, np.ndarray]] = []
     meta: Dict[str, object] = {
         "width": lookup.width,
         "subcells": [],
-        "overlay_lengths": [],
     }
     for cell_index, plan in enumerate(lookup._plans):
         meta["subcells"].append(
             _flatten_cell(f"s{cell_index}", plan, tables))
-    for overlay_index, (length, values) in enumerate(overlay):
-        meta["overlay_lengths"].append(length)
-        tables.append((f"ov{overlay_index}", values))
     return tables, meta
 
 
@@ -200,8 +191,7 @@ class EncodedImage:
     total_size: int
 
 
-def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
-                 generation: int, magic: str = _MAGIC,
+def encode_image(lookup: BatchLookup, generation: int, magic: str = _MAGIC,
                  blobs: Optional[Dict[str, bytes]] = None,
                  extra: Optional[Dict[str, object]] = None) -> EncodedImage:
     """Flatten a compiled snapshot into the shared header+payload layout.
@@ -212,7 +202,7 @@ def encode_image(lookup: BatchLookup, overlay: _OverlayArrays,
     is merged into the header under ``"extra"`` (checkpoint sequence
     numbers and friends); it must be JSON-serializable.
     """
-    tables, meta = _flatten(lookup, overlay)
+    tables, meta = _flatten(lookup)
     for blob_name in sorted(blobs or {}):
         payload = (blobs or {})[blob_name]
         tables.append((
@@ -464,14 +454,6 @@ class SnapshotImage:
             ) from error
         return SharedBatchLookup(width, plans, self.generation)
 
-    def overlay_arrays(self) -> _OverlayArrays:
-        """The overlay embedded at export time (length, values) pairs."""
-        return [
-            (length, self._array(f"ov{overlay_index}"))
-            for overlay_index, length in enumerate(
-                self._header["meta"]["overlay_lengths"])  # type: ignore[index, call-overload]
-        ]
-
     # -- header accessors ----------------------------------------------------
 
     @property
@@ -507,18 +489,16 @@ class SharedSnapshot(SnapshotImage):
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def export(cls, lookup: BatchLookup, overlay: _OverlayArrays,
-               generation: int,
+    def export(cls, lookup: BatchLookup, generation: int,
                name: Optional[str] = None) -> "SharedSnapshot":
-        """Copy a compiled snapshot (plus overlay) into a new segment.
+        """Copy a compiled snapshot into a new segment.
 
-        Safe to call without any engine lock: every array copied here is
-        a private immutable member of the compiled ``BatchLookup``/the
-        overlay cache, never live engine state.  The caller (the shard
-        coordinator) is responsible for having compiled the snapshot
-        through the quiescence-checked path.
+        A served image is patched in place by every update, so the
+        caller must keep it still for the whole copy: the shard
+        coordinator exports inside ``SnapshotRouter.image_cut``, under
+        the router's update lock.
         """
-        encoded = encode_image(lookup, overlay, generation)
+        encoded = encode_image(lookup, generation)
         shm = shared_memory.SharedMemory(create=True, size=encoded.total_size,
                                          name=name)
         write_image_into(shm.buf, encoded)
@@ -560,11 +540,10 @@ class SharedSnapshot(SnapshotImage):
     def close(self) -> None:
         """Drop this process's mapping (views become invalid).
 
-        Zero-copy views handed out by :meth:`to_lookup` /
-        :meth:`overlay_arrays` keep the underlying mmap pinned; if any
-        are still alive the mapping is leaked until process exit instead
-        of crashing the caller — the segment *name* is released by
-        ``unlink``/``retire`` regardless.
+        Zero-copy views handed out by :meth:`to_lookup` keep the
+        underlying mmap pinned; if any are still alive the mapping is
+        leaked until process exit instead of crashing the caller — the
+        segment *name* is released by ``unlink``/``retire`` regardless.
         """
         if not self._closed:
             self._closed = True

@@ -8,21 +8,17 @@ worker processes over shared memory:
   owns a :class:`ChangedPrefixes` set, registered with the router
   (``track_changes``), which the router fills under its update lock and
   a publish clears.
-* **publish** rides the router's optimistic ``words_written`` re-check
-  path (``SnapshotRouter.recompile`` hooks): the snapshot is compiled
-  and exported *outside* the update lock, then committed — swap,
-  changed-prefix clear, control-block publish — in one critical section
-  only if no update or scrub repair landed mid-compile.  A scrub that
-  repaired words during the export bumps ``words_written`` and the
-  half-repaired image is discarded, never published (the §4.4.1
-  dirty-bit-consistency analogue; regression-tested in
-  tests/test_shard.py).
+* **publish** copies the router's served image — never a fresh compile
+  of the engine's tables — inside ``SnapshotRouter.image_cut``: the
+  export, the control-block publish and the changed-prefix clear happen
+  in one critical section under the router's update lock, so no update
+  or scrub repair can land mid-export, and a table word corrupted
+  behind the router's back is never published (tests/test_shard.py).
 * **lookup_batch** partitions each key batch round-robin across the
   workers, scatters their answers back, and re-answers the keys under
-  changed prefixes (which the workers bounce) through the live scalar
-  path under the router lock — so the sharded plane answers exactly
-  like the single-process router and is differential-testable against
-  it.
+  changed prefixes (which the workers bounce) from the router's served
+  image — so the sharded plane answers exactly like the single-process
+  router and is differential-testable against it.
 * **the fence**: an old generation's segment is retired only after every
   live worker's control-block ack reaches the new generation; dead
   workers are respawned (and attach the current generation on startup,
@@ -43,11 +39,11 @@ import multiprocessing
 import os
 import time
 from queue import Empty
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
-from ..core.batch import _MISS, normalize_keys
+from ..core.batch import _MISS, BatchLookup, normalize_keys
 from ..obs import LATENCY_BUCKETS, get_registry
 from ..prefix.prefix import Prefix
 from ..serve.snapshot import RouterState, SnapshotRouter, _STATE_GAUGE
@@ -142,8 +138,10 @@ class ShardCoordinator:
         self._generation = 0  # guarded-by: single-writer
         self._segment: Optional[SharedSnapshot] = None  # guarded-by: single-writer
         self._changes = ChangedPrefixes()
-        #: Engine ``words_written`` at the last publish (segment staleness).
+        #: Engine ``words_written`` and router clock at the last publish
+        #: (the segment's staleness and age).
         self._published_words = 0  # guarded-by: single-writer
+        self._published_at = 0.0  # guarded-by: single-writer
         self._stale_segments: List[SharedSnapshot] = []  # guarded-by: single-writer
         self._control = ControlBlock.create(
             workers, name=segment_name("ctl", self._nonce))
@@ -159,11 +157,6 @@ class ShardCoordinator:
         self.generation_history: Dict[int, List[int]] = {
             worker_id: [] for worker_id in range(workers)
         }
-        #: Test-only injection point: runs after each compile, before the
-        #: quiescence re-check (simulates a concurrent scrub mid-export).
-        self._export_hook: Optional[Callable[[], None]] = (
-            None  # guarded-by: single-writer
-        )
         registry = get_registry()
         self._obs_batches = registry.counter(
             "shard_batches_total", "key batches served by the shard plane")
@@ -171,15 +164,10 @@ class ShardCoordinator:
             "shard_lookups_total", "keys answered by the shard plane")
         self._obs_overlay = registry.counter(
             "shard_overlay_patched_total",
-            "keys under changed prefixes re-answered via the live scalar path",
+            "keys under changed prefixes re-answered from the router's image",
         )
         self._obs_publishes = registry.counter(
             "shard_publishes_total", "generations published to workers")
-        self._obs_discards = registry.counter(
-            "shard_publish_discards_total",
-            "exported segments discarded because updates or scrub repairs "
-            "landed mid-export (the optimistic re-check)",
-        )
         self._obs_respawns = registry.counter(
             "shard_worker_respawns_total", "dead workers respawned")
         self._obs_fence_timeouts = registry.counter(
@@ -202,9 +190,14 @@ class ShardCoordinator:
             for worker_id in range(workers)
         ]
         self._obs_worker_count.set(workers)
-        # Bootstrap: publish the router's current image so workers can
-        # serve immediately without forcing a recompile.
-        self._publish_current()
+        # Bootstrap: publish the router's served image before any worker
+        # exists; every update from the cut on lands in the set.
+        self.router.track_changes(self._changes)
+        self.publish()
+        if self._segment is None:
+            self.close()
+            raise ShardError(
+                "router is not HEALTHY: no trusted image to publish")
         for worker_id in range(workers):
             self._spawn(worker_id)
         # A coordinator that dies without close() would strand its
@@ -328,15 +321,14 @@ class ShardCoordinator:
         if unresolved_chunks:
             patch_indices = np.concatenate(unresolved_chunks)
             overlay_patched = len(patch_indices)
-            with self.router._held():
-                live_lookup = self.router.fib.engine.lookup
-                for position in patch_indices:
-                    answer = live_lookup(int(key_array[position]))
-                    out[position] = _MISS if answer is None else answer
+            out[patch_indices] = self.router.lookup_batch(
+                key_array[patch_indices])
         self._obs_batches.inc()
         self._obs_lookups.inc(len(key_array))
         self._obs_overlay.inc(overlay_patched)
-        self.router.metrics.record_batch(len(key_array), overlay_patched)
+        # The router's lookup_batch counted the bounced keys as served.
+        self.router.metrics.record_batch(len(key_array) - overlay_patched,
+                                         overlay_patched)
         return out
 
     def _handle_result(self, message: Any, batch_id: int,
@@ -379,24 +371,6 @@ class ShardCoordinator:
 
     # -- publishing ----------------------------------------------------------
 
-    def _publish_current(self) -> None:
-        """Bootstrap publish of the router's served image.
-
-        Every update patches that image in place, so it is exported
-        under the router lock; the changed-prefix set is registered in
-        the same critical section, so each later update lands in it.
-        """
-        with self.router._lock:
-            snapshot = self.router._snapshot
-            if snapshot is None:
-                raise ShardError("router has no compiled snapshot to publish")
-            segment = SharedSnapshot.export(
-                snapshot, [], self._generation + 1,
-                name=self._segment_name(self._generation + 1))
-            self.router.track_changes(self._changes)
-            self._published_words = self.router.fib.engine.words_written()
-        self._install(segment)
-
     def _segment_name(self, generation: int) -> str:
         """Reapable /dev/shm name for one generation's segment."""
         return segment_name(f"g{generation}", self._nonce)
@@ -417,56 +391,50 @@ class ShardCoordinator:
             self.store.note_publish(segment.generation)
 
     def publish(self) -> float:
-        """Compile, export, and publish a fresh generation; returns seconds.
+        """Copy the router's served image into a new generation.
 
-        Shares ``SnapshotRouter.recompile``'s optimistic quiescence path:
-        the commit (router swap + control-block publish) happens in the
-        same critical section as the ``words_written`` re-check, so a
-        concurrent update — or a scrub that repaired words mid-export —
-        discards the exported segment instead of publishing it.
+        The export, the control-block publish, the changed-prefix clear
+        and the staleness marks run in one ``SnapshotRouter.image_cut``,
+        under the router's update lock: the segment is exactly the image
+        the router serves, and every update after the cut lands in the
+        cleared set.  The fence then runs outside the lock (at bootstrap
+        there is no worker to fence).  Returns the seconds taken; 0.0,
+        publishing nothing, while the router is not HEALTHY.
         """
-        candidate = self._generation + 1
-
-        def post_compile(snapshot: Any) -> SharedSnapshot:
-            if self._export_hook is not None:
-                self._export_hook()
-            return SharedSnapshot.export(
-                snapshot, [], candidate,
-                name=self._segment_name(candidate))
-
-        def commit(snapshot: Any, segment: SharedSnapshot) -> None:
-            # Under the router lock: no update lands between the clear
-            # and the segment going live.
-            self._install(segment)
-            self._changes.clear()
-            self._published_words = self.router.fib.engine.words_written()
-
-        def discard(segment: Optional[SharedSnapshot]) -> None:
-            if segment is not None:
-                segment.retire()
-                self._obs_discards.inc()
-
-        before = self._generation
-        elapsed = self.router.recompile(
-            post_compile=post_compile, commit=commit, discard=discard)
-        if self._generation != before:
+        started = time.perf_counter()
+        _segment, healthy = self.router.image_cut(self._commit)
+        if not healthy:
+            return 0.0
+        if any(process is not None for process in self._processes):
             self._fence()
-        return elapsed
+        return time.perf_counter() - started
+
+    def _commit(self, image: BatchLookup) -> SharedSnapshot:
+        """Export ``image`` as the next generation (router lock held)."""
+        generation = self._generation + 1
+        segment = SharedSnapshot.export(
+            image, generation, name=self._segment_name(generation))
+        self._changes.clear()
+        self._published_words = self.router.fib.engine.words_written()
+        self._published_at = self.router._clock()
+        self._install(segment)
+        return segment
 
     def maybe_publish(self) -> bool:
         """Publish if the router's ``RecompilePolicy`` says one is due.
 
-        The policy weighs the changed-prefix count, the time since the
-        last whole compile, and whether any word changed since the last
-        publish.  While degraded this delegates to the router's recovery
-        heartbeat instead (``SnapshotRouter.maybe_recompile``); the next
-        healthy ``publish`` re-arms the worker fleet.
+        The policy weighs the changed-prefix count, the segment's age,
+        and whether any word changed since the last publish (a scrub
+        repair, say).  While degraded this delegates to the router's
+        recovery heartbeat instead (``SnapshotRouter.maybe_recompile``);
+        the next healthy ``publish`` re-arms the worker fleet.
         """
         with self.router._lock:
             if self.router.state is not RouterState.HEALTHY:
                 return self.router.maybe_recompile()
             due = self.router.policy.due(
-                len(self._changes), self.router.snapshot_age,
+                len(self._changes),
+                self.router._clock() - self._published_at,
                 self.router.fib.engine.words_written()
                 != self._published_words,
             )

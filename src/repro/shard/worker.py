@@ -13,7 +13,7 @@ from the reader side:
 * keys covered by the batch's overlay arrays (the prefixes changed since
   the segment was published, which it cannot be trusted for) are *not*
   answered here — their indices go back to the coordinator, which
-  re-answers them through the live scalar path;
+  re-answers them from the router's served image;
 * counters (keys served, serve seconds, generation) ride every result
   message and are folded into the ``repro.obs`` registry by the
   coordinator — workers never touch the registry themselves, so the

@@ -26,7 +26,6 @@ of a full compile:
 from .checkpoint import (
     CheckpointCorruptError,
     MappedCheckpoint,
-    write_checkpoint,
 )
 from .deltalog import DeltaLog, LogReplay, replay_log
 from .records import (
@@ -67,5 +66,4 @@ __all__ = [
     "encode_delta",
     "encode_record",
     "replay_log",
-    "write_checkpoint",
 ]

@@ -39,7 +39,7 @@ from ..obs import LATENCY_BUCKETS, get_registry
 from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
 from ..router.fib import ForwardingEngine
-from ..serve.snapshot import RecompilePolicy, SnapshotRouter
+from ..serve.snapshot import SnapshotRouter
 from ..shard.codec import SharedBatchLookup, SnapshotIntegrityError
 from .checkpoint import (
     CheckpointCorruptError,
@@ -303,7 +303,6 @@ def _replay_tail(router: SnapshotRouter, fib: ForwardingEngine,
 
 def cold_start(directory: str,
                policy: Optional[CheckpointPolicy] = None,
-               recompile_policy: Optional[RecompilePolicy] = None,
                sync: bool = True,
                capture_deltas: bool = False,
                retries: int = 3,
@@ -319,9 +318,9 @@ def cold_start(directory: str,
     the log tail through the live update path (each update patches the
     mapped image), re-attach the journal and — by default — cut a fresh
     checkpoint so repeated crash/boot cycles never accumulate tail.
-    A checkpoint that carries an overlay was cut while its writer still
-    kept one: its image predates those changes, so the router compiles
-    from the FIB blob instead of serving the mapping.
+    A checkpoint whose header lists overlay tables was cut while its
+    writer still kept an overlay: its image predates those changes, so
+    the router compiles from the FIB blob instead of serving the mapping.
 
     Failure path: bounded retries with exponential backoff around the
     whole recovery, then degrade to a full recompile from ``bootstrap``
@@ -358,7 +357,7 @@ def cold_start(directory: str,
         # authoritative table.  Journaled updates are gone — reported
         # loudly via boot="recompile" and the rejected list.
         fib = ForwardingEngine.from_table(bootstrap, config=config)
-        router = SnapshotRouter(fib, policy=recompile_policy)
+        router = SnapshotRouter(fib)
         report.boot = "recompile"
         report.rejected.append(str(last_error))
         sweep_tmp_files(directory)
@@ -387,14 +386,14 @@ def cold_start(directory: str,
             f"checkpoint generation {state.generation}: FIB blob failed "
             f"to unpickle: {error}") from error
     checkpoint: Optional[MappedCheckpoint] = state.checkpoint
-    if state.checkpoint.overlay_arrays():
-        router = SnapshotRouter(fib, policy=recompile_policy)
+    meta = state.checkpoint.header["meta"]
+    if isinstance(meta, dict) and meta.get("overlay_lengths"):
+        router = SnapshotRouter(fib)
         state.lookup = None
         state.checkpoint.close()
         checkpoint = None
     else:
-        router = SnapshotRouter(fib, policy=recompile_policy,
-                                initial_snapshot=state.lookup)
+        router = SnapshotRouter(fib, initial_snapshot=state.lookup)
     _replay_tail(router, fib, state, report)
     report.replay_seconds = time.perf_counter() - started
     replay_hist.observe(report.replay_seconds)

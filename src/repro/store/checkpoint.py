@@ -8,16 +8,17 @@ carries:
 * every compiled ``BatchLookup`` table (reusing
   :func:`repro.shard.codec.encode_image`'s flattening and its full
   64-bit per-table digests);
-* an overlay section, empty since the served image is current at every
-  cut (checkpoints written while the router still kept an overlay carry
-  one; :mod:`repro.store.boot` compiles those from their FIB blob);
 * a pickled :class:`~repro.router.fib.ForwardingEngine` blob — the §4.4
   shadow state replay chains onto — checksummed like any other table;
 * ``extra`` metadata: the absolute update sequence number of the cut.
 
 The image is rendered to bytes (:func:`render_checkpoint`) under the
-router's update lock, since updates patch the served image in place;
-only the file write (:func:`write_image`) runs outside it.
+router's update lock (``SnapshotRouter.persistence_cut``), since updates
+patch the served image in place; only the file write
+(:func:`write_image`) runs outside it.  A checkpoint cut while the
+router still kept an overlay lists it in its header
+(``meta.overlay_lengths``, ``ov*`` tables); :mod:`repro.store.boot`
+compiles such a checkpoint from its FIB blob.
 
 Durability protocol (each step a :func:`crashpoint`)::
 
@@ -40,9 +41,7 @@ from __future__ import annotations
 
 import mmap
 import os
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from ..core.batch import BatchLookup
 from ..shard.codec import (
@@ -60,8 +59,6 @@ CHECKPOINT_MAGIC = "chisel-ckpt-v1"
 #: Bytes of the tmp file flushed before the ``ckpt:tmp-torn`` point.
 _TORN_SPLIT = 4096
 
-_OverlayArrays = List[Tuple[int, np.ndarray]]
-
 
 class CheckpointCorruptError(SnapshotIntegrityError):
     """A checkpoint file failed header or checksum validation."""
@@ -76,12 +73,11 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def render_checkpoint(lookup: BatchLookup, overlay: _OverlayArrays,
-                      generation: int, seq: int,
+def render_checkpoint(lookup: BatchLookup, generation: int, seq: int,
                       blobs: Optional[Dict[str, bytes]] = None) -> bytearray:
     """The checkpoint file's bytes: a private copy of every table."""
     encoded: EncodedImage = encode_image(
-        lookup, overlay, generation, magic=CHECKPOINT_MAGIC,
+        lookup, generation, magic=CHECKPOINT_MAGIC,
         blobs=blobs, extra={"seq": int(seq)},
     )
     image = bytearray(encoded.total_size)
@@ -89,21 +85,11 @@ def render_checkpoint(lookup: BatchLookup, overlay: _OverlayArrays,
     return image
 
 
-def write_checkpoint(path: str, lookup: BatchLookup,
-                     overlay: _OverlayArrays, generation: int, seq: int,
-                     blobs: Optional[Dict[str, bytes]] = None) -> int:
-    """Render and write one checkpoint; returns its size.
+def write_image(path: str, image: bytes) -> int:
+    """Write a file durably: tmp + fsync + rename + directory fsync.
 
-    The caller keeps ``lookup`` from changing meanwhile (the store
-    renders under the router's update lock and calls
-    :func:`write_image` itself).
+    Checkpoints and the replicas' ledger state both persist through it.
     """
-    return write_image(
-        path, render_checkpoint(lookup, overlay, generation, seq, blobs))
-
-
-def write_image(path: str, image: bytearray) -> int:
-    """Write rendered checkpoint bytes via tmp + fsync + rename."""
     tmp_path = path + ".tmp"
     crashpoint("ckpt:pre")
     with open(tmp_path, "wb") as handle:

@@ -282,7 +282,7 @@ class SnapshotStore:
         generation = self._generation + 1
         image, healthy = router.persistence_cut(
             lambda snapshot, fib_blob: render_checkpoint(
-                snapshot, [], generation, self._seq, blobs={"fib": fib_blob}))
+                snapshot, generation, self._seq, blobs={"fib": fib_blob}))
         if not healthy:
             raise StoreError(
                 "checkpoint refused: router is degraded (tables are not "

@@ -1,13 +1,14 @@
 """Frozen copy of the PR 5 scrub-mid-export bug (fixed in the live tree).
 
 The original coordinator exported the router's snapshot to shared
-memory and installed it without re-checking ``words_written()`` — so a
-scrub repair (or a late update) landing between the export and the
-install published a half-repaired table image to every worker.  The
-live code routes publishes through ``SnapshotRouter.recompile``'s
-optimistic quiescence re-check; this copy preserves the unfenced
-export→install pair so the analyzer's ANZ204 pass keeps a regression
-anchor (tests/test_devtools_analyze.py asserts exactly one finding).
+memory outside the router's lock and installed it without re-checking
+``words_written()`` — so a scrub repair (or a late update) landing
+between the export and the install published a half-repaired table
+image to every worker.  The live coordinator exports inside
+``SnapshotRouter.image_cut``, under the update lock, so nothing can land
+mid-export; this copy preserves the unfenced export→install pair so the
+analyzer's ANZ204 pass keeps a regression anchor
+(tests/test_devtools_analyze.py asserts exactly one finding).
 """
 
 from repro.shard.codec import SharedSnapshot

@@ -481,7 +481,7 @@ def test_anz204_flags_unfenced_install(engine):
     source = """\
         class Publisher:
             def publish(self, snapshot):
-                segment = SharedSnapshot.export(snapshot, [], 1)
+                segment = SharedSnapshot.export(snapshot, 1)
                 self._install(segment)
     """
     assert codes(engine, source) == ["ANZ204"]
@@ -491,7 +491,7 @@ def test_anz204_accepts_words_written_recheck(engine):
     source = """\
         class Publisher:
             def publish(self, snapshot, engine, before):
-                segment = SharedSnapshot.export(snapshot, [], 1)
+                segment = SharedSnapshot.export(snapshot, 1)
                 if engine.words_written() != before:
                     return None
                 self._install(segment)

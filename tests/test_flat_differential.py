@@ -161,8 +161,7 @@ class TestCodecFlatRoundtrip:
         keys = np.array(
             [random.Random(43).getrandbits(table.width)
              for _ in range(3_000)], dtype=np.uint64)
-        segment = SharedSnapshot.export(
-            snapshot, router.overlay_arrays(), 3)
+        segment = SharedSnapshot.export(snapshot, 3)
         try:
             attached = SharedSnapshot.attach(segment.name)
             shared = attached.to_lookup()

@@ -8,17 +8,22 @@ end-to-end run of the kill/corrupt/partition harness.
 """
 
 import json
+import pickle
+import random
 import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.config import ChiselConfig
 from repro.prefix.prefix import Prefix
 from repro.replicate import (
+    ReplicaHandle,
     ReplicateReport,
+    ReplicationCoordinator,
     RouteEntry,
     RouteLedger,
     bootstrap,
@@ -26,9 +31,18 @@ from repro.replicate import (
     run_replicate,
 )
 from repro.replicate import wire
+from repro.replicate.replica import _STATE_FILE, decode_state, encode_state
 from repro.replicate.state import canonical_fib
-from repro.store.records import ANNOUNCE, WITHDRAW, LogRecord
+from repro.serve import SnapshotRouter
+from repro.store.records import (
+    ANNOUNCE,
+    WITHDRAW,
+    LogRecord,
+    RecordDecodeError,
+)
+from repro.verify import apply_update
 from repro.workloads.synthetic import synthetic_table
+from repro.workloads.traces import synthesize_trace
 
 
 def _config(table):
@@ -212,6 +226,66 @@ def test_ledger_record_roundtrip():
     restored = RouteLedger.from_records(32, ledger.to_records())
     assert restored.checksum == ledger.checksum
     assert len(restored) == len(ledger)
+    stored, base_seq = decode_state(encode_state(ledger, 41), 32)
+    assert (stored.checksum, len(stored), base_seq) == (
+        ledger.checksum, len(ledger), 41)
+    with pytest.raises(RecordDecodeError):
+        decode_state(encode_state(ledger, 41), 128)  # another width
+
+
+# -- replica state on disk ---------------------------------------------------
+
+
+def _flip_a_gateway_byte(data):
+    """One flipped body byte that still parses: only the CRC sees it."""
+    position = data.index(b"10.", 24) + 3  # a digit of the first gateway
+    return data[:position] + bytes([data[position] ^ 0x01]) \
+        + data[position + 1:]
+
+
+#: What a replica may find in its state file, and whether it is refused.
+STATE_FILES = {
+    "intact": (lambda good: good, 0),
+    "pickled-int": (lambda good: pickle.dumps(5), 1),
+    "two-field-row": (lambda good: pickle.dumps((32, 0, [(0, 8)])), 1),
+    "truncated": (lambda good: good[:len(good) // 2], 1),
+    "garbage": (lambda good: random.Random(3).randbytes(len(good)), 1),
+    "flipped-body-byte": (_flip_a_gateway_byte, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(STATE_FILES))
+def test_replica_boots_from_any_state_file_and_converges(tmp_path, case):
+    """A damaged state file reads as no state: the replica boots from the
+    table, counts the refusal, and catches up from the writer until its
+    STATUS seq and checksum equal the writer's."""
+    table = synthetic_table(120, seed=13)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    writer = ReplicationCoordinator(SnapshotRouter(fib), ledger, config)
+    port = writer.listen()
+    handle = ReplicaHandle(0, port, table, config, str(tmp_path),
+                           status_interval=0.02, scrub_interval=60.0)
+    damage, refused = STATE_FILES[case]
+    try:
+        for op in synthesize_trace(table, 30, seed=13):
+            apply_update(writer, op)
+        state = damage(encode_state(writer.ledger, writer.seq))
+        (tmp_path / _STATE_FILE).write_bytes(state)
+        handle.spawn()
+        writer.start()
+        deadline = time.monotonic() + 30
+        while True:
+            status = handle.status()
+            if (status["seq"], status["checksum"]) == (
+                    writer.seq, writer.ledger.checksum):
+                break
+            assert time.monotonic() < deadline, status
+            time.sleep(0.02)
+        assert status["state_rejected"] == refused
+    finally:
+        handle.stop()
+        writer.stop()
 
 
 # -- end to end --------------------------------------------------------------

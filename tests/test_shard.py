@@ -11,12 +11,14 @@ The acceptance properties:
   really gone;
 * **crash recovery**: a killed worker is respawned and re-attaches the
   *current* generation, never a stale one, without dropping a batch;
-* **publish safety** (the PR's bugfix): a scrub that repairs words while
-  a generation export is in flight forces the optimistic re-check to
-  discard that export — a half-repaired image is never published.
+* **publish safety**: a publish copies the router's served image under
+  its update lock — an update or scrub fired mid-export waits for it, a
+  write made around the router is patched in first, and a table fault
+  behind the router's back never reaches a segment.
 """
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -26,16 +28,17 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector
 from repro.router import ForwardingEngine
 from repro.serve import RecompilePolicy, SnapshotRouter
+from repro.core.batch import BatchLookup
 from repro.shard import (
     ControlBlock,
     ControlBlockError,
     ShardCoordinator,
+    ShardError,
     SharedSnapshot,
     SnapshotIntegrityError,
 )
-from repro.shard.codec import table_digest
-from repro.shard.coordinator import ChangedPrefixes
-from repro.verify import apply_update
+from repro.shard.codec import encode_image, table_digest
+from repro.verify import Oracle, apply_update, image_differences
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
@@ -62,8 +65,7 @@ class TestSnapshotCodec:
     def test_roundtrip_lookup_equality(self):
         table, _fib, router = build_router()
         keys = random_keys(table.width, 4000)
-        segment = SharedSnapshot.export(
-            router._snapshot, router.overlay_arrays(), 7)
+        segment = SharedSnapshot.export(router._snapshot, 7)
         try:
             attached = SharedSnapshot.attach(segment.name)
             assert attached.generation == 7
@@ -75,32 +77,9 @@ class TestSnapshotCodec:
         finally:
             segment.retire()
 
-    def test_overlay_arrays_roundtrip(self):
-        """A segment carries a changed-prefix set as its ``ov*`` tables."""
-        table, _fib, router = build_router()
-        trace = synthesize_trace(table, 40, seed=21)
-        changes = ChangedPrefixes()
-        router.track_changes(changes)
-        churn(router, trace, 0, 40)
-        assert router.overlay_arrays() == []
-        overlay = changes.arrays()
-        assert overlay, "churn should have filled the changed-prefix set"
-        segment = SharedSnapshot.export(router._snapshot, overlay, 1)
-        try:
-            attached = SharedSnapshot.attach(segment.name)
-            decoded = attached.overlay_arrays()
-            assert [length for length, _values in decoded] == \
-                [length for length, _values in overlay]
-            for (_l1, mine), (_l2, theirs) in zip(overlay, decoded):
-                assert np.array_equal(np.asarray(mine, dtype=np.uint64),
-                                      theirs)
-            attached.close()
-        finally:
-            segment.retire()
-
     def test_corruption_is_detected(self):
         _table, _fib, router = build_router()
-        segment = SharedSnapshot.export(router._snapshot, [], 1)
+        segment = SharedSnapshot.export(router._snapshot, 1)
         try:
             # Flip one payload byte behind the checksums' back.
             offset = segment._payload_start + 12345
@@ -228,52 +207,129 @@ class TestGenerationFence:
             assert observed[-1] == generation
 
 
+def assert_segment_is_a_fresh_compile(coordinator, fib):
+    """The published segment equals a fresh compile of the live engine:
+    same tables, shapes, digests and metadata."""
+    fresh = encode_image(BatchLookup(fib.engine), coordinator.generation)
+    segment = SharedSnapshot.attach(coordinator._segment.name)
+    try:
+        assert segment.header == fresh.header
+    finally:
+        segment.close()
+
+
 class TestPublishSafety:
-    def test_scrub_during_export_never_publishes_half_repaired_image(self):
-        """The bugfix regression: a scrub repairing words while the
-        segment export is in flight bumps ``words_written``, so the
-        optimistic re-check discards that export and retries; the
-        generation that lands is compiled after the repair and matches
-        the live engine exactly."""
+    def test_table_fault_never_reaches_a_segment(self):
+        """A bit flipped in an engine table behind the router's back is
+        not in the served image, and a publish copies that image — so
+        neither the router nor the segment serves the flip, before or
+        after the scrub repairs it.  A publish that compiled the
+        engine's tables instead served it from both."""
         table, fib, router = build_router(max_overlay=1_000_000,
                                           max_age=1e9)
-        trace = synthesize_trace(table, 20, seed=25)
-        keys = random_keys(table.width, 3000, seed=25)
-        injector = FaultInjector(seed=25)
+        rng = random.Random(7)
+        keys = [prefix.network_int()
+                | rng.getrandbits(table.width - prefix.length)
+                for prefix in table.prefixes()]
+        oracle = Oracle(table)
+        resolve = fib.next_hops.resolve
+        injector = FaultInjector(seed=7)
         with ShardCoordinator(router, workers=1) as coordinator:
-            churn(router, trace, 0, 20)
-            fired = {"count": 0}
+            for round_index in range(10):
+                assert injector.flip_table_bit(
+                    fib.engine, kind="regionptr") is not None
+                coordinator.publish()
+                assert not oracle.mismatches(
+                    keys, router.forward_batch(keys)), (
+                    f"round {round_index}: the router serves the flip")
+                router.scrub()
+                sharded = coordinator.lookup_batch(keys)
+                assert np.array_equal(sharded, router.lookup_batch(keys))
+                assert not oracle.mismatches(keys, [
+                    None if hop < 0 else resolve(int(hop))
+                    for hop in sharded
+                ]), f"round {round_index}: the segment serves the flip"
 
-            def scrub_mid_export():
-                if fired["count"]:
-                    return
-                fired["count"] += 1
-                # A soft error lands in a hardware table and the scrubber
-                # repairs it while the export is being cut.
-                record = injector.flip_table_bit(fib.engine)
-                assert record is not None
-                report = fib.engine.scrub()
-                assert report.repaired, "the injected fault must be repaired"
-
-            coordinator._export_hook = scrub_mid_export
-            discards_before = coordinator._obs_discards.value
-            generation_before = coordinator.generation
+    def test_publish_leaves_the_router_alone(self):
+        """A publish copies the served image: the router keeps that very
+        image, compiles nothing, and the segment equals a fresh compile."""
+        table, fib, router = build_router(max_overlay=1_000_000,
+                                          max_age=1e9)
+        trace = synthesize_trace(table, 30, seed=28)
+        with ShardCoordinator(router, workers=1) as coordinator:
+            churn(router, trace, 0, 30)
+            image = router._snapshot
+            compiled = router.metrics.snapshots_compiled
             coordinator.publish()
-            assert fired["count"] == 1
-            assert coordinator.generation == generation_before + 1
-            assert coordinator._obs_discards.value > discards_before, (
-                "the mid-export scrub must force the optimistic re-check "
-                "to discard the first export"
-            )
-            # The published segment is whole: checksums verify and its
-            # answers match the live (repaired) engine exactly.
-            attached = SharedSnapshot.attach(coordinator._segment.name,
-                                             verify=True)
-            assert np.array_equal(
-                attached.to_lookup().lookup_batch(keys),
-                router.lookup_batch(keys),
-            )
-            attached.close()
+            assert router._snapshot is image
+            assert router.metrics.snapshots_compiled == compiled
+            assert image_differences(router) == []
+            assert_segment_is_a_fresh_compile(coordinator, fib)
+
+    def test_write_made_around_the_router_is_patched_in(self):
+        """Engine writes that bypassed the router leave its image stale;
+        the publish's cut patches them in before the export."""
+        table, fib, router = build_router(max_overlay=1_000_000,
+                                          max_age=1e9)
+        trace = synthesize_trace(table, 60, seed=29)
+        with ShardCoordinator(router, workers=1) as coordinator:
+            churn(router, trace, 0, 60)
+            fib.engine.maintenance()
+            assert router._snapshot.stale, "maintenance should write words"
+            coordinator.publish()
+            assert not router._snapshot.stale
+            assert image_differences(router) == []
+            assert_segment_is_a_fresh_compile(coordinator, fib)
+
+    def test_updates_during_an_export_wait_for_the_publish(self,
+                                                           monkeypatch):
+        """The export runs under the router's update lock: an announce
+        and a scrub fired from another thread mid-export block until the
+        publish returns.  The segment holds the pre-update image, and the
+        plane answers the update at once by bouncing its keys."""
+        _table, fib, router = build_router(max_overlay=1_000_000,
+                                           max_age=1e9)
+        key = (198 << 24) | (51 << 16) | (100 << 8) | 9
+        real_export = SharedSnapshot.export
+        updaters = []
+
+        def export_with_updates(lookup, generation, name=None):
+            for target, args in (
+                    (router.announce, ("198.51.100.0/24", "10.0.0.7",
+                                       "eth2")),
+                    (router.scrub, ())):
+                updater = threading.Thread(target=target, args=args)
+                updater.start()
+                updater.join(0.2)
+                updaters.append((updater, updater.is_alive()))
+            return real_export(lookup, generation, name=name)
+
+        with ShardCoordinator(router, workers=1) as coordinator:
+            before = coordinator.lookup_batch([key]).tolist()
+            monkeypatch.setattr(SharedSnapshot, "export", export_with_updates)
+            coordinator.publish()
+            monkeypatch.undo()
+            assert [blocked for _updater, blocked in updaters] == [True, True]
+            for updater, _blocked in updaters:
+                updater.join(5)
+                assert not updater.is_alive()
+            segment = SharedSnapshot.attach(coordinator._segment.name)
+            try:
+                assert segment.to_lookup().lookup_batch([key]).tolist() \
+                    == before
+            finally:
+                segment.close()
+            after = coordinator.lookup_batch([key]).tolist()
+            assert after == router.lookup_batch([key]).tolist() != before
+            assert fib.next_hops.resolve(after[0]).gateway == "10.0.0.7"
+
+    def test_bootstrap_refuses_a_degraded_router(self):
+        """No trusted image, no first generation: construction fails."""
+        _table, _fib, router = build_router(table_size=300)
+        with router._lock:
+            router._degrade("test: forced degradation")
+        with pytest.raises(ShardError):
+            ShardCoordinator(router, workers=1)
 
     def test_degraded_router_serves_through_fallback(self):
         """While the router is degraded the coordinator stops dispatching

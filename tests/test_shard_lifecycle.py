@@ -247,7 +247,7 @@ class TestWorkerAttachRetry:
         with router._lock:
             snapshot = router._snapshot
         nonce = fresh_nonce()
-        segment = SharedSnapshot.export(snapshot, [], 1,
+        segment = SharedSnapshot.export(snapshot, 1,
                                         name=segment_name("t1", nonce))
         control = ControlBlock.create(1, name=segment_name("tc", nonce))
         try:
@@ -283,7 +283,7 @@ class TestWorkerAttachRetry:
         with router._lock:
             snapshot = router._snapshot
         nonce = fresh_nonce()
-        segment = SharedSnapshot.export(snapshot, [], 1,
+        segment = SharedSnapshot.export(snapshot, 1,
                                         name=segment_name("t2", nonce))
         control = ControlBlock.create(1, name=segment_name("td", nonce))
         try:

@@ -55,12 +55,17 @@ from repro.store import (
     replay_log,
 )
 from repro.shard import codec
-from repro.shard.codec import SnapshotIntegrityError
+from repro.shard.codec import (
+    SnapshotIntegrityError,
+    encode_image,
+    header_digest,
+    table_digest,
+    write_image_into,
+)
 from repro.store.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
     render_checkpoint,
-    write_checkpoint,
     write_image,
 )
 from repro.store.deltalog import scan_frames
@@ -389,7 +394,7 @@ class TestCheckpoint:
         path = os.path.join(directory, "checkpoint-00000001.chz")
         image, healthy = router.persistence_cut(
             lambda snapshot, fib_blob: render_checkpoint(
-                snapshot, [], generation=1, seq=0, blobs={"fib": fib_blob}))
+                snapshot, generation=1, seq=0, blobs={"fib": fib_blob}))
         assert healthy
         write_image(path, image)
         return path, router
@@ -732,9 +737,36 @@ class TestStoreIntegration:
         second.store.close()
 
 
+def render_with_overlay(lookup, overlay, blobs):
+    """A checkpoint as writers that kept an overlay cut it: the image,
+    then one ``ov<i>`` table per changed-prefix length, listed in the
+    header's ``overlay_lengths``, every digest recomputed."""
+    encoded = encode_image(lookup, 1, magic=CHECKPOINT_MAGIC, blobs=blobs,
+                           extra={"seq": 0})
+    header, entries = encoded.header, encoded.entries
+    arrays = list(encoded.arrays)
+    end = int(entries[-1]["offset"]) + arrays[-1].nbytes
+    header["meta"]["overlay_lengths"] = []
+    for index, (length, values) in enumerate(overlay):
+        offset = (end + 63) // 64 * 64
+        entries.append({"name": f"ov{index}", "dtype": str(values.dtype),
+                        "shape": list(values.shape), "offset": offset})
+        arrays.append(values)
+        header["meta"]["overlay_lengths"].append(length)
+        end = offset + values.nbytes
+    header["checksums"] = ([table_digest(array) for array in arrays]
+                           + [header_digest(header)])
+    rendered = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload_start = (8 + len(rendered) + 63) // 64 * 64
+    image = bytearray(payload_start + end)
+    write_image_into(memoryview(image), codec.EncodedImage(
+        header, rendered, entries, arrays, payload_start, len(image)))
+    return image
+
+
 class TestOverlayFreeCheckpoints:
-    """Checkpoints carry an empty overlay, boots patch private pages, and
-    a checkpoint cut while an overlay was pending boots from its FIB."""
+    """Checkpoints carry no overlay, boots patch private pages, and a
+    checkpoint cut while an overlay was pending boots from its FIB."""
 
     def test_checkpoint_overlay_is_empty(self, store_dir):
         table, router = build_router()
@@ -744,7 +776,9 @@ class TestOverlayFreeCheckpoints:
         store.close()
         checkpoint = load_checkpoint(
             checkpoint_path(store_dir, store.generation))
-        assert checkpoint.overlay_arrays() == []
+        assert "overlay_lengths" not in checkpoint.header["meta"]
+        assert not [entry for entry in checkpoint.header["tables"]
+                    if entry["name"].startswith("ov")]
         checkpoint.close()
 
     def test_checkpoint_with_overlay_boots_like_the_oracle(self, store_dir):
@@ -767,9 +801,9 @@ class TestOverlayFreeCheckpoints:
             by_length.setdefault(prefix.length, set()).add(prefix.value)
         overlay = [(length, np.array(sorted(values), dtype=np.uint64))
                    for length, values in sorted(by_length.items())]
-        write_checkpoint(
-            checkpoint_path(store_dir, 1), stale, overlay, generation=1,
-            seq=0, blobs={"fib": pickle.dumps(router.fib)})
+        write_image(checkpoint_path(store_dir, 1), render_with_overlay(
+            stale, overlay, {"fib": pickle.dumps(router.fib)}))
+        load_checkpoint(checkpoint_path(store_dir, 1)).close()  # verifies
         keys = keys_under(random.Random(5), 32, 400, oracle.changed)
         resolve = router.fib.next_hops.resolve
         served_stale = [None if hop < 0 else resolve(int(hop))
@@ -843,7 +877,7 @@ class TestOverlayFreeCheckpoints:
         path = checkpoint_path(store_dir, 1)
         image, healthy = router.persistence_cut(
             lambda snapshot, fib_blob: render_checkpoint(
-                snapshot, [], 1, 0, blobs={"fib": fib_blob}))
+                snapshot, 1, 0, blobs={"fib": fib_blob}))
         [(updater, blocked)] = updaters
         assert healthy and blocked  # the update waited for the lock
         write_image(path, image)
