@@ -9,7 +9,9 @@ paths over the same store directory and reports the ratio as the
 machine-independent acceptance floor (``coldstart_speedup``), plus a
 differential gate (``first_batch_ok``): the first batch served by the
 recovered router — half its keys under the prefixes the trace changed —
-must be answer-identical to the freshly recompiled one.
+must be answer-identical to the freshly recompiled one.  It also
+reports the newest checkpoint's size (``checkpoint_bytes``): the
+compiled image plus the pickled forwarding engine.
 
 Run directly (``python benchmarks/bench_store.py [--smoke]``).  The
 rendered report lands in ``results/store_bench.json``; refresh the
@@ -37,6 +39,7 @@ from repro.analysis.report import save_report
 from repro.router import ForwardingEngine
 from repro.serve import SnapshotRouter
 from repro.store import CheckpointPolicy, SnapshotStore, cold_start
+from repro.store.store import checkpoint_path, list_generations
 from repro.verify import apply_update, keys_under
 from repro.workloads import synthesize_trace, synthetic_table
 
@@ -115,6 +118,8 @@ def run(size: int, updates: int, batch: int, repeats: int,
     directory = tempfile.mkdtemp(prefix="chz-store-bench-")
     try:
         _build_store(directory, table, ops)
+        checkpoint_bytes = os.path.getsize(
+            checkpoint_path(directory, list_generations(directory)[-1]))
         cold_seconds, cold_answers, report = _time_coldstart(
             directory, keys, repeats)
         compile_seconds, compile_answers = _time_recompile(
@@ -133,6 +138,7 @@ def run(size: int, updates: int, batch: int, repeats: int,
         "recompile_seconds": compile_seconds,
         "coldstart_speedup": compile_seconds / cold_seconds,
         "first_batch_ok": first_batch_ok,
+        "checkpoint_bytes": checkpoint_bytes,
         "updates_replayed": report.get("updates_replayed"),
         "boot": report.get("boot"),
         "cpu_count": os.cpu_count(),

@@ -292,6 +292,9 @@ def cmd_flat_bench(args) -> int:
     stable, which is what lets ``benchmarks/regress.py`` gate it as a
     machine-independent floor (the ROADMAP's single-vCPU CI note).
     Exits non-zero on any flat-vs-scalar divergence over the batch.
+    Also reports the compiled plan's storage beside the engine's own
+    model (``total_storage_bits``), per route; ``model_vs_plan`` is
+    their ratio, which ``benchmarks/regress.py`` floors.
     """
     import time
 
@@ -331,12 +334,17 @@ def cmd_flat_bench(args) -> int:
             elapsed = time.perf_counter() - started
             rates[name] = max(rates[name], args.batch_size / elapsed)
 
+    plan_bits = 8 * flat.nbytes / len(table)
+    model_bits = engine.total_storage_bits() / len(table)
     payload = {
         "table_size": len(table),
         "batch_size": args.batch_size,
         "repeats": args.repeats,
         "backend": args.backend,
         "divergences": divergences,
+        "plan_bits_per_route": round(plan_bits, 1),
+        "model_bits_per_route": round(model_bits, 1),
+        "model_vs_plan": round(model_bits / plan_bits, 4),
         "scalar_klookups_per_sec": round(rates["scalar"] / 1000, 1),
         "flat_klookups_per_sec": round(rates["flat"] / 1000, 1),
         "flat_vs_scalar": round(rates["flat"] / rates["scalar"], 3),

@@ -30,19 +30,19 @@ from .subcell import WriteLog
 _MISS = np.int64(-1)
 
 
-_KEY_LIMIT = 2 ** 64
-
-
-def normalize_keys(keys) -> np.ndarray:
+def normalize_keys(keys, width: int = 64) -> np.ndarray:
     """Keys as a 1-D uint64 array, with clear errors for bad input.
 
-    Accepts a scalar, any integer sequence, or an integer ndarray.  The
-    raw ``np.asarray(keys, dtype=np.uint64)`` this replaces had three
-    sharp edges: 0-d input crashed the batch loop downstream
+    Accepts a scalar, any integer sequence, or an integer ndarray, and
+    raises ``ValueError`` naming the first key outside ``[0, 2**width)``.
+    The raw ``np.asarray(keys, dtype=np.uint64)`` this replaces had
+    three sharp edges: 0-d input crashed the batch loop downstream
     (``result[indices]`` on a 0-d array raises), negative Python ints
     raised an opaque ``OverflowError``, and negative values inside a
     signed ndarray silently wrapped modulo 2**64 — answering a lookup
-    for a key the caller never asked about.
+    for a key the caller never asked about.  A key wider than the
+    engine would be answered for bits the scalar path drops, so it is
+    refused too.
     """
     array = np.asarray(keys)
     if array.size == 0:
@@ -62,15 +62,19 @@ def normalize_keys(keys) -> np.ndarray:
         )
     if array.ndim != 1:
         array = array.reshape(-1)
-    if kind == "u":
-        return array if array.dtype == np.uint64 \
-            else array.astype(np.uint64)
-    if kind == "i":
-        if array.size and int(array.min()) < 0:
+    limit = 1 << width
+    if kind in "iu":
+        if kind == "i" and int(array.min()) < 0:
             raise ValueError(
                 f"keys must be non-negative, got {int(array.min())}"
             )
-        return array.astype(np.uint64)
+        if width < 8 * array.itemsize and int(array.max()) >= limit:
+            raise ValueError(
+                f"key {int(array.max())} outside the representable range "
+                f"[0, 2**{width})"
+            )
+        return array if array.dtype == np.uint64 \
+            else array.astype(np.uint64)
     # Object dtype: Python ints numpy could not narrow (too large for
     # int64, negative alongside huge, or outright non-integers).
     normalized = np.empty(array.size, dtype=np.uint64)
@@ -79,9 +83,10 @@ def normalize_keys(keys) -> np.ndarray:
             raise ValueError(
                 f"keys must be integers, got {type(value).__name__}"
             )
-        if value < 0 or value >= _KEY_LIMIT:
+        if value < 0 or value >= limit:
             raise ValueError(
-                f"key {value} outside the representable range [0, 2**64)"
+                f"key {value} outside the representable range "
+                f"[0, 2**{width})"
             )
         normalized[position] = value
     return normalized
@@ -137,6 +142,11 @@ class BatchLookup:
             return False
         return self.engine.words_written() != sum(self._words)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the plans hold: the compiled image's size."""
+        return sum(plan.nbytes for plan in self._plans)
+
     def patch(self) -> List[Tuple[int, str]]:
         """Apply every sub-cell's logged writes in place; drain the logs.
 
@@ -181,19 +191,36 @@ class BatchLookup:
         """Next hops for a batch of keys (1-D int64); -1 marks misses.
 
         Input is normalized to 1-D: a scalar key yields a 1-element
-        result.  Negative or >=2**64 keys raise ``ValueError``.
+        result.  Negative keys and keys of more than ``width`` bits
+        raise ``ValueError``.
         """
-        key_array = normalize_keys(keys)
-        result = np.full(key_array.shape, _MISS, dtype=np.int64)
-        unresolved = np.ones(key_array.shape, dtype=bool)
+        return self.lookup_keys(normalize_keys(keys, self.width))
+
+    def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`lookup_batch` over keys ``normalize_keys`` already passed.
+
+        Sub-cells are probed longest base first, each over the keys no
+        longer-base sub-cell answered: the batch carries the positions
+        still unresolved and their keys, compacted after every hit.  A
+        sub-cell with an empty Result Table fails every address check,
+        so it is skipped.
+        """
+        result = np.full(keys.shape, _MISS, dtype=np.int64)
+        pending: Optional[np.ndarray] = None  # None: every position
+        batch = keys
         for plan in self._plans:
-            if not unresolved.any():
+            if not plan.arena_size:
+                continue
+            found, hops = plan.probe(batch)
+            hit = np.flatnonzero(found)
+            if not hit.size:
+                continue
+            result[hit if pending is None else pending[hit]] = hops[hit]
+            if hit.size == batch.size:
                 break
-            answers = plan.lookup(key_array[unresolved])
-            hit = answers != _MISS
-            indices = np.flatnonzero(unresolved)[hit]
-            result[indices] = answers[hit]
-            unresolved[indices] = False
+            miss = np.flatnonzero(np.logical_not(found, out=found))
+            pending = miss if pending is None else pending[miss]
+            batch = batch[miss]
         return result
 
     def lookup_many(self, keys) -> List[Optional[NextHop]]:

@@ -38,7 +38,7 @@ from ..bloomier import backend as _backend_module
 from ..bloomier.backend import BloomierSetupError, XorIndexTable
 from ..bloomier.peeling import PeelStallError
 from ..core.chisel import ChiselLPM
-from ..core.flatpath import RECORD_LANES
+from ..core.flatpath import RECORD_ARRAYS
 from ..core.subcell import ChiselSubCell
 from ..core.updates import ANNOUNCE, WITHDRAW, UpdateOp
 from ..obs import get_registry
@@ -49,54 +49,49 @@ TABLE_KINDS = (
     "spillover_key", "spillover_value",
 )
 
-#: Table kinds that live *inside* a fused flat-datapath record
-#: (``repro.core.flatpath``), mapped to their record lane.  The flat
-#: layout folds the dirty bit into the "valid" lane (valid ≡ present and
-#: not dirty), so a dirty-kind fault targets that lane.
-FLAT_RECORD_KINDS = {
-    "filter": RECORD_LANES["filter"],
-    "dirty": RECORD_LANES["valid"],
-    "bitvector": RECORD_LANES["bitvector"],
-    "regionptr": RECORD_LANES["regionptr"],
-}
+#: Table kinds that live in a flat-datapath bucket array
+#: (``repro.core.flatpath``), mapped to the plan attribute holding them.
+#: The flat layout folds the dirty bit into the bit-vector (a dirty
+#: bucket stores 0), so a dirty-kind fault targets the bit-vector word.
+FLAT_RECORD_KINDS = dict(RECORD_ARRAYS, dirty=RECORD_ARRAYS["bitvector"])
 
 
-def locate_record_word(kind: str, pointer: int) -> Tuple[int, int]:
-    """(row, lane) of one hardware word inside a fused record table.
+def locate_record_word(kind: str, pointer: int) -> Tuple[str, int]:
+    """(plan attribute, index) of one hardware word in a compiled plan.
 
     The scrub/chaos machinery addresses compiled words by (table kind,
-    bucket pointer); in the flat datapath those four tables are lanes of
-    one ``(capacity, 8)`` record array, and this is the mapping.  Kinds
-    that are not part of a record (index, result, spillover) raise
-    ``ValueError`` — they keep their own arrays.
+    bucket pointer); in the flat datapath the Filter, bit-vector and
+    Region-pointer tables are bucket arrays indexed by the pointer, and
+    this is the mapping.  Kinds that are not bucket words (index,
+    result, spillover) raise ``ValueError`` — they keep their own arrays.
     """
     if kind not in FLAT_RECORD_KINDS:
         raise ValueError(
-            f"kind {kind!r} does not live in fused records; "
+            f"kind {kind!r} is not a bucket word; "
             f"record kinds: {sorted(FLAT_RECORD_KINDS)}"
         )
-    return pointer, FLAT_RECORD_KINDS[kind]
+    return FLAT_RECORD_KINDS[kind], pointer
 
 
 def corrupt_record_word(plan, kind: str, pointer: int,
                         bit: Optional[int] = None) -> FaultRecord:
-    """Flip a bit (or invert the valid flag) inside one fused record.
+    """Flip a bit of one bucket word (or mark the bucket dirty).
 
     Operates on a compiled :class:`repro.core.flatpath.FlatSubCellPlan`
     — the post-compile analogue of :meth:`FaultInjector.flip_table_bit`,
-    for exercising the flat datapath's own guards (filter compare,
-    valid flag, addressable range) without a recompile.  Shared-segment
+    for exercising the flat datapath's own guards (filter compare, bit
+    test, addressable range) without a recompile.  A ``dirty`` fault
+    clears the bucket's bit-vector word, which is how a dirty bucket is
+    stored.  ``bit`` must lie inside the word's dtype.  Shared-segment
     plans are read-only and raise; corrupt before export instead.
     """
-    row, lane = locate_record_word(kind, pointer)
-    old = int(plan.records[row, lane])
-    if kind == "dirty":
-        new = 0 if old else 1  # invert the fused valid flag
-    else:
-        new = old ^ (1 << (bit or 0))
-    plan.records[row, lane] = np.uint64(new)
-    return FaultRecord(kind, plan.base, pointer, bit, old, new,
-                       detail="fused record")
+    name, index = locate_record_word(kind, pointer)
+    array = getattr(plan, name)
+    old = int(array[index])
+    new = 0 if kind == "dirty" else old ^ (1 << (bit or 0))
+    array[index] = np.array(new).astype(array.dtype)
+    return FaultRecord(kind, plan.base, pointer, bit, old, int(array[index]),
+                       detail="bucket word")
 
 
 @dataclass(frozen=True)

@@ -479,17 +479,17 @@ class SnapshotRouter:
         and a batch an update overlapped is re-run (then, after
         ``_READ_RETRIES`` overlaps, answered under the lock).
 
-        Input is normalized exactly as ``BatchLookup.lookup_batch``:
-        1-D, scalars accepted, negative/oversized keys rejected with a
-        clear ``ValueError``.
+        Input is normalized exactly as ``BatchLookup.lookup_batch``,
+        once per call: 1-D, scalars accepted, negative keys and keys
+        wider than the engine rejected with a clear ``ValueError``.
         """
-        key_array = normalize_keys(keys)
+        key_array = normalize_keys(keys, self.width)
         for _attempt in range(_READ_RETRIES):
             with self._held():
                 if self._state is not RouterState.HEALTHY:
                     return self._degraded_batch(key_array)
                 snapshot, version = self._snapshot, self._version
-            result = snapshot.lookup_batch(key_array)
+            result = snapshot.lookup_keys(key_array)
             # Single int read; a stale value only costs a retry.
             if self._version == version:  # chisel: noqa[ANZ101]
                 break
@@ -498,7 +498,7 @@ class SnapshotRouter:
             with self._held():
                 if self._state is not RouterState.HEALTHY:
                     return self._degraded_batch(key_array)
-                result = self._snapshot.lookup_batch(key_array)
+                result = self._snapshot.lookup_keys(key_array)
         self.metrics.record_batch(len(key_array), 0)
         return result
 

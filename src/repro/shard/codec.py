@@ -2,7 +2,7 @@
 
 A ``BatchLookup`` is already the right shape for multi-core serving: every
 table the Fig. 6 datapath reads (Index-Table group words, checksum-hash
-byte tables, Filter values/valid bits, bit-vectors, Region pointers, the
+byte tables, Filter values, bit-vectors, Region pointers, the
 Result-Table arena, the spillover TCAM arrays) is an immutable numpy
 array, private to the snapshot.  This codec flattens that array tree
 into a single ``multiprocessing.shared_memory`` segment:
@@ -39,14 +39,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, cast
 
 import numpy as np
 
 from ..core.batch import BatchLookup
-from ..core.flatpath import FlatSubCellPlan, _FusedIndex
+from ..core.flatpath import RECORD_ARRAYS, FlatSubCellPlan, _FusedIndex
 
-_MAGIC = "chisel-shard-v1"
+#: Image format 2: geometry-sized bucket arrays with a sentinel entry and
+#: one copy of the hash byte tables.  Format-1 images are refused.
+_MAGIC = "chisel-shard-v2"
 
 #: Payload arrays start on 64-byte boundaries (cache-line alignment; also
 #: keeps uint64 views legal regardless of neighbouring array sizes).
@@ -120,13 +122,13 @@ def _flatten_cell(prefix: str, plan: FlatSubCellPlan,
                   tables: List[Tuple[str, np.ndarray]]) -> Dict[str, object]:
     """Emit one sub-cell's tables and metadata.
 
-    The fused layout serializes as eight arrays (seven for Bloomier):
-    the stacked checksum byte-tables, the combined per-group hash tables
-    (plus the fuse start-hash tables), the concatenated Index-Table
-    words, the fused 64-byte bucket records, the arena and the
-    spillover arrays; the one group geometry rides in the metadata.
-    Payload alignment (``_ALIGN`` = 64) keeps record rows cache-line
-    aligned in the attached mapping too.
+    A sub-cell serializes as its arrays, each at the dtype the compile
+    gave it: the checksum byte-tables, the hash byte-tables (packed or
+    per hash, one copy), the fuse start-hash tables when they are not
+    packed in, the concatenated Index-Table words, the three bucket
+    arrays (sentinel entry included), the arena and the spillover
+    arrays.  The one group geometry and the hash field widths ride in
+    the metadata.
     """
     fused = plan.fused
     cell_meta: Dict[str, object] = {
@@ -134,25 +136,29 @@ def _flatten_cell(prefix: str, plan: FlatSubCellPlan,
         "base": plan.base,
         "span": plan.span,
         "capacity": plan.capacity,
-        "partitions": int(plan.partitions),
+        "partitions": plan.partitions,
         "arena_size": plan.arena_size,
         "index_kind": fused.kind,
         "num_hashes": fused.num_hashes,
         "num_bytes": fused.num_bytes,
         "num_groups": fused.num_groups,
-        "segment": int(fused.segment),
+        "segment": fused.segment,
+        "widths": list(fused.widths),
     }
     tables.append((f"{prefix}/checksum", plan.checksum))
     tables.append((f"{prefix}/fused/hash_tables", fused.hash_tables))
     tables.append((f"{prefix}/fused/table", fused.table))
     if fused.kind == "fuse":
-        if fused.start_tables is None or fused.start_range is None:
+        if fused.start_range is None:
             raise ValueError(
                 f"{prefix}: fuse-kind fused index missing its start hash"
             )
-        cell_meta["start_range"] = int(fused.start_range)
-        tables.append((f"{prefix}/fused/start_tables", fused.start_tables))
-    tables.append((f"{prefix}/records", plan.records))
+        cell_meta["start_range"] = fused.start_range
+        if fused.start_tables is not None:
+            tables.append((f"{prefix}/fused/start_tables",
+                           fused.start_tables))
+    for array_name in RECORD_ARRAYS.values():
+        tables.append((f"{prefix}/{array_name}", getattr(plan, array_name)))
     # A patched plan's arena carries growth slack past ``arena_size``;
     # the image holds what a fresh compile would (one entry minimum).
     tables.append((f"{prefix}/arena", plan.arena[:max(plan.arena_size, 1)]))
@@ -403,27 +409,31 @@ class SnapshotImage:
         plan.span = int(cell_meta["span"])  # type: ignore[call-overload]
         plan.width = width
         plan.capacity = int(cell_meta["capacity"])  # type: ignore[call-overload]
-        plan.partitions = np.uint64(cell_meta["partitions"])  # type: ignore[arg-type]
+        plan.partitions = int(cell_meta["partitions"])  # type: ignore[call-overload]
         plan.arena_size = int(cell_meta["arena_size"])  # type: ignore[call-overload]
         plan.checksum = self._array(f"{prefix}/checksum")
         kind = str(cell_meta["index_kind"])
         start_tables: Optional[np.ndarray] = None
         start_range: Optional[int] = None
         if kind == "fuse":
-            start_tables = self._array(f"{prefix}/fused/start_tables")
+            name = f"{prefix}/fused/start_tables"
+            if name in self._entries:
+                start_tables = self._array(name)
             start_range = int(cell_meta["start_range"])  # type: ignore[call-overload]
         plan.fused = _FusedIndex(
             kind,
             int(cell_meta["num_hashes"]),  # type: ignore[call-overload]
             int(cell_meta["num_bytes"]),  # type: ignore[call-overload]
             int(cell_meta["num_groups"]),  # type: ignore[call-overload]
-            self._array(f"{prefix}/fused/hash_tables"),
             self._array(f"{prefix}/fused/table"),
             int(cell_meta["segment"]),  # type: ignore[call-overload]
+            self._array(f"{prefix}/fused/hash_tables"),
+            [int(bits) for bits in cast(List[int], cell_meta["widths"])],
             start_tables,
             start_range,
         )
-        plan.records = self._array(f"{prefix}/records")
+        for array_name in RECORD_ARRAYS.values():
+            setattr(plan, array_name, self._array(f"{prefix}/{array_name}"))
         plan.arena = self._array(f"{prefix}/arena")
         plan.spill_keys = self._array(f"{prefix}/spill_keys")
         plan.spill_values = self._array(f"{prefix}/spill_values")

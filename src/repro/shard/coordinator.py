@@ -267,7 +267,8 @@ class ShardCoordinator:
         scalars accepted, negative/oversized keys rejected with a clear
         ``ValueError`` before anything is enqueued to a worker.
         """
-        key_array = np.ascontiguousarray(normalize_keys(keys))
+        key_array = np.ascontiguousarray(
+            normalize_keys(keys, self.router.width))
         if not len(key_array):
             return np.empty(0, dtype=np.int64)
         if self.router.state is not RouterState.HEALTHY:

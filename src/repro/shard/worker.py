@@ -179,8 +179,8 @@ def worker_main(worker_id: int, control_name: str, task_queue: Any,
             # key batch must raise a clear ValueError here (reported via
             # RESULT_ERROR) instead of an opaque OverflowError or a 0-d
             # crash deep inside the datapath.
-            key_array = normalize_keys(keys)
-            answers = lookup.lookup_batch(key_array)
+            key_array = normalize_keys(keys, lookup.width)
+            answers = lookup.lookup_keys(key_array)
             unresolved = np.flatnonzero(
                 overlay_mask(key_array, overlay, lookup.width)
             ) if overlay else np.empty(0, dtype=np.int64)

@@ -54,7 +54,8 @@ from ..shard.codec import (
 )
 from .crashpoints import crashpoint
 
-CHECKPOINT_MAGIC = "chisel-ckpt-v1"
+#: Image format 2, as the shard codec's; format-1 checkpoints are refused.
+CHECKPOINT_MAGIC = "chisel-ckpt-v2"
 
 #: Bytes of the tmp file flushed before the ``ckpt:tmp-torn`` point.
 _TORN_SPLIT = 4096

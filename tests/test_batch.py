@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.batch import BatchLookup
-from repro.core.flatpath import popcount64
 from repro.prefix import Prefix
 from repro.workloads import ipv6_table
 
@@ -21,14 +20,6 @@ from .conftest import sample_keys
 def compiled(small_table):
     engine = ChiselLPM.build(small_table, ChiselConfig(seed=33))
     return engine, BatchLookup(engine)
-
-
-class TestPopcount:
-    def test_matches_python(self):
-        values = np.array([0, 1, 0xFF, 0xF0F0, (1 << 64) - 1, 0x8000000000000001],
-                          dtype=np.uint64)
-        expected = [bin(int(v)).count("1") for v in values]
-        assert list(popcount64(values)) == expected
 
 
 class TestBatchCorrectness:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.batch import BatchLookup
-from repro.core.flatpath import RECORD_LANES
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
@@ -27,9 +26,9 @@ from .conftest import assert_batch_matches_scalar, probe_keys, random_table
 
 
 def shift_region_pointers(batch, delta):
-    """Move every compiled Region pointer by ``delta`` (in the records)."""
+    """Move every compiled Region pointer by ``delta`` (int32 words)."""
     for plan in batch._plans:
-        plan.records.view(np.int64)[:, RECORD_LANES["regionptr"]] += delta
+        plan.regionptrs[:plan.capacity] += delta
 
 
 class TestEverySpan:

@@ -8,7 +8,8 @@ the shard worker loop, and the ``ShardCoordinator`` — now routes through
 ``normalize_keys``: scalars and n-d input flatten to 1-D, and negative /
 oversized / non-integer keys raise a clear ``ValueError`` naming the
 offending value, *before* anything reaches the datapath (or a worker
-queue).
+queue).  So do keys wider than the engine: the scalar path drops their
+high bits, and the batch path used to answer them as misses.
 """
 
 import random
@@ -86,6 +87,15 @@ class TestNormalizeKeys:
         with pytest.raises(ValueError, match="2\\*\\*64"):
             normalize_keys([1, 2**64])
 
+    def test_key_wider_than_width_raises_value_error(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            normalize_keys([1, 2**32], 32)
+        for keys in (np.array([5, 1 << 40], dtype=np.uint64),
+                     np.array([5, 1 << 40], dtype=np.int64)):
+            with pytest.raises(ValueError, match=str(1 << 40)):
+                normalize_keys(keys, 32)
+        assert normalize_keys([2**32 - 1], 32).tolist() == [2**32 - 1]
+
     def test_float_array_raises_value_error(self):
         with pytest.raises(ValueError, match="integer"):
             normalize_keys(np.array([1.5, 2.0]))
@@ -128,6 +138,19 @@ class TestBatchLookupEntryPoint:
         with pytest.raises(ValueError):
             lookup.lookup_batch([2**64 + 5])
 
+    def test_key_wider_than_engine_is_value_error(self):
+        """Keys under table routes with bit 32, 40 or 63 set: the scalar
+        path drops those bits and answers the route; the batch path
+        answered -1.  They are refused instead."""
+        table, engine = build_engine()
+        lookup = BatchLookup(engine)
+        for prefix, _hop in list(table)[:20]:
+            for bit in (32, 40, 63):
+                key = prefix.network_int() | (1 << bit)
+                assert engine.lookup(key) is not None
+                with pytest.raises(ValueError, match=str(key)):
+                    lookup.lookup_batch([key])
+
     def test_two_d_batch_is_flattened(self):
         _table, engine = build_engine()
         lookup = BatchLookup(engine)
@@ -153,6 +176,11 @@ class TestServeEntryPoint:
         _table, router = self._router()
         with pytest.raises(ValueError, match="non-negative"):
             router.lookup_batch([-1])
+
+    def test_key_wider_than_engine_rejected(self):
+        _table, router = self._router()
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            router.lookup_batch([7, 1 << 40])
 
     def test_float_batch_rejected(self):
         _table, router = self._router()
@@ -183,6 +211,32 @@ class TestCoordinatorEntryPoint:
             assert np.array_equal(coordinator.lookup_batch(keys),
                                   router.lookup_batch(keys))
             assert coordinator.lookup_batch(int(keys[0])).shape == (1,)
+
+    def test_wide_key_rejected_before_enqueue(self):
+        table, router = self._fleet()
+        keys = np.array([random.Random(74).getrandbits(table.width)
+                         for _ in range(200)], dtype=np.uint64)
+        with ShardCoordinator(router, workers=1) as coordinator:
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                coordinator.lookup_batch([4, 1 << 32])
+            assert np.array_equal(coordinator.lookup_batch(keys),
+                                  router.lookup_batch(keys))
+
+    def test_worker_refuses_a_wide_key(self):
+        """A key wider than the engine pushed straight onto the task
+        queue surfaces as RESULT_ERROR(ValueError)."""
+        _table, router = self._fleet()
+        with ShardCoordinator(router, workers=1) as coordinator:
+            wide = np.array([3, 1 << 33], dtype=np.uint64)
+            coordinator._tasks[0].put((TASK_BATCH, 998, wide, []))
+            for _ in range(200):
+                message = coordinator._results.get(timeout=5)
+                if message[0] == RESULT_ERROR:
+                    break
+            else:
+                pytest.fail("no RESULT_ERROR for a wide key")
+            assert "ValueError" in message[2]
+            assert "2**32" in message[2]
 
     def test_worker_normalizes_defense_in_depth(self):
         """A malformed batch pushed straight onto the task queue —

@@ -559,7 +559,7 @@ def test_anz205_flags_store_through_alias_without_bump(engine):
         def update(self, rows):
             with self._lock:
                 image, version = self._snapshot, self._version
-                image.records[rows] = 0
+                image.bitvectors[rows] = 0
     """)
     assert codes(engine, source) == ["ANZ205"]
 

@@ -1,12 +1,13 @@
 """Differential suite for the flat datapath (``repro.core.flatpath``).
 
-The flat pipeline — fused per-bucket records, packed hash gathers — must
-be bit-exact against the scalar Fig. 6 datapath (``ChiselLPM.lookup``)
-on the whole batch, over both Index Table backends, every span 0-6,
+The flat pipeline — geometry-sized bucket arrays, packed hash gathers —
+must be bit-exact against the scalar Fig. 6 datapath
+(``ChiselLPM.lookup``) on the whole batch, over both Index Table
+backends, every span 0-6, key widths 16-64, Result-Table widths 8-32,
 spillover TCAM overrides, and mid-churn recompiles.  The suite also pins
 the degraded paths (the unpacked gather fallback, the true-modulus
-fallback), the shard codec's layout, and fault injection into fused
-records.
+fallback), the shard codec's layout, the dtype rules, and fault
+injection into bucket words.
 """
 
 import random
@@ -18,11 +19,17 @@ from hypothesis import strategies as st
 
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.batch import BatchLookup
-from repro.core.flatpath import RECORD_LANES, aligned_zeros
+from repro.core.flatpath import (
+    RECORD_ARRAYS,
+    FlatSubCellPlan,
+    _FusedIndex,
+    word_dtype,
+)
 from repro.faults.inject import FLAT_RECORD_KINDS, corrupt_record_word
 from repro.prefix import Prefix, RoutingTable
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
+from repro.core.subcell import WriteLog
 from repro.core.updates import apply_trace
 
 from .conftest import assert_batch_matches_scalar, probe_keys, random_table
@@ -30,9 +37,10 @@ from .conftest import assert_batch_matches_scalar, probe_keys, random_table
 BACKENDS = ("bloomier", "fuse")
 
 
-def build_engine(backend, table, seed=2006, stride=4):
+def build_engine(backend, table, seed=2006, stride=4, next_hop_bits=16):
     config = ChiselConfig(width=table.width, stride=stride, seed=seed,
-                          index_backend=backend)
+                          index_backend=backend,
+                          next_hop_bits=next_hop_bits)
     return ChiselLPM.build(table, config)
 
 
@@ -62,7 +70,7 @@ class TestHypothesisDifferential:
                                HealthCheck.data_too_large],
     )
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           width=st.sampled_from([16, 24, 32]),
+           width=st.sampled_from([16, 24, 32, 48, 64]),
            routes=st.integers(min_value=1, max_value=220))
     def test_random_tables(self, backend, seed, width, routes):
         rng = random.Random(seed)
@@ -130,9 +138,12 @@ class TestDegradedPaths:
         table = synthetic_table(900, seed=23)
         engine = build_engine(backend, table, seed=23)
         flat = BatchLookup(engine)
-        for plan in flat._plans:
-            assert plan.fused.packed_tables is not None
-            plan.fused.packed_tables = None  # force the unpacked loop
+        for plan, subcell in zip(flat._plans, engine.subcells):
+            assert plan.fused.packed
+            # Compile the per-hash tables a wide hash family would need.
+            plan.fused = _FusedIndex.from_groups(subcell.index.groups,
+                                                 pack=False)
+            assert not plan.fused.packed
         assert_batch_matches_scalar(
             engine, probe_keys(engine, random.Random(23)), flat)
 
@@ -173,16 +184,42 @@ class TestCodecFlatRoundtrip:
             segment.retire()
 
 
+    def test_format_1_segment_refused(self):
+        """A segment of image format 1 is refused with the typed error."""
+        from multiprocessing import shared_memory
+
+        from repro.shard.codec import (
+            SharedSnapshot,
+            SnapshotIntegrityError,
+            encode_image,
+            write_image_into,
+        )
+
+        engine = build_engine("bloomier", synthetic_table(300, seed=41),
+                              seed=41)
+        encoded = encode_image(BatchLookup(engine), 1,
+                               magic="chisel-shard-v1")
+        segment = shared_memory.SharedMemory(create=True,
+                                             size=encoded.total_size)
+        try:
+            write_image_into(segment.buf, encoded)
+            with pytest.raises(SnapshotIntegrityError,
+                               match="chisel-shard-v1"):
+                SharedSnapshot.attach(segment.name)
+        finally:
+            segment.close()
+            segment.unlink()
+
+
 class TestRecordFaults:
-    """Scrub/injection must locate words inside the fused records."""
+    """Scrub/injection must locate words inside the bucket arrays."""
 
     def _plan_with_live_bucket(self):
         table = synthetic_table(600, seed=47)
         engine = build_engine("bloomier", table, seed=47)
         flat = BatchLookup(engine)
         for plan in flat._plans:
-            live = np.flatnonzero(
-                plan.records[:, RECORD_LANES["valid"]])
+            live = np.flatnonzero(plan.bitvectors)
             if live.size:
                 return engine, flat, plan, int(live[0])
         pytest.fail("no live bucket found")
@@ -190,15 +227,16 @@ class TestRecordFaults:
     @pytest.mark.parametrize("kind", sorted(FLAT_RECORD_KINDS))
     def test_corrupt_record_word_flips_one_lane(self, kind):
         _engine, _flat, plan, pointer = self._plan_with_live_bucket()
-        before = plan.records.copy()
+        names = sorted(set(RECORD_ARRAYS.values()))
+        before = {name: getattr(plan, name).copy() for name in names}
         record = corrupt_record_word(plan, kind, pointer, bit=3)
         assert record.kind == kind
-        after = plan.records
-        changed = np.argwhere(before != after)
-        assert len(changed) == 1
-        row, lane = changed[0]
-        assert row == pointer
-        assert lane == FLAT_RECORD_KINDS[kind]
+        changed = [(name, int(index)) for name in names
+                   for index in np.flatnonzero(before[name]
+                                               != getattr(plan, name))]
+        assert changed == [(FLAT_RECORD_KINDS[kind], pointer)]
+        if kind == "dirty":
+            assert plan.bitvectors[pointer] == 0
 
     def test_dirty_corruption_changes_answers(self):
         engine, flat, plan, pointer = self._plan_with_live_bucket()
@@ -216,40 +254,72 @@ class TestRecordFaults:
 
 
 class TestFlatLayoutPrimitives:
-    def test_aligned_zeros_is_cache_line_aligned(self):
-        for shape in ((7, 8), (1, 8), (129, 8), 64):
-            array = aligned_zeros(shape)
-            assert array.ctypes.data % 64 == 0
-            assert not array.any()
-
-    def test_record_rows_are_one_cache_line(self):
+    def test_bucket_arrays_end_in_a_never_matching_sentinel(self):
         table = synthetic_table(200, seed=53)
         engine = build_engine("bloomier", table, seed=53)
         flat = BatchLookup(engine)
         for plan in flat._plans:
-            assert plan.records.strides[0] == 64
-            assert plan.records.ctypes.data % 64 == 0
+            for name in RECORD_ARRAYS.values():
+                array = getattr(plan, name)
+                assert array.shape == (plan.capacity + 1,)
+                assert array[plan.capacity] == 0
 
     def test_legacy_view_properties_alias_records(self):
-        """Each record lane holds exactly what the sub-cell's own
-        per-table lists (the hardware view) hold for that bucket."""
+        """Each bucket array holds what the sub-cell's own per-table
+        lists (the hardware view) hold, with the dirty and empty states
+        folded into a zero bit-vector."""
         table = synthetic_table(200, seed=59)
         engine = build_engine("bloomier", table, seed=59)
+        for prefix in list(table.prefixes())[::9]:
+            engine.withdraw(prefix)  # parks dirty buckets
+        assert engine.dirty_count() > 0
         flat = BatchLookup(engine)
         for subcell, plan in zip(engine.subcells, flat._plans):
             assert (plan.base, plan.span) == (subcell.base, subcell.span)
-            records = plan.records
             filters = [0 if value is None else value
                        for value in subcell.filter_table]
-            valid = [int(value is not None and not dirty)
-                     for value, dirty in zip(subcell.filter_table,
-                                             subcell.dirty_table)]
-            assert records[:, RECORD_LANES["filter"]].tolist() == filters
-            assert records[:, RECORD_LANES["valid"]].tolist() == valid
-            assert (records[:, RECORD_LANES["bitvector"]].tolist()
-                    == list(subcell.bv_table))
-            assert (records.view(np.int64)[:, RECORD_LANES["regionptr"]]
-                    .tolist() == list(subcell.region_ptr))
+            vectors = [0 if value is None or dirty else vector
+                       for value, dirty, vector in zip(
+                           subcell.filter_table, subcell.dirty_table,
+                           subcell.bv_table)]
+            assert plan.filters.tolist() == filters + [0]
+            assert plan.bitvectors.tolist() == vectors + [0]
+            assert plan.regionptrs.tolist() == list(subcell.region_ptr) + [0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dtypes_follow_geometry(self, backend):
+        """Each table's dtype comes from the sub-cell's geometry, never
+        from the words it holds."""
+        table = synthetic_table(2_000, seed=67)
+        engine = build_engine(backend, table, seed=67)
+        flat = BatchLookup(engine)
+        for subcell, plan in zip(engine.subcells, flat._plans):
+            value_bits = subcell.index.groups[0].value_bits
+            assert plan.fused.table.dtype == word_dtype(value_bits)
+            assert plan.filters.dtype == word_dtype(max(1, subcell.base))
+            assert plan.bitvectors.dtype == word_dtype(1 << subcell.span)
+            assert plan.regionptrs.dtype == np.int32
+            assert plan.arena.dtype == np.uint16  # next_hop_bits = 16
+        assert word_dtype(1) == np.uint8 and word_dtype(64) == np.uint64
+        with pytest.raises(ValueError):
+            word_dtype(65)
+
+    def test_result_word_past_next_hop_bits_refused(self):
+        """A Result-Table value that does not fit ``next_hop_bits`` is
+        refused by name at compile and at patch; it never wraps."""
+        table = synthetic_table(300, seed=71)
+        engine = build_engine("bloomier", table, seed=71, next_hop_bits=8)
+        subcell = next(cell for cell in engine.subcells
+                       if cell.result.arena)
+        plan = FlatSubCellPlan.compile(subcell, engine.config.width)
+        assert plan.arena.dtype == np.uint8
+        subcell.result.arena[0] = 256
+        with pytest.raises(ValueError, match="Result Table"):
+            FlatSubCellPlan.compile(subcell, engine.config.width)
+        log = WriteLog()
+        log.results.append((0, 1))
+        with pytest.raises(ValueError, match="Result Table"):
+            plan.patch(subcell, log)
 
     def test_packed_layout_active_on_standard_builds(self):
         for backend in BACKENDS:
@@ -258,8 +328,30 @@ class TestFlatLayoutPrimitives:
             flat = BatchLookup(engine)
             for plan in flat._plans:
                 fused = plan.fused
-                assert fused.packed_tables is not None
+                assert fused.packed
+                assert fused.hash_tables.shape == (
+                    fused.num_bytes, fused.num_groups * 256)
                 assert fused.condsub_ok
-                assert len(fused.packed_shifts) == fused.num_hashes
+                assert len(fused.shifts) == fused.num_hashes
                 if backend == "fuse":
-                    assert fused.packed_start_shift is not None
+                    assert fused.start_shift is not None
+                    assert fused.start_tables is None
+
+
+class TestNextHopWidths:
+    """The Result Table at 8 and 32 bits answers like the scalar path."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_differential_at_next_hop_bits(self, backend, bits):
+        rng = random.Random(bits)
+        table = RoutingTable(width=32)
+        for _ in range(400):
+            length = rng.randint(4, 32)
+            table.add(Prefix(rng.getrandbits(length), length, 32),
+                      rng.randint(1, (1 << bits) - 1))
+        engine = build_engine(backend, table, seed=bits,
+                              next_hop_bits=bits)
+        flat = assert_batch_matches_scalar(engine, probe_keys(engine, rng))
+        assert {plan.arena.dtype for plan in flat._plans} == {
+            word_dtype(bits)}

@@ -227,24 +227,25 @@ class TestSeqlockReaders:
                 break
         else:
             pytest.fail("no route in the first sub-cell")
-        # Keys that miss everywhere reach the last plan, where the
-        # reader pauses.
+        # Keys that miss everywhere reach the last plan probed (an empty
+        # sub-cell is skipped), where the reader pauses.
         misses = [k for k in (rng.getrandbits(table.width)
                               for _ in range(4000))
                   if engine.lookup(k) is None][:64]
         keys = np.array([key] * 8 + misses, dtype=np.uint64)
         before = router.lookup_batch(keys)
-        last = router._snapshot._plans[-1]
+        last = [plan for plan in router._snapshot._plans
+                if plan.arena_size][-1]
         paused, release = threading.Event(), threading.Event()
-        real_lookup = FlatSubCellPlan.lookup
+        real_probe = FlatSubCellPlan.probe
 
-        def pausing_lookup(self, batch):
+        def pausing_probe(self, batch):
             if self is last and not paused.is_set():
                 paused.set()
                 release.wait(10)
-            return real_lookup(self, batch)
+            return real_probe(self, batch)
 
-        monkeypatch.setattr(FlatSubCellPlan, "lookup", pausing_lookup)
+        monkeypatch.setattr(FlatSubCellPlan, "probe", pausing_probe)
         served = {}
 
         def reader():

@@ -48,6 +48,7 @@ def healthy_reports():
         "flat_bench.json": {
             "flat_klookups_per_sec": 2000.0,
             "flat_vs_scalar": 38.0,
+            "model_vs_plan": 0.157,
         },
         "store_bench.json": {
             "coldstart_speedup": 2.3,
@@ -193,6 +194,15 @@ class TestFloorChecks:
         currents["flat_bench.json"]["flat_vs_scalar"] = 20.0
         report = regress.compare_reports(baselines, currents)
         assert not report["passed"]
+
+    def test_plan_storage_floor(self):
+        """A plan at the 64-bit layout's 0.037 model/plan ratio fails."""
+        currents = healthy_reports()
+        currents["flat_bench.json"]["model_vs_plan"] = 0.037
+        report = regress.compare_reports(healthy_reports(), currents)
+        assert not report["passed"]
+        assert any("model_vs_plan" in failure and "floor" in failure
+                   for failure in report["failures"]), report["failures"]
 
     def test_replication_floors(self):
         """traffic_advantage >= 2 and converged_ok == 1 are the bars."""

@@ -506,6 +506,24 @@ class TestCheckpoint:
             checkpoint.to_lookup()
         checkpoint.close()
 
+    def test_format_1_checkpoint_refused(self, store_dir):
+        """A checkpoint of image format 1 (64-bit tables, 64-byte record
+        rows) is refused with the typed error, never served."""
+        _table, router = build_router()
+        path = os.path.join(store_dir, "checkpoint-00000001.chz")
+        image, healthy = router.persistence_cut(
+            lambda snapshot, fib_blob: render_checkpoint(
+                snapshot, generation=1, seq=0, blobs={"fib": fib_blob}))
+        assert healthy
+        old = bytearray(image)
+        marker = CHECKPOINT_MAGIC.encode()
+        assert CHECKPOINT_MAGIC.endswith("-v2")
+        start = bytes(old).index(marker)
+        old[start:start + len(marker)] = b"chisel-ckpt-v1"
+        write_image(path, bytes(old))
+        with pytest.raises(SnapshotIntegrityError, match="chisel-ckpt-v1"):
+            load_checkpoint(path)
+
     def test_truncation_detected(self, store_dir):
         path, _router = self._checkpointed(store_dir)
         truncate_file(path, os.path.getsize(path) // 2)
@@ -836,7 +854,7 @@ class TestOverlayFreeCheckpoints:
         assert result.report.updates_replayed == len(ops)
         served = result.router._snapshot
         assert result.checkpoint is not None
-        assert all(not plan.records.flags.owndata for plan in served._plans)
+        assert all(not plan.filters.flags.owndata for plan in served._plans)
         assert image_differences(result.router) == []
         with open(path, "rb") as handle:
             assert hashlib.sha256(handle.read()).hexdigest() == digest
