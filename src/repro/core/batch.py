@@ -13,21 +13,28 @@ Restrictions: key widths up to 64 bits (IPv4 comfortably; not IPv6 —
 numpy has no 128-bit integers) and a snapshot semantics: after updating
 the engine, either rebuild the ``BatchLookup`` or :meth:`~BatchLookup.patch`
 it with the words the update wrote (``stale`` turns True when the
-engine's update counter moves past what the plans hold).
+engine's update counter moves past what the plans hold).  A
+:class:`WordTracker` gathers what the patches wrote, so a copy of the
+image elsewhere (a shard worker's) catches up with
+:meth:`~BatchLookup.write_burst`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..prefix.table import NextHop
 from .chisel import ChiselLPM
-from .flatpath import FlatSubCellPlan
-from .subcell import WriteLog
+from .flatpath import RECORD_ARRAYS, FlatSubCellPlan
+from .subcell import ChiselSubCell, WriteLog
 
 _MISS = np.int64(-1)
+
+#: One sub-cell's share of a burst: (position, arena_size, writes), each
+#: write a (plan table, indices, current values) triple.
+BurstCell = Tuple[int, int, List[Tuple[str, np.ndarray, np.ndarray]]]
 
 
 def normalize_keys(keys, width: int = 64) -> np.ndarray:
@@ -147,7 +154,8 @@ class BatchLookup:
         """Bytes of every array the plans hold: the compiled image's size."""
         return sum(plan.nbytes for plan in self._plans)
 
-    def patch(self) -> List[Tuple[int, str]]:
+    def patch(self, tracker: Optional["WordTracker"] = None
+              ) -> List[Tuple[int, str]]:
         """Apply every sub-cell's logged writes in place; drain the logs.
 
         A sub-cell whose log asks for a replan, that was replaced (a
@@ -156,7 +164,8 @@ class BatchLookup:
         log, ``unlogged``) is recompiled alone, at its position in the
         plan list.  Returns ``(position, reason)`` for each such
         replan; afterwards the plans equal a fresh compile and
-        ``stale`` is False.
+        ``stale`` is False.  A ``tracker`` is told every word patched
+        and every replan.
         """
         replans: List[Tuple[int, str]] = []
         words, cells, plans = self._words, self._cells, self._plans
@@ -177,15 +186,24 @@ class BatchLookup:
             elif log.replan is not None:
                 reason = log.replan
             else:
+                if tracker is not None:
+                    tracker.patched(position, log, plans[position], subcell)
                 plans[position].patch(subcell, log)
                 reason = None
             if reason is not None:
                 plans[position] = FlatSubCellPlan.compile(subcell, self.width)
                 cells[position] = subcell
                 replans.append((position, reason))
+                if tracker is not None:
+                    tracker.resync_for(reason)
             words[position] = written
             log.clear()
         return replans
+
+    def write_burst(self, cells: Sequence[BurstCell]) -> None:
+        """Store a burst (:meth:`WordTracker.burst`) into these plans."""
+        for position, arena_size, writes in cells:
+            self._plans[position].write_burst(writes, arena_size)
 
     def lookup_batch(self, keys) -> np.ndarray:
         """Next hops for a batch of keys (1-D int64); -1 marks misses.
@@ -229,3 +247,72 @@ class BatchLookup:
             None if value == _MISS else int(value)
             for value in self.lookup_batch(keys)
         ]
+
+
+class WordTracker:
+    """The words patched into an image since a copy of it caught up.
+
+    :meth:`BatchLookup.patch` feeds it the rows, Result-Table ranges
+    (fresh allocations included) and Index-Table words each ``WriteLog``
+    named; :meth:`burst` reads their current values out of the image,
+    all a copy (a shard worker's) needs to catch up.  What a burst
+    cannot carry — a replan, a swapped image, or a sub-cell named by
+    more ranges and words than it has rows (the ``WriteLog`` overflow
+    rule) — sets ``resync`` instead: the copy must take the image.
+    """
+
+    __slots__ = ("_named", "resync")
+
+    def __init__(self) -> None:
+        #: position -> (bucket rows, arena ranges, Index-Table words)
+        self._named: Dict[int, Tuple[Set[int], Set[Tuple[int, int]],
+                                     Set[int]]] = {}
+        self.resync: Optional[str] = None
+
+    def patched(self, position: int, log: WriteLog, plan: FlatSubCellPlan,
+                subcell: ChiselSubCell) -> None:
+        """Gather what ``log`` names, before it is patched into ``plan``
+        (arena entries past the plan's ``arena_size`` are fresh)."""
+        if self.resync is not None:
+            return
+        rows, ranges, words = self._named.setdefault(
+            position, (set(), set(), set()))
+        rows |= log.rows
+        ranges.update(log.results)
+        if len(subcell.result.arena) > plan.arena_size:
+            ranges.add((plan.arena_size, len(subcell.result.arena)))
+        length = plan.fused.group_length
+        words.update(group * length + slot for group, slot in log.slots)
+        if len(ranges) + len(words) > subcell.capacity:
+            self.resync_for("overflow")
+
+    def resync_for(self, reason: str) -> None:
+        """A write no burst can carry: the copy must take the image."""
+        if self.resync is None:
+            self.resync = reason
+        self._named.clear()
+
+    def clear(self) -> None:
+        """The copy caught up (a burst shipped, or the image did)."""
+        self._named.clear()
+        self.resync = None
+
+    def burst(self, image: BatchLookup) -> List[BurstCell]:
+        """The gathered words with their current values in ``image``,
+        copied out, so the burst outlives the update lock."""
+        cells: List[BurstCell] = []
+        for position, (rows, ranges, words) in sorted(self._named.items()):
+            plan = image._plans[position]
+            arena = {address for start, stop in ranges
+                     for address in range(start, stop)}
+            tables = [(name, getattr(plan, name), rows)
+                      for name in RECORD_ARRAYS.values()]
+            tables += [("arena", plan.arena, arena),
+                       ("table", plan.fused.table, words)]
+            writes = []
+            for table, array, names in tables:
+                if names:
+                    index = np.fromiter(names, np.intp, len(names))
+                    writes.append((table, index, array[index]))
+            cells.append((position, plan.arena_size, writes))
+        return cells

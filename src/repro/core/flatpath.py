@@ -34,7 +34,8 @@ The plan is compiled straight from the sub-cell's own tables
 compile by copying the words one update wrote (the sub-cell's
 ``WriteLog``): bucket words, Result-Table ranges and Index-Table words.
 The arena carries geometric slack past ``arena_size`` so that Result
-Table growth lands in place too.
+Table growth lands in place too.  :meth:`FlatSubCellPlan.write_burst`
+stores the same words into a copy of the plan (a shard worker's).
 """
 
 from __future__ import annotations
@@ -353,18 +354,22 @@ class FlatSubCellPlan:
                 _store(table, group * length + slot, groups[group].table[slot],
                        "Index Table")
 
-    def _patch_arena(self, arena: List[int], ranges) -> None:
-        """Copy Result-Table ranges, growing the arena geometrically.
+    def _reserve_arena(self, size: int) -> None:
+        """Grow the arena array geometrically to hold ``size`` entries.
 
         The new array is installed before ``arena_size`` moves, so a
         concurrent reader never indexes past the array it holds.
         """
-        size = len(arena)
         if size > len(self.arena):
             grown = np.zeros(max(size, 2 * len(self.arena)),
                              dtype=self.arena.dtype)
             grown[:self.arena_size] = self.arena[:self.arena_size]
             self.arena = grown
+
+    def _patch_arena(self, arena: List[int], ranges) -> None:
+        """Copy Result-Table ranges, growing the arena as needed."""
+        size = len(arena)
+        self._reserve_arena(size)
         served = self.arena
         if size > self.arena_size:
             # Fresh allocations: copied whole, written or not.
@@ -374,6 +379,25 @@ class FlatSubCellPlan:
             for address in range(start, stop):
                 _store(served, address, arena[address], "Result Table")
         self.arena_size = size
+
+    def write_burst(self, writes: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+                    arena_size: int) -> None:
+        """Store a burst's ``(table, indices, values)`` words (read out
+        of a patched plan by ``WordTracker.burst``) into this copy.
+
+        A table that is still a read-only view — a shared segment's — is
+        copied into private memory the first time a burst writes it, so
+        the segment stays immutable.
+        """
+        self._reserve_arena(arena_size)
+        for table, indices, values in writes:
+            owner = self.fused if table == "table" else self
+            array = getattr(owner, table)
+            if not array.flags.writeable:
+                array = array.copy()
+                setattr(owner, table, array)
+            _store(array, indices, values, table)
+        self.arena_size = arena_size
 
     def _collapse(self, keys: np.ndarray, pool: _ScratchPool) -> np.ndarray:
         """The keys' top ``base`` bits, in the Filter Table's dtype."""

@@ -29,10 +29,9 @@
   (``_install``/``publish``) with no ``words_written()`` read in
   between: the PR 5 scrub-mid-export race, where a repair that landed
   *during* an unlocked export published a half-repaired image.  The
-  check is syntactic.  The live coordinator exports inside
-  ``SnapshotRouter.image_cut``, under the update lock, so nothing lands
-  mid-export; it reads ``words_written()`` there, to mark what the
-  segment holds, before it installs.
+  check is syntactic.  The live coordinator exports in its
+  ``SnapshotRouter.image_cut`` render, under the update lock, so nothing
+  lands mid-export, and installs the segment after the cut returns.
 
 * **ANZ205** — seqlock pointer discipline on attributes annotated
   ``# seqlock-pointer: <lock> <version>``.  The pointed-to object is

@@ -3,8 +3,8 @@
 The coordinator sits between the serving ``SnapshotRouter`` and N
 replica processes:
 
-* **Journal** — it chains onto the router's journal hook (after any
-  store already installed there, see ``SnapshotRouter.journal``), so
+* **Journal** — it adds its own journal hook to the router's (beside
+  any store's, see ``SnapshotRouter.add_journal``), so
   every applied route update is assigned an absolute sequence number,
   folded into the writer's :class:`~repro.replicate.state.RouteLedger`,
   and kept as an encoded payload in an in-memory journal window along
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.config import ChiselConfig
 from ..obs import SIZE_BUCKETS, get_registry
@@ -117,7 +117,6 @@ class ReplicationCoordinator:
         self._journal: List[Tuple[int, bytes, int]] = []
         self._journal_window = journal_window
         self._sessions: Dict[int, ReplicaSession] = {}
-        self._chained: Optional[Callable] = None
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
         self._stopping = False
@@ -157,6 +156,9 @@ class ReplicationCoordinator:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         listener.listen(16)
+        # Set before any accept thread runs: a stop() racing the thread's
+        # start would otherwise close the socket under the call.
+        listener.settimeout(0.2)
         self._listener = listener
         self.port = listener.getsockname()[1]
         return self.port
@@ -165,8 +167,7 @@ class ReplicationCoordinator:
         """Attach the journal hook and start the accept loop."""
         if self._listener is None:
             self.listen()
-        self._chained = self.router.journal
-        self.router.set_journal(self._journal_hook)
+        self.router.add_journal(self._journal_hook)
         thread = threading.Thread(target=self._accept_loop,
                                   name="repl-accept", daemon=True)
         thread.start()
@@ -177,7 +178,7 @@ class ReplicationCoordinator:
             self._stopping = True
             sessions = list(self._sessions.values())
             self._cond.notify_all()
-        self.router.set_journal(self._chained)
+        self.router.remove_journal(self._journal_hook)
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -214,8 +215,6 @@ class ReplicationCoordinator:
             self._trim_journal_locked()
             self._obs_seq.set(self._seq)
             self._cond.notify_all()
-        if self._chained is not None:
-            self._chained(op, prefix_value, prefix_length, gateway, interface)
 
     def _trim_journal_locked(self) -> None:
         window = self._journal_window
@@ -242,7 +241,6 @@ class ReplicationCoordinator:
         listener = self._listener
         if listener is None:
             return
-        listener.settimeout(0.2)
         while not self._stopping:
             try:
                 sock, _addr = listener.accept()

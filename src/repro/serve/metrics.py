@@ -1,8 +1,7 @@
 """Serving-layer instrumentation.
 
 ``ServeMetrics`` is the counters object every ``SnapshotRouter`` carries:
-how much traffic the compiled image absorbed, how often the shard plane
-bounced keys to the authoritative shadow path, how often an update had
+how much traffic the compiled image absorbed, how often an update had
 to recompile a sub-cell of the image rather than patch it, and what
 whole recompiles cost.  It is deliberately a plain mutable object — the
 serving hot loop bumps attributes directly — with ``to_dict``/``rows``
@@ -18,7 +17,7 @@ class ServeMetrics:
     """Counters for one ``SnapshotRouter`` instance."""
 
     __slots__ = (
-        "lookups_served", "batches_served", "overlay_lookups",
+        "lookups_served", "batches_served",
         "updates_applied", "read_retries", "replans",
         "snapshots_compiled", "last_recompile_seconds",
         "total_recompile_seconds",
@@ -30,7 +29,6 @@ class ServeMetrics:
     def __init__(self) -> None:
         self.lookups_served = 0          # keys answered
         self.batches_served = 0          # lookup_batch calls
-        self.overlay_lookups = 0         # keys the shard plane bounced
         self.updates_applied = 0         # announce + withdraw, lifetime
         self.read_retries = 0            # batches re-run after a patch
         self.replans: Dict[str, int] = {}  # sub-cell recompiles by reason
@@ -47,10 +45,9 @@ class ServeMetrics:
 
     # -- event hooks ---------------------------------------------------------
 
-    def record_batch(self, keys: int, overlay_keys: int) -> None:
+    def record_batch(self, keys: int) -> None:
         self.batches_served += 1
         self.lookups_served += keys
-        self.overlay_lookups += overlay_keys
 
     def record_update(self) -> None:
         self.updates_applied += 1
@@ -62,18 +59,10 @@ class ServeMetrics:
 
     # -- views --------------------------------------------------------------------
 
-    @property
-    def overlay_fraction(self) -> float:
-        """Share of served keys the shard plane bounced to the shadow path."""
-        if not self.lookups_served:
-            return 0.0
-        return self.overlay_lookups / self.lookups_served
-
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             name: getattr(self, name) for name in self.__slots__}
         payload["replans"] = dict(self.replans)
-        payload["overlay_fraction"] = round(self.overlay_fraction, 6)
         return payload
 
     def rows(self) -> List[Dict[str, object]]:

@@ -19,8 +19,9 @@ keeps the first equal to the second:
 * **Copies** of the served image go through one method, ``image_cut``:
   under the update lock it patches in any writes made around the router
   and hands the image to a render callback.  Checkpoints and shard
-  publishes are such copies.  A whole compile (``recompile``) runs only
-  at construction and after a recovery rebuild.
+  publishes are such copies, and so are the shard plane's word bursts
+  (``track_changes``).  A whole compile (``recompile``) runs only at
+  construction and after a recovery rebuild.
 
 So the served image equals a fresh compile of the live engine after
 every update (docs/SERVING.md), which only serves correct answers
@@ -45,7 +46,7 @@ from ..baselines.binary_trie import BinaryTrie
 from ..bloomier.filter import BloomierSetupError
 from ..bloomier.peeling import PeelStallError
 from ..bloomier.spillover import SpilloverCapacityError
-from ..core.batch import BatchLookup, _MISS, normalize_keys
+from ..core.batch import BatchLookup, WordTracker, _MISS, normalize_keys
 from ..core.chisel import ChiselLPM
 from ..core.events import CapacityError, UpdateKind
 from ..obs import LATENCY_BUCKETS, MetricsRegistry, get_registry
@@ -65,11 +66,10 @@ _READ_RETRIES = 3
 
 def overlay_mask(keys: np.ndarray, overlay: _OverlayArrays,
                  width: int) -> np.ndarray:
-    """True for keys covered by any changed (overlaid) prefix.
+    """True for keys covered by any of the ``overlay`` prefixes.
 
-    The shard plane's predicate: its workers serve a published segment
-    and bounce the keys under prefixes changed since that publish (the
-    coordinator's changed-prefix set) back to the writer.
+    Nothing in the package reads it any more (the shard plane ships
+    word bursts); it stays for the end-to-end benchmark's traced run.
     """
     mask = np.zeros(keys.shape, dtype=bool)
     for length, values in overlay:
@@ -116,27 +116,15 @@ _STATE_GAUGE = {
 
 @dataclass(frozen=True)
 class RecompilePolicy:
-    """When a ``ShardCoordinator`` over this router publishes a generation.
+    """Accepted by ``SnapshotRouter(policy=)`` and read by nothing.
 
-    The router's own image is patched per update and never needs a
-    policy; the shard plane's segments are not, so each batch bounces
-    the keys under changed prefixes back to the writer until the next
-    publish.
-
-    ``max_overlay``  publish once this many distinct prefixes changed
-                     (bounds the bounced slice of each batch).
-    ``max_age``      publish a stale generation older than this many
-                     seconds even if few prefixes changed (bounds how
-                     long maintenance state diverges from the segment).
+    The router's image is patched per update and the shard plane's
+    copies by word bursts, so no publish or recompile is ever due.  The
+    class stays only because the end-to-end benchmark still passes one.
     """
 
     max_overlay: int = 512
     max_age: float = 5.0
-
-    def due(self, changed: int, age: float, stale: bool) -> bool:
-        if changed >= self.max_overlay > 0:
-            return True
-        return age >= self.max_age and (changed > 0 or stale)
 
 
 def _serve_collector(router: "SnapshotRouter"):
@@ -188,8 +176,8 @@ class SnapshotRouter:
         self._recover_at = 0.0  # guarded-by: _lock
         self._clock = clock
         self._lock = threading.RLock()
-        self._journal = None  # guarded-by: _lock (persistence hook, see set_journal)
-        self._tracker = None  # guarded-by: _lock (shard plane, see track_changes)
+        self._journals: Tuple[Callable[..., None], ...] = ()  # guarded-by: _lock
+        self._tracker: Optional[WordTracker] = None  # guarded-by: _lock
         # Bumped under the lock before every change to the served image;
         # a lock-free batch that sees it move retries (seqlock).
         self._version = 0  # guarded-by: _lock
@@ -253,46 +241,59 @@ class SnapshotRouter:
 
     # -- persistence hooks -------------------------------------------------------
 
-    def set_journal(self, journal) -> None:
-        """Install (or clear) the durable-update journal.
+    def add_journal(self, journal: Callable[..., None]) -> None:
+        """Add a durable-update journal hook after those installed.
 
         ``journal(op, prefix_value, prefix_length, gateway, interface)``
         is called under the update lock after every route change
         *applies* — announce (healthy, absorbed-retry and degraded
         alike) and effective withdraw — so the journaled order is
         exactly the application order, which is what makes log replay
-        deterministic (see repro.store).  Journal exceptions propagate
-        to the updater: an update that could not be made durable must
-        not be silently acknowledged.
+        deterministic (see repro.store).  Hooks run in the order added;
+        an exception propagates to the updater: an update that could not
+        be made durable must not be silently acknowledged.  Each
+        consumer (store, replication) removes only its own hook.
         """
         with self._lock:
-            self._journal = journal
+            self._journals += (journal,)
+
+    def remove_journal(self, journal: Callable[..., None]) -> None:
+        """Remove one hook (a bound method matches itself); the others stay."""
+        with self._lock:
+            self._journals = tuple(
+                hook for hook in self._journals if hook != journal)
+
+    def set_journal(self, journal: Optional[Callable[..., None]]) -> None:
+        """Replace every hook by ``journal`` (None clears all); a wrapper
+        of :attr:`journal` installed so owns the hooks it calls."""
+        with self._lock:
+            self._journals = () if journal is None else (journal,)
 
     @property
-    def journal(self):
-        """The installed journal hook (or None).
-
-        Lets a second persistence consumer — the replication
-        coordinator — chain onto an already-attached store hook instead
-        of silently displacing it: read the current hook, install a
-        wrapper that calls both.
-        """
+    def journal(self) -> Optional[Callable[..., None]]:
+        """The installed hooks as one callable (None when there are none)."""
         with self._lock:
-            return self._journal
+            hooks = self._journals
+
+        def journal(*record) -> None:
+            for hook in hooks:
+                hook(*record)
+
+        return journal if hooks else None
 
     def _journal_update(self, op: str, prefix: Prefix,
                         gateway: str = "", interface: str = "") -> None:
-        """Emit one journal record (lock held)."""
-        if self._journal is not None:
-            self._journal(op, prefix.value, prefix.length, gateway, interface)
+        """Emit one journal record to every hook (lock held)."""
+        for hook in self._journals:
+            hook(op, prefix.value, prefix.length, gateway, interface)
 
-    def track_changes(self, tracker) -> None:
-        """Install (or clear) the shard plane's changed-prefix tracker.
+    def track_changes(self, tracker: Optional[WordTracker]) -> None:
+        """Install (or, with None, clear) the shard plane's word tracker.
 
-        While one is installed, ``tracker.add(prefix)`` runs under the
-        update lock for every announce and withdraw; its owner (the
-        ``ShardCoordinator``) clears it when a publish commits.  One
-        shard plane per router: installing replaces any previous one.
+        Every patch of the served image feeds it under the update lock
+        (``BatchLookup.patch``), and a whole image swapped in sets its
+        ``resync``; its owner reads and clears it inside ``image_cut``.
+        One shard plane per router: installing replaces any previous one.
         """
         with self._lock:
             self._tracker = tracker
@@ -307,7 +308,7 @@ class SnapshotRouter:
         needs: the next update patches the image in place.  Returns
         ``(rendered, healthy)``; nothing is rendered unless HEALTHY, so
         a copy never carries tables the router stopped trusting.
-        Checkpoints and shard publishes are cut here.
+        Checkpoints, shard publishes and shard bursts are cut here.
         """
         with self._lock:
             if self._state is not RouterState.HEALTHY:
@@ -351,7 +352,7 @@ class SnapshotRouter:
                 return self._absorb_announce_failure(
                     resolved, gateway, interface, error
                 )
-            self._applied(resolved)
+            self._applied()
             self._journal_update("announce", resolved, gateway, interface)
         return kind
 
@@ -373,10 +374,9 @@ class SnapshotRouter:
                 # The route was removed and its reference released before
                 # the purge/rebuild blew up; only serving trust is lost.
                 self._degrade(f"withdraw-triggered maintenance: {error}")
-                self._track(resolved)
                 self._journal_update("withdraw", resolved)
                 return UpdateKind.WITHDRAW
-            self._applied(resolved)
+            self._applied()
             if kind is not None:
                 self._journal_update("withdraw", resolved)
         return kind
@@ -401,7 +401,7 @@ class SnapshotRouter:
             "serve_setup_failure_absorbed",
             prefix=str(prefix), error=str(error),
         )
-        self._applied(prefix)
+        self._applied()
         self._journal_update("announce", prefix, gateway, interface)
         return kind
 
@@ -426,7 +426,6 @@ class SnapshotRouter:
         if old_id is not None:
             self.fib.next_hops.release(old_id)
         self.metrics.degraded_updates += 1
-        self._track(prefix)
         self._journal_update("announce", prefix, gateway, interface)
         return UpdateKind.NEXT_HOP if old_id is not None else UpdateKind.ADD_PC
 
@@ -437,20 +436,13 @@ class SnapshotRouter:
             return None
         self.fib.next_hops.release(removed)
         self.metrics.degraded_updates += 1
-        self._track(prefix)
         self._journal_update("withdraw", prefix)
         return UpdateKind.WITHDRAW
 
-    def _applied(self, prefix: Prefix) -> None:
+    def _applied(self) -> None:
         """An update reached the engine: patch the image (lock held)."""
-        self._track(prefix)
         self.metrics.record_update()
         self._apply_burst()
-
-    def _track(self, prefix: Prefix) -> None:
-        """Tell the shard plane's tracker, if any, a route changed (lock held)."""
-        if self._tracker is not None:
-            self._tracker.add(prefix)
 
     def _apply_burst(self) -> None:
         """Copy the words the engine logged into the served image (lock held).
@@ -461,7 +453,7 @@ class SnapshotRouter:
         """
         self._version += 1
         try:
-            replans = self._snapshot.patch()
+            replans = self._snapshot.patch(self._tracker)
         except Exception as error:
             self._degrade(f"image patch failed: {error}")
             return
@@ -499,7 +491,7 @@ class SnapshotRouter:
                 if self._state is not RouterState.HEALTHY:
                     return self._degraded_batch(key_array)
                 result = self._snapshot.lookup_keys(key_array)
-        self.metrics.record_batch(len(key_array), 0)
+        self.metrics.record_batch(len(key_array))
         return result
 
     def lookup_many(self, keys) -> List[Optional[int]]:
@@ -529,13 +521,13 @@ class SnapshotRouter:
             answer = lookup(int(key_array[position]))
             if answer is not None:
                 result[position] = answer
-        self.metrics.record_batch(len(key_array), 0)
+        self.metrics.record_batch(len(key_array))
         self.metrics.degraded_lookups += len(key_array)
         return result
 
     def overlay_arrays(self) -> _OverlayArrays:
-        """Always empty: the served image is current after every update
-        (the shard plane's changed-prefix set lives in its coordinator)."""
+        """Always empty: the served image is current after every update.
+        Read by nothing in the package; the end-to-end benchmark calls it."""
         return []
 
     # -- degradation and recovery --------------------------------------------------------
@@ -655,7 +647,7 @@ class SnapshotRouter:
 
     @property
     def overlay_size(self) -> int:
-        """Always 0: no changed prefix is ever pending (see ``overlay_arrays``)."""
+        """Always 0, like ``overlay_arrays``; kept for the same reader."""
         return 0
 
     def recompile(self, post_compile=None, commit=None,
@@ -708,6 +700,8 @@ class SnapshotRouter:
         self._version += 1
         snapshot.bind(self.fib.engine)
         self._snapshot = snapshot
+        if self._tracker is not None:
+            self._tracker.resync_for("swap")
         self._compiled_at = self._clock()
         elapsed = self._compiled_at - started
         self.metrics.record_recompile(elapsed)

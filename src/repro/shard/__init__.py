@@ -10,14 +10,15 @@ across processes without copying tables per worker:
 * ``ControlBlock`` (control) is the generation fence: a seqlock publish
   word naming the current segment, plus per-worker ack slots.
 * ``worker_main`` (worker) is the reader loop each ``ShardWorker``
-  process runs: re-attach on generation change, serve key slices,
-  bounce keys under changed prefixes back to the writer.
-* ``ShardCoordinator`` (coordinator) is the single writer: it owns the
-  set of prefixes changed since its last publish, partitions batches
-  across workers, re-answers the bounced keys from the router's served
-  image, and publishes each generation as a copy of that image, cut
-  under the router's update lock so no update or scrub repair lands
-  mid-export.
+  process runs: re-attach on generation change, write each batch's word
+  burst into private copies of the tables it touches, serve key slices.
+* ``ShardCoordinator`` (coordinator) is the single writer: each batch
+  starts with one cut of the router's served image, under its update
+  lock, that reads the words patched since the last cut into a burst
+  for every worker — or, when a burst cannot carry the change (a
+  replan, an image swap, an overflowing tracker) or a worker was
+  respawned, publishes a copy of the whole image as a new generation.
+  It partitions batches across workers and owns their lifecycle.
 
 See docs/SHARDING.md for the full protocol and failure-mode table.
 """

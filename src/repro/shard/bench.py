@@ -27,7 +27,7 @@ from ..core import ChiselConfig
 from ..core.updates import UpdateOp
 from ..prefix.table import RoutingTable
 from ..router import ForwardingEngine
-from ..serve import RecompilePolicy, SnapshotRouter
+from ..serve import SnapshotRouter
 from ..verify import Oracle, apply_update, keys_under
 from ..workloads.synthetic import synthetic_table
 from ..workloads.traces import synthesize_trace
@@ -53,7 +53,7 @@ def _bench_one(worker_count: int, table: RoutingTable,
                batch_size: int, churn: int, seed: int, repeats: int = 3,
                config: Optional[ChiselConfig] = None) -> Dict[str, object]:
     fib = ForwardingEngine.from_table(table, config=config)
-    router = SnapshotRouter(fib, RecompilePolicy(max_overlay=64))
+    router = SnapshotRouter(fib)
     rng = random.Random(seed)
     keys = np.array(
         [rng.getrandbits(table.width) for _ in range(batch_size)],
@@ -75,7 +75,6 @@ def _bench_one(worker_count: int, table: RoutingTable,
                     apply_update(router, op)
                 position += churn
                 coordinator.lookup_batch(keys)
-                coordinator.maybe_publish()
             elapsed = min(elapsed, time.perf_counter() - started)
         # Differential gates (outside the timed loop): the sharded plane
         # must answer exactly like the single-process router it wraps,

@@ -25,6 +25,9 @@ Segments are **immutable after export**: a new generation is a new
 segment, never an in-place rewrite — that is what makes the generation
 fence in :mod:`repro.shard.control` sufficient for consistency (no reader
 can ever observe a torn table, only an old-but-internally-consistent one).
+A worker that applies word bursts copies the tables they touch into its
+own memory first (``FlatSubCellPlan.write_burst``); the views stay
+read-only.
 
 The encode/decode core is split buffer-agnostic on purpose:
 :func:`encode_image` + :class:`SnapshotImage` operate over any writable /
@@ -172,8 +175,9 @@ class SharedBatchLookup(BatchLookup):
 
     Behaviourally identical to the snapshot it was exported from (the
     differential suite in tests/test_shard.py is the gate).  A shard
-    segment is immutable and has no engine (``stale`` is False; the
-    generation fence signals staleness); a cold start binds the engine
+    segment is immutable and has no engine (``stale`` is False): a
+    worker keeps it current with word bursts, written into private
+    copies of the tables they touch.  A cold start binds the engine
     unpickled beside a checkpoint and patches the views.
     """
 
@@ -515,8 +519,8 @@ class SharedSnapshot(SnapshotImage):
         return cls(shm, encoded.header, encoded.payload_start, owner=True)
 
     @classmethod
-    def attach(cls, name: str, verify: bool = True) -> "SharedSnapshot":
-        """Attach to a published segment by name and validate it.
+    def attach(cls, name: str) -> "SharedSnapshot":
+        """Attach to a published segment by name and verify it.
 
         Attaching re-registers the name with the process tree's shared
         ``resource_tracker`` — a no-op (the tracker's cache is a set) as
@@ -530,8 +534,7 @@ class SharedSnapshot(SnapshotImage):
             header, payload_start = parse_image_header(
                 shm.buf, context=f"segment {name}")
             snapshot = cls(shm, header, payload_start, owner=False)
-            if verify:
-                snapshot.verify()
+            snapshot.verify()
             return snapshot
         except Exception:
             shm.close()

@@ -1,31 +1,30 @@
 """``ShardCoordinator`` — the single writer of the sharded serving plane.
 
-Wraps a ``SnapshotRouter`` and fans its compiled snapshots out to N
-worker processes over shared memory:
+Wraps a ``SnapshotRouter`` and keeps N worker processes' copies of its
+served image current, over shared memory:
 
-* **changed prefixes**: a published segment is frozen, while the
-  router's own image is patched per update.  The coordinator therefore
-  owns a :class:`ChangedPrefixes` set, registered with the router
-  (``track_changes``), which the router fills under its update lock and
-  a publish clears.
-* **publish** copies the router's served image — never a fresh compile
-  of the engine's tables — inside ``SnapshotRouter.image_cut``: the
-  export, the control-block publish and the changed-prefix clear happen
-  in one critical section under the router's update lock, so no update
-  or scrub repair can land mid-export, and a table word corrupted
-  behind the router's back is never published (tests/test_shard.py).
-* **lookup_batch** partitions each key batch round-robin across the
-  workers, scatters their answers back, and re-answers the keys under
-  changed prefixes (which the workers bounce) from the router's served
-  image — so the sharded plane answers exactly like the single-process
-  router and is differential-testable against it.
+* **one cut per batch**: under the router's update lock,
+  ``SnapshotRouter.image_cut`` reads the
+  :class:`~repro.core.batch.WordTracker` every patch of the router's
+  image feeds (``track_changes``) out into a **burst** — the words
+  patched since the last cut and their current values (§4.4's
+  "transfer the modified portions of the data structure").  Every
+  worker writes it into its plans before answering, so the plane
+  answers exactly like the router at the cut.
+* **publish** copies the served image into a new segment inside the
+  cut when a burst cannot carry the change (a replan, a grown
+  sub-cell, a swapped image, a tracker past the ``WriteLog`` overflow
+  rule), after a worker respawn, and on ``publish()``; never
+  otherwise.  It never compiles the engine's tables, so a table word
+  corrupted behind the router's back is never published.
 * **the fence**: an old generation's segment is retired only after every
   live worker's control-block ack reaches the new generation; dead
   workers are respawned (and attach the current generation on startup,
   never a stale one).
-* **degraded serving**: while the router is not HEALTHY the coordinator
-  stops dispatching and serves through the router's exact trie fallback —
-  workers keep the last healthy generation mapped but receive no traffic.
+* **degraded serving**: while the router is not HEALTHY the cut is
+  refused, so the coordinator serves through the router's exact trie
+  fallback — workers keep the last healthy generation mapped but
+  receive no traffic until recovery's image swap publishes.
 
 Single-threaded by design: one coordinator thread both publishes and
 serves (interleaving them is the caller's loop), which keeps the writer
@@ -39,20 +38,16 @@ import multiprocessing
 import os
 import time
 from queue import Empty
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.batch import _MISS, BatchLookup, normalize_keys
+from ..core.batch import _MISS, BatchLookup, BurstCell, WordTracker, normalize_keys
 from ..obs import LATENCY_BUCKETS, get_registry
-from ..prefix.prefix import Prefix
 from ..serve.snapshot import RouterState, SnapshotRouter, _STATE_GAUGE
 from .codec import SharedSnapshot
 from .control import ControlBlock
 from .names import fresh_nonce, reap_stale_segments, segment_name
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.store import SnapshotStore
 from .worker import (
     RESULT_BATCH,
     RESULT_ERROR,
@@ -66,70 +61,30 @@ from .worker import (
 #: Poll interval while waiting on worker results / fence acks.
 _POLL_SECONDS = 0.05
 
+#: A burst as the workers receive it: the generation it was cut
+#: against, and its cells.
+Burst = Tuple[int, List[BurstCell]]
+
 
 class ShardError(RuntimeError):
     """The sharded plane could not complete an operation."""
-
-
-class ChangedPrefixes:
-    """Prefixes changed since the shard plane's last publish.
-
-    The router calls :meth:`add` under its update lock; the coordinator
-    reads :meth:`arrays` under the same lock and clears the set when a
-    publish commits.  The arrays are rebuilt, never mutated, so a batch
-    may carry them to the workers after the lock is released.
-    """
-
-    def __init__(self) -> None:
-        self._by_length: Dict[int, set] = {}
-        self._size = 0
-        self._arrays: Optional[List] = None
-
-    def add(self, prefix: Prefix) -> None:
-        values = self._by_length.setdefault(prefix.length, set())
-        if prefix.value not in values:
-            values.add(prefix.value)
-            self._size += 1
-            self._arrays = None
-
-    def clear(self) -> None:
-        self._by_length.clear()
-        self._size = 0
-        self._arrays = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def arrays(self) -> List:
-        """(length, sorted uint64 values) pairs, as ``overlay_mask`` reads."""
-        if self._arrays is None:
-            self._arrays = [
-                (length, np.array(sorted(values), dtype=np.uint64))
-                for length, values in sorted(self._by_length.items())
-                if values
-            ]
-        return self._arrays
 
 
 class ShardCoordinator:
     """Single-writer coordinator over N shard worker processes."""
 
     def __init__(self, router: SnapshotRouter, workers: int = 2,
-                 start_method: Optional[str] = None,
                  batch_timeout: float = 60.0,
-                 ack_timeout: float = 30.0,
-                 store: Optional["SnapshotStore"] = None) -> None:
+                 ack_timeout: float = 30.0) -> None:
         if workers < 1:
             raise ValueError("need at least one shard worker")
         self.router = router
         self.workers = workers
         self.batch_timeout = batch_timeout
         self.ack_timeout = ack_timeout
-        self.store = store
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         # Reap segments stranded by previous coordinators whose process
         # died without running close() — identified by the chz- name
         # convention plus a dead owning pid.  Best-effort by design.
@@ -137,11 +92,7 @@ class ShardCoordinator:
         self._nonce = fresh_nonce()
         self._generation = 0  # guarded-by: single-writer
         self._segment: Optional[SharedSnapshot] = None  # guarded-by: single-writer
-        self._changes = ChangedPrefixes()
-        #: Engine ``words_written`` and router clock at the last publish
-        #: (the segment's staleness and age).
-        self._published_words = 0  # guarded-by: single-writer
-        self._published_at = 0.0  # guarded-by: single-writer
+        self._tracker = WordTracker()
         self._stale_segments: List[SharedSnapshot] = []  # guarded-by: single-writer
         self._control = ControlBlock.create(
             workers, name=segment_name("ctl", self._nonce))
@@ -162,10 +113,6 @@ class ShardCoordinator:
             "shard_batches_total", "key batches served by the shard plane")
         self._obs_lookups = registry.counter(
             "shard_lookups_total", "keys answered by the shard plane")
-        self._obs_overlay = registry.counter(
-            "shard_overlay_patched_total",
-            "keys under changed prefixes re-answered from the router's image",
-        )
         self._obs_publishes = registry.counter(
             "shard_publishes_total", "generations published to workers")
         self._obs_respawns = registry.counter(
@@ -191,8 +138,8 @@ class ShardCoordinator:
         ]
         self._obs_worker_count.set(workers)
         # Bootstrap: publish the router's served image before any worker
-        # exists; every update from the cut on lands in the set.
-        self.router.track_changes(self._changes)
+        # exists; every word patched from the cut on lands in the tracker.
+        self.router.track_changes(self._tracker)
         self.publish()
         if self._segment is None:
             self.close()
@@ -219,13 +166,16 @@ class ShardCoordinator:
         self._processes[worker_id] = process
 
     def ensure_workers(self) -> int:
-        """Respawn any dead workers; returns how many were respawned.
+        """Respawn any dead workers, then publish; returns how many were
+        respawned.  A respawned worker attaches the generation the control
+        block names, without the bursts its predecessor applied: the
+        publish brings every worker to one image."""
+        respawned = self._respawn_dead()
+        if respawned:
+            self.publish()
+        return respawned
 
-        A respawned worker attaches the generation currently named by the
-        control block on startup — it can never come back serving a
-        retired generation (the codec's attach verifies both the name and
-        the embedded generation number).
-        """
+    def _respawn_dead(self) -> int:
         respawned = 0
         for worker_id, process in enumerate(self._processes):
             if process is not None and process.is_alive():
@@ -265,32 +215,31 @@ class ShardCoordinator:
 
         Input normalization matches ``BatchLookup.lookup_batch``: 1-D,
         scalars accepted, negative/oversized keys rejected with a clear
-        ``ValueError`` before anything is enqueued to a worker.
+        ``ValueError`` before anything is enqueued to a worker.  Answers
+        are the router's image's at this call's cut.
         """
         key_array = np.ascontiguousarray(
             normalize_keys(keys, self.router.width))
         if not len(key_array):
             return np.empty(0, dtype=np.int64)
-        if self.router.state is not RouterState.HEALTHY:
+        healthy, burst = self._cut(whole=False)
+        if not healthy:
             # Degraded: the workers' tables are no longer trustworthy;
             # serve exactly through the router's trie fallback.
             self._control.set_state(_STATE_GAUGE[self.router.state])
             return self.router.lookup_batch(key_array)
         self._control.set_state(_STATE_GAUGE[RouterState.HEALTHY])
-        with self.router._lock:
-            overlay = self._changes.arrays()
         parts = self._partition(key_array)
         self._batch_counter += 1
         batch_id = self._batch_counter
         pending: Dict[int, np.ndarray] = {}
         for worker_id, indices in enumerate(parts):
-            if len(indices):
+            # Every worker takes every burst, even with no keys to answer.
+            if len(indices) or burst is not None:
                 pending[worker_id] = indices
                 self._tasks[worker_id].put(
-                    (TASK_BATCH, batch_id, key_array[indices], overlay)
-                )
+                    (TASK_BATCH, batch_id, key_array[indices], burst))
         out = np.full(len(key_array), _MISS, dtype=np.int64)
-        unresolved_chunks: List[np.ndarray] = []
         deadline = time.monotonic() + self.batch_timeout
         while pending:
             try:
@@ -298,9 +247,7 @@ class ShardCoordinator:
             except Empty:
                 message = None
             if message is not None:
-                self._handle_result(
-                    message, batch_id, pending, out, unresolved_chunks
-                )
+                self._handle_result(message, batch_id, pending, out)
                 continue
             if time.monotonic() > deadline:
                 raise ShardError(
@@ -308,33 +255,31 @@ class ShardCoordinator:
                     f"answer within {self.batch_timeout}s"
                 )
             # No result yet: respawn any dead workers and re-dispatch
-            # their slices (crash recovery).
-            if self.ensure_workers():
-                for worker_id in list(pending):
-                    process = self._processes[worker_id]
-                    if process is None or not process.is_alive():
-                        continue
-                    self._tasks[worker_id].put((
-                        TASK_BATCH, batch_id,
-                        key_array[pending[worker_id]], overlay,
-                    ))
-        overlay_patched = 0
-        if unresolved_chunks:
-            patch_indices = np.concatenate(unresolved_chunks)
-            overlay_patched = len(patch_indices)
-            out[patch_indices] = self.router.lookup_batch(
-                key_array[patch_indices])
+            # their slices (crash recovery).  The respawn published a
+            # generation past the burst, which the new worker skips.
+            if not self.ensure_workers():
+                continue
+            if self.router.state is not RouterState.HEALTHY:
+                # No generation holds the burst: the router answers.
+                for indices in pending.values():
+                    out[indices] = self.router.lookup_batch(
+                        key_array[indices])
+                break
+            for worker_id in list(pending):
+                process = self._processes[worker_id]
+                if process is None or not process.is_alive():
+                    continue
+                self._tasks[worker_id].put((
+                    TASK_BATCH, batch_id, key_array[pending[worker_id]],
+                    burst,
+                ))
         self._obs_batches.inc()
         self._obs_lookups.inc(len(key_array))
-        self._obs_overlay.inc(overlay_patched)
-        # The router's lookup_batch counted the bounced keys as served.
-        self.router.metrics.record_batch(len(key_array) - overlay_patched,
-                                         overlay_patched)
         return out
 
     def _handle_result(self, message: Any, batch_id: int,
-                       pending: Dict[int, np.ndarray], out: np.ndarray,
-                       unresolved_chunks: List[np.ndarray]) -> None:
+                       pending: Dict[int, np.ndarray],
+                       out: np.ndarray) -> None:
         kind = message[0]
         if kind == RESULT_ERROR:
             _kind, worker_id, detail = message
@@ -347,8 +292,8 @@ class ShardCoordinator:
             return
         if kind != RESULT_BATCH:
             return
-        (_kind, worker_id, result_batch, generation, answers, unresolved,
-         elapsed, served) = message
+        (_kind, worker_id, result_batch, generation, answers, elapsed,
+         served) = message
         self.generation_history[worker_id].append(int(generation))
         if result_batch != batch_id or worker_id not in pending:
             # A stale duplicate from a timeout re-dispatch; the answers
@@ -356,8 +301,6 @@ class ShardCoordinator:
             return
         indices = pending.pop(worker_id)
         out[indices] = answers
-        if len(unresolved):
-            unresolved_chunks.append(indices[unresolved])
         self._obs_batch_seconds.observe(elapsed)
         if elapsed > 0:
             self._obs_worker_rate[worker_id].set(
@@ -385,63 +328,48 @@ class ShardCoordinator:
         self._control.publish(segment.generation, segment.name)
         self._obs_publishes.inc()
         self._obs_generation.set(segment.generation)
-        if self.store is not None:
-            # Anchor the shared-memory generation in the durable log and
-            # let the store cut a checkpoint if its policy says one is
-            # due (publish boundaries are natural checkpoint boundaries).
-            self.store.note_publish(segment.generation)
 
     def publish(self) -> float:
-        """Copy the router's served image into a new generation.
-
-        The export, the control-block publish, the changed-prefix clear
-        and the staleness marks run in one ``SnapshotRouter.image_cut``,
-        under the router's update lock: the segment is exactly the image
-        the router serves, and every update after the cut lands in the
-        cleared set.  The fence then runs outside the lock (at bootstrap
-        there is no worker to fence).  Returns the seconds taken; 0.0,
-        publishing nothing, while the router is not HEALTHY.
-        """
+        """Copy the router's served image into a new generation; returns
+        the seconds taken (0.0, publishing nothing, unless HEALTHY)."""
         started = time.perf_counter()
-        _segment, healthy = self.router.image_cut(self._commit)
+        healthy, _burst = self._cut(whole=True)
         if not healthy:
             return 0.0
-        if any(process is not None for process in self._processes):
-            self._fence()
         return time.perf_counter() - started
 
-    def _commit(self, image: BatchLookup) -> SharedSnapshot:
-        """Export ``image`` as the next generation (router lock held)."""
-        generation = self._generation + 1
-        segment = SharedSnapshot.export(
-            image, generation, name=self._segment_name(generation))
-        self._changes.clear()
-        self._published_words = self.router.fib.engine.words_written()
-        self._published_at = self.router._clock()
-        self._install(segment)
-        return segment
+    def _cut(self, whole: bool) -> Tuple[bool, Optional[Burst]]:
+        """One ``SnapshotRouter.image_cut``; returns ``(healthy, burst)``,
+        the burst None if nothing changed or the cut published (the new
+        segment is installed and fenced here, outside the router's lock)."""
+        cut, healthy = self.router.image_cut(
+            lambda image: self._render(image, whole))
+        if not isinstance(cut, SharedSnapshot):
+            return healthy, cut
+        self._install(cut)
+        if any(process is not None for process in self._processes):
+            self._fence()
+        return healthy, None
 
-    def maybe_publish(self) -> bool:
-        """Publish if the router's ``RecompilePolicy`` says one is due.
-
-        The policy weighs the changed-prefix count, the segment's age,
-        and whether any word changed since the last publish (a scrub
-        repair, say).  While degraded this delegates to the router's
-        recovery heartbeat instead (``SnapshotRouter.maybe_recompile``);
-        the next healthy ``publish`` re-arms the worker fleet.
+    def _render(self, image: BatchLookup,
+                whole: bool) -> Union[SharedSnapshot, Burst, None]:
+        """Cut ``image`` (router lock held): the tracker's words as a
+        burst, or the image exported as the next generation when
+        ``whole`` or the tracker owes a resync.  Clearing the tracker in
+        the same critical section sends every later word to the next cut.
         """
-        with self.router._lock:
-            if self.router.state is not RouterState.HEALTHY:
-                return self.router.maybe_recompile()
-            due = self.router.policy.due(
-                len(self._changes),
-                self.router._clock() - self._published_at,
-                self.router.fib.engine.words_written()
-                != self._published_words,
-            )
-        if due:
-            self.publish()
-        return due
+        tracker = self._tracker
+        cut: Union[SharedSnapshot, Burst, None] = None
+        if whole or tracker.resync is not None:
+            generation = self._generation + 1
+            cut = SharedSnapshot.export(
+                image, generation, name=self._segment_name(generation))
+        else:
+            cells = tracker.burst(image)
+            if cells:
+                cut = (self._generation, cells)
+        tracker.clear()
+        return cut
 
     def _fence(self) -> None:
         """Retire superseded segments once every worker acked the swap."""
@@ -460,10 +388,9 @@ class ShardCoordinator:
                     acks=[int(a) for a in self._control.acks()],
                 )
                 return
-            if self.ensure_workers():
-                # A respawned worker attaches (and acks) the current
-                # generation during startup; nothing to re-send.
-                pass
+            # A worker respawned here attaches (and acks) the generation
+            # being fenced, which no burst has been cut against yet.
+            self._respawn_dead()
             time.sleep(_POLL_SECONDS / 10)
         for segment in self._stale_segments:
             segment.retire()

@@ -10,10 +10,10 @@ from the reader side:
   checksum) and acks the new generation *before* serving — so no batch
   is ever answered from a generation older than the one current at
   dispatch time (the coordinator publishes before it dispatches);
-* keys covered by the batch's overlay arrays (the prefixes changed since
-  the segment was published, which it cannot be trusted for) are *not*
-  answered here — their indices go back to the coordinator, which
-  re-answers them from the router's served image;
+* then the batch's burst, the words the router patched since its last
+  cut, is written into private copies of the tables it touches
+  (``BatchLookup.write_burst``) — unless it was cut against an older
+  generation, which the attached segment already holds;
 * counters (keys served, serve seconds, generation) ride every result
   message and are folded into the ``repro.obs`` registry by the
   coordinator — workers never touch the registry themselves, so the
@@ -31,10 +31,7 @@ import time
 from queue import Empty
 from typing import Any, Optional
 
-import numpy as np
-
 from ..core.batch import normalize_keys
-from ..serve.snapshot import overlay_mask
 from .codec import SharedBatchLookup, SharedSnapshot, SnapshotIntegrityError
 from .control import ControlBlock
 
@@ -100,7 +97,7 @@ class _WorkerRuntime:
             # successor generation.
             generation, name, _state = self.control.read()
             try:
-                segment = SharedSnapshot.attach(name, verify=True)
+                segment = SharedSnapshot.attach(name)
             except _ATTACH_TRANSIENTS as error:
                 last_error = error
                 time.sleep(backoff)
@@ -172,22 +169,21 @@ def worker_main(worker_id: int, control_name: str, task_queue: Any,
                 continue
             if kind != TASK_BATCH:
                 raise ValueError(f"unknown shard task kind {kind!r}")
-            _kind, batch_id, keys, overlay = task
+            _kind, batch_id, keys, burst = task
             lookup = runtime.ensure_current()
             started = time.perf_counter()
+            if burst and burst[0] == runtime.generation:
+                lookup.write_burst(burst[1])
             # Same normalization as every other batch entry point: a bad
             # key batch must raise a clear ValueError here (reported via
             # RESULT_ERROR) instead of an opaque OverflowError or a 0-d
             # crash deep inside the datapath.
             key_array = normalize_keys(keys, lookup.width)
             answers = lookup.lookup_keys(key_array)
-            unresolved = np.flatnonzero(
-                overlay_mask(key_array, overlay, lookup.width)
-            ) if overlay else np.empty(0, dtype=np.int64)
             elapsed = time.perf_counter() - started
             result_queue.put((
                 RESULT_BATCH, worker_id, batch_id, runtime.generation,
-                answers, unresolved, elapsed, len(key_array),
+                answers, elapsed, len(key_array),
             ))
     except KeyboardInterrupt:
         return 130

@@ -110,7 +110,7 @@ class RecoveryReport:
 @dataclass
 class _RecoveredState:
     checkpoint: MappedCheckpoint
-    lookup: Optional[SharedBatchLookup]
+    lookup: SharedBatchLookup
     generation: int
     checkpoint_seq: int
     fib_blob: bytes
@@ -210,7 +210,7 @@ def _recover_state(directory: str) -> _RecoveredState:
     for generation in reversed(generations):
         path = checkpoint_path(directory, generation)
         try:
-            checkpoint = load_checkpoint(path, verify=True)
+            checkpoint = load_checkpoint(path)
         except CheckpointCorruptError as error:
             rejected.append(str(error))
             refused.inc()
@@ -318,9 +318,6 @@ def cold_start(directory: str,
     the log tail through the live update path (each update patches the
     mapped image), re-attach the journal and — by default — cut a fresh
     checkpoint so repeated crash/boot cycles never accumulate tail.
-    A checkpoint whose header lists overlay tables was cut while its
-    writer still kept an overlay: its image predates those changes, so
-    the router compiles from the FIB blob instead of serving the mapping.
 
     Failure path: bounded retries with exponential backoff around the
     whole recovery, then degrade to a full recompile from ``bootstrap``
@@ -385,15 +382,7 @@ def cold_start(directory: str,
         raise RecoveryError(
             f"checkpoint generation {state.generation}: FIB blob failed "
             f"to unpickle: {error}") from error
-    checkpoint: Optional[MappedCheckpoint] = state.checkpoint
-    meta = state.checkpoint.header["meta"]
-    if isinstance(meta, dict) and meta.get("overlay_lengths"):
-        router = SnapshotRouter(fib)
-        state.lookup = None
-        state.checkpoint.close()
-        checkpoint = None
-    else:
-        router = SnapshotRouter(fib, initial_snapshot=state.lookup)
+    router = SnapshotRouter(fib, initial_snapshot=state.lookup)
     _replay_tail(router, fib, state, report)
     report.replay_seconds = time.perf_counter() - started
     replay_hist.observe(report.replay_seconds)
@@ -421,4 +410,4 @@ def cold_start(directory: str,
             seq=state.seq, log_valid_length=state.tail_valid_length,
             policy=policy, sync=sync, capture_deltas=capture_deltas)
     return BootResult(router=router, store=store, report=report,
-                      checkpoint=checkpoint)
+                      checkpoint=state.checkpoint)

@@ -15,10 +15,7 @@ carries:
 The image is rendered to bytes (:func:`render_checkpoint`) under the
 router's update lock (``SnapshotRouter.persistence_cut``), since updates
 patch the served image in place; only the file write
-(:func:`write_image`) runs outside it.  A checkpoint cut while the
-router still kept an overlay lists it in its header
-(``meta.overlay_lengths``, ``ov*`` tables); :mod:`repro.store.boot`
-compiles such a checkpoint from its FIB blob.
+(:func:`write_image`) runs outside it.
 
 Durability protocol (each step a :func:`crashpoint`)::
 
@@ -188,13 +185,12 @@ class MappedCheckpoint(SnapshotImage):
                 pass
 
 
-def load_checkpoint(path: str, verify: bool = True) -> MappedCheckpoint:
-    """Map and (by default) checksum-verify one checkpoint file."""
+def load_checkpoint(path: str) -> MappedCheckpoint:
+    """Map and checksum-verify one checkpoint file."""
     checkpoint = MappedCheckpoint(path)
-    if verify:
-        try:
-            checkpoint.verify()
-        except CheckpointCorruptError:
-            checkpoint.close()
-            raise
+    try:
+        checkpoint.verify()
+    except CheckpointCorruptError:
+        checkpoint.close()
+        raise
     return checkpoint

@@ -37,7 +37,7 @@ from ..obs import LATENCY_BUCKETS, get_registry
 from .checkpoint import fsync_directory, render_checkpoint, write_image
 from .crashpoints import crashpoint
 from .deltalog import DeltaLog
-from .records import ANNOUNCE, PUBLISH, WITHDRAW, LogRecord, encode_record
+from .records import ANNOUNCE, WITHDRAW, LogRecord, encode_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.snapshot import SnapshotRouter
@@ -168,7 +168,7 @@ class SnapshotStore:
         store.checkpoint()
         if capture_deltas:
             store._mirror = HardwareImage.snapshot(router.fib.engine)
-        router.set_journal(store.record_update)
+        router.add_journal(store.record_update)
         return store
 
     @classmethod
@@ -197,7 +197,7 @@ class SnapshotStore:
         )
         if capture_deltas:
             store._mirror = HardwareImage.snapshot(router.fib.engine)
-        router.set_journal(store.record_update)
+        router.add_journal(store.record_update)
         store._obs_generation.set(store._generation)
         store._obs_seq.set(store._seq)
         return store
@@ -242,20 +242,6 @@ class SnapshotStore:
                  if self._mirror is not None else None)
         self._mirror = current
         return delta
-
-    def note_publish(self, generation: int) -> bool:
-        """Journal a shard publish marker, then checkpoint if due.
-
-        Returns True when a checkpoint was cut.  Markers do not consume
-        update sequence numbers — replay skips them — but they anchor
-        the shared-memory generation timeline in the durable log.
-        """
-        if self._closed or self._log is None:
-            raise StoreError(f"store {self.directory} is not accepting "
-                             f"records (closed or unattached)")
-        record = LogRecord(op=PUBLISH, seq=self._seq, generation=generation)
-        self._log.append(encode_record(record))
-        return self.maybe_checkpoint()
 
     # -- checkpointing -------------------------------------------------------
 
@@ -337,13 +323,16 @@ class SnapshotStore:
         return self._records_since_checkpoint
 
     def close(self) -> None:
-        """Detach from the router and close the log (idempotent)."""
+        """Detach this store's journal hook and close the log (idempotent).
+
+        Any other hook on the router (a replication coordinator's) stays.
+        """
         if self._closed:
             return
         self._closed = True
         router = self._router
         if router is not None:
-            router.set_journal(None)
+            router.remove_journal(self.record_update)
         if self._log is not None:
             self._log.close()
             self._log = None

@@ -462,6 +462,21 @@ def test_anz203_flags_mutating_published_view(engine):
     assert codes(engine, source) == ["ANZ203"]
 
 
+def test_anz203_tells_a_private_copy_from_the_view(engine):
+    """A worker writes word bursts into a private copy of a segment
+    table; only a store through the view itself is flagged."""
+    source = """\
+        class Worker:
+            def apply(self, segment, entry, rows, values):
+                view = segment._array_view(entry)
+                private = view.copy()
+                private[rows] = values
+                view[rows] = values
+    """
+    found = engine.analyze_source(textwrap.dedent(source), "pkg/module.py")
+    assert [(v.code, v.line) for v in found] == [("ANZ203", 6)]
+
+
 def test_anz203_allows_read_and_writeable_seal(engine):
     source = """\
         class Worker:

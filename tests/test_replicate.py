@@ -34,6 +34,7 @@ from repro.replicate import wire
 from repro.replicate.replica import _STATE_FILE, decode_state, encode_state
 from repro.replicate.state import canonical_fib
 from repro.serve import SnapshotRouter
+from repro.store import SnapshotStore
 from repro.store.records import (
     ANNOUNCE,
     WITHDRAW,
@@ -286,6 +287,81 @@ def test_replica_boots_from_any_state_file_and_converges(tmp_path, case):
     finally:
         handle.stop()
         writer.stop()
+
+
+# -- journal hooks -----------------------------------------------------------
+
+
+def _journaled_pair(tmp_path, seed):
+    """A router journaled by a store and a started replication writer."""
+    table = synthetic_table(120, seed=seed)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    store = SnapshotStore.create(str(tmp_path / "store"), router,
+                                 sync=False)
+    writer = ReplicationCoordinator(router, ledger, config)
+    writer.start()
+    return table, router, store, writer
+
+
+def _announce(router, octet):
+    router.announce(f"198.18.{octet}.0/24", "10.9.9.1", "eth9")
+
+
+def test_store_close_leaves_replication_journaling(tmp_path):
+    """Closing the store detaches its hook only: the writer's ledger
+    keeps taking every update, and stopping the writer afterwards
+    leaves no hook behind (a closed store's would raise)."""
+    _table, router, store, writer = _journaled_pair(tmp_path, seed=17)
+    try:
+        _announce(router, 1)
+        assert (store.seq, writer.seq) == (1, 1)
+        store.close()
+        checksum = writer.ledger.checksum
+        _announce(router, 2)
+        assert (store.seq, writer.seq) == (1, 2)
+        assert writer.ledger.checksum != checksum
+    finally:
+        writer.stop()
+    _announce(router, 3)
+    assert router.journal is None
+    assert writer.seq == 2
+
+
+def test_replication_stop_leaves_the_store_journaling(tmp_path):
+    """The other order: stopping the writer first keeps the store's
+    hook, and closing the store then clears the last one."""
+    _table, router, store, writer = _journaled_pair(tmp_path, seed=18)
+    _announce(router, 1)
+    writer.stop()
+    _announce(router, 2)
+    assert (store.seq, writer.seq) == (2, 1)
+    store.close()
+    _announce(router, 3)
+    assert router.journal is None
+    assert store.seq == 2
+
+
+def test_journal_wrapper_calls_every_hook(tmp_path):
+    """``journal`` reads the installed hooks as one callable, so a
+    wrapper installed with ``set_journal`` (a tracing span, say) calls
+    them all."""
+    _table, router, store, writer = _journaled_pair(tmp_path, seed=19)
+    seen = []
+    inner = router.journal
+
+    def traced(*record):
+        seen.append(record[0])
+        inner(*record)
+
+    router.set_journal(traced)
+    try:
+        _announce(router, 1)
+        assert (seen, store.seq, writer.seq) == (["announce"], 1, 1)
+    finally:
+        writer.stop()
+        store.close()
 
 
 # -- end to end --------------------------------------------------------------

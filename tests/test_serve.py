@@ -62,9 +62,9 @@ class TestServingCorrectness:
             assert not image_differences(router)
             assert not router.maybe_recompile()
         # Patches alone kept the image current: no whole recompile ran,
-        # and no key needed the scalar path.
+        # and no key needed the fallback path.
         assert router.metrics.snapshots_compiled == recompiles_before
-        assert router.metrics.overlay_lookups == 0
+        assert router.metrics.degraded_lookups == 0
         assert "unlogged" not in router.metrics.replans
 
     def test_withdrawn_route_never_served(self):
@@ -130,36 +130,6 @@ class TestSnapshotLifecycle:
         assert router._snapshot is not patched
         assert not image_differences(router)
 
-    def test_policy_overlay_threshold(self):
-        """``RecompilePolicy`` is the shard plane's publish policy; the
-        router itself never recompiles however many prefixes change."""
-        policy = RecompilePolicy(max_overlay=4, max_age=1e9)
-        assert not policy.due(3, 0.0, True)
-        assert policy.due(4, 0.0, False)
-        _table, fib, router = build_router(seed=22, max_overlay=4,
-                                           max_age=1e9)
-        compiled = router.metrics.snapshots_compiled
-        for octet in range(8):
-            router.announce(f"192.0.{octet}.0/24", "10.0.0.1", "eth0")
-            assert not router.maybe_recompile()
-        assert router.metrics.snapshots_compiled == compiled
-        assert not image_differences(router)
-
-    def test_policy_age_threshold_with_fake_clock(self):
-        policy = RecompilePolicy(max_overlay=10**6, max_age=2.0)
-        assert not policy.due(1, 1.0, True)  # young generation
-        assert policy.due(1, 5.0, False)  # old + changed prefixes
-        assert policy.due(0, 5.0, True)  # old + changed words
-        assert not policy.due(0, 20.0, False)  # old but nothing changed
-        table = synthetic_table(300, seed=23)
-        fib = ForwardingEngine.from_table(table)
-        now = [0.0]
-        router = SnapshotRouter(fib, policy, clock=lambda: now[0])
-        router.announce("192.0.2.0/24", "10.0.0.1", "eth0")
-        now[0] = 5.0
-        assert router.snapshot_age == pytest.approx(5.0)
-        assert not router.maybe_recompile()  # healthy: nothing to do
-
     def test_background_recompiler_thread(self):
         """The background thread is the recovery heartbeat: it starts,
         leaves a healthy router's image alone, and stops cleanly."""
@@ -198,15 +168,15 @@ class TestMetrics:
         router.announce("192.0.2.0/24", "10.0.0.1", "eth0")
         router.lookup_batch([rng.getrandbits(32) for _ in range(100)])
         payload = router.metrics_dict()
-        for field in ("lookups_served", "batches_served", "overlay_lookups",
+        for field in ("lookups_served", "batches_served",
                       "updates_applied", "read_retries", "replans",
                       "snapshots_compiled", "last_recompile_seconds",
-                      "snapshot_age_seconds", "snapshot_stale", "routes",
-                      "overlay_fraction"):
+                      "snapshot_age_seconds", "snapshot_stale", "routes"):
             assert field in payload
         for gone in ("overlay_size", "updates_since_snapshot",
                      "last_updates_absorbed", "total_updates_absorbed",
-                     "mean_updates_absorbed", "max_overlay_size"):
+                     "mean_updates_absorbed", "max_overlay_size",
+                     "overlay_lookups", "overlay_fraction"):
             assert gone not in payload
         assert payload["lookups_served"] == 100
         assert payload["updates_applied"] == 1
@@ -215,17 +185,18 @@ class TestMetrics:
         assert "lookups_served" in text and "serve metrics" in text
 
     def test_overlay_fraction_counts_fallbacks(self):
-        """Only the shard plane bounces keys to the scalar path: the
-        router answers a just-announced route from its patched image."""
+        """No key is bounced anywhere: the router answers a
+        just-announced route from its patched image, and every key it
+        serves counts once, none of them on the fallback path."""
         _table, fib, router = build_router(seed=32)
         router.announce("203.0.113.0/24", "10.0.0.9", "eth3")
         key = (203 << 24) | (0 << 16) | (113 << 8) | 5
         answers = router.lookup_batch([key] * 10)
         assert answers.tolist() == [fib.engine.lookup(key)] * 10
-        assert router.metrics.overlay_lookups == 0
-        assert router.metrics.overlay_fraction == 0.0
-        router.metrics.record_batch(10, 5)
-        assert router.metrics.overlay_fraction == pytest.approx(5 / 20)
+        router.metrics.record_batch(10)
+        assert router.metrics.lookups_served == 20
+        assert router.metrics.batches_served == 2
+        assert router.metrics.degraded_lookups == 0
 
     def test_updates_absorbed_accounting(self):
         """Every update is absorbed by a patch; whole compiles happen only

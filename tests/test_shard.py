@@ -4,7 +4,7 @@ The acceptance properties:
 
 * **differential**: a ``ShardCoordinator`` fleet answers exactly like the
   single-process ``SnapshotRouter`` it wraps, over churn, for every
-  worker count;
+  worker count — kept current by word bursts, with no key bounced;
 * **fence**: a worker never serves a generation older than the one
   current at dispatch, worker-observed generations are monotone
   (hypothesis property over the control block), and retired segments are
@@ -25,9 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloomier.backend import XorIndexTable
+from repro.core.config import ChiselConfig
+from repro.core.updates import ANNOUNCE, UpdateOp
 from repro.faults import FaultInjector
+from repro.prefix.prefix import Prefix
 from repro.router import ForwardingEngine
-from repro.serve import RecompilePolicy, SnapshotRouter
+from repro.serve import SnapshotRouter
 from repro.core.batch import BatchLookup
 from repro.shard import (
     ControlBlock,
@@ -38,16 +42,16 @@ from repro.shard import (
     SnapshotIntegrityError,
 )
 from repro.shard.codec import encode_image, table_digest
-from repro.verify import Oracle, apply_update, image_differences
+from repro.verify import Oracle, apply_update, image_differences, keys_under
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
 
-def build_router(table_size=1200, seed=21, **policy_kwargs):
+def build_router(table_size=1200, seed=21, backend="bloomier"):
     table = synthetic_table(table_size, seed=seed)
-    fib = ForwardingEngine.from_table(table)
-    policy = RecompilePolicy(**policy_kwargs) if policy_kwargs else None
-    return table, fib, SnapshotRouter(fib, policy)
+    config = ChiselConfig(width=table.width, index_backend=backend)
+    fib = ForwardingEngine.from_table(table, config=config)
+    return table, fib, SnapshotRouter(fib)
 
 
 def churn(router, trace, start, count):
@@ -87,7 +91,7 @@ class TestSnapshotCodec:
             with pytest.raises(SnapshotIntegrityError):
                 segment.verify()
             with pytest.raises(SnapshotIntegrityError):
-                SharedSnapshot.attach(segment.name, verify=True)
+                SharedSnapshot.attach(segment.name)
         finally:
             segment.retire()
 
@@ -110,7 +114,7 @@ class TestDifferentialSharding:
         """The tentpole gate: every worker count, zero divergences from
         the single-process router while churn flows and generations swap
         underneath."""
-        table, _fib, router = build_router(max_overlay=16, max_age=1e9)
+        table, _fib, router = build_router()
         trace = synthesize_trace(table, 120, seed=22)
         keys = random_keys(table.width, 2500, seed=22)
         with ShardCoordinator(router, workers=workers) as coordinator:
@@ -121,7 +125,8 @@ class TestDifferentialSharding:
                 assert np.array_equal(sharded, single), (
                     f"{workers}w diverged on round {round_index}"
                 )
-                coordinator.maybe_publish()
+                if round_index % 2:
+                    coordinator.publish()
             # Worker-observed generations are monotone per worker.
             for history in coordinator.generation_history.values():
                 assert history == sorted(history)
@@ -138,8 +143,7 @@ class TestDifferentialSharding:
 
 class TestGenerationFence:
     def test_publish_retires_previous_segment(self):
-        table, _fib, router = build_router(max_overlay=1_000_000,
-                                           max_age=1e9)
+        table, _fib, router = build_router()
         trace = synthesize_trace(table, 30, seed=23)
         with ShardCoordinator(router, workers=2) as coordinator:
             first_name = coordinator._segment.name
@@ -154,8 +158,7 @@ class TestGenerationFence:
     def test_worker_crash_recovery(self):
         """A killed worker is respawned mid-batch and the batch still
         completes, with the respawned worker on the current generation."""
-        table, _fib, router = build_router(max_overlay=1_000_000,
-                                           max_age=1e9)
+        table, _fib, router = build_router()
         trace = synthesize_trace(table, 30, seed=24)
         keys = random_keys(table.width, 2000, seed=24)
         with ShardCoordinator(router, workers=2) as coordinator:
@@ -225,8 +228,7 @@ class TestPublishSafety:
         neither the router nor the segment serves the flip, before or
         after the scrub repairs it.  A publish that compiled the
         engine's tables instead served it from both."""
-        table, fib, router = build_router(max_overlay=1_000_000,
-                                          max_age=1e9)
+        table, fib, router = build_router()
         rng = random.Random(7)
         keys = [prefix.network_int()
                 | rng.getrandbits(table.width - prefix.length)
@@ -253,8 +255,7 @@ class TestPublishSafety:
     def test_publish_leaves_the_router_alone(self):
         """A publish copies the served image: the router keeps that very
         image, compiles nothing, and the segment equals a fresh compile."""
-        table, fib, router = build_router(max_overlay=1_000_000,
-                                          max_age=1e9)
+        table, fib, router = build_router()
         trace = synthesize_trace(table, 30, seed=28)
         with ShardCoordinator(router, workers=1) as coordinator:
             churn(router, trace, 0, 30)
@@ -269,8 +270,7 @@ class TestPublishSafety:
     def test_write_made_around_the_router_is_patched_in(self):
         """Engine writes that bypassed the router leave its image stale;
         the publish's cut patches them in before the export."""
-        table, fib, router = build_router(max_overlay=1_000_000,
-                                          max_age=1e9)
+        table, fib, router = build_router()
         trace = synthesize_trace(table, 60, seed=29)
         with ShardCoordinator(router, workers=1) as coordinator:
             churn(router, trace, 0, 60)
@@ -286,9 +286,8 @@ class TestPublishSafety:
         """The export runs under the router's update lock: an announce
         and a scrub fired from another thread mid-export block until the
         publish returns.  The segment holds the pre-update image, and the
-        plane answers the update at once by bouncing its keys."""
-        _table, fib, router = build_router(max_overlay=1_000_000,
-                                           max_age=1e9)
+        plane answers the update at once, from the next batch's cut."""
+        _table, fib, router = build_router()
         key = (198 << 24) | (51 << 16) | (100 << 8) | 9
         real_export = SharedSnapshot.export
         updaters = []
@@ -334,8 +333,7 @@ class TestPublishSafety:
     def test_degraded_router_serves_through_fallback(self):
         """While the router is degraded the coordinator stops dispatching
         to workers and the answers still match the exact path."""
-        table, _fib, router = build_router(max_overlay=1_000_000,
-                                           max_age=1e9)
+        table, _fib, router = build_router()
         keys = random_keys(table.width, 1500, seed=26)
         with ShardCoordinator(router, workers=2) as coordinator:
             baseline = coordinator.lookup_batch(keys)
@@ -346,3 +344,183 @@ class TestPublishSafety:
             assert np.array_equal(degraded, baseline)
             # Served through the router fallback, not the shard fleet.
             assert coordinator._obs_batches.value == batches_before
+
+
+def fresh_prefixes(router, rng, count, length=24):
+    """``count`` prefixes of ``length`` bits the router does not hold."""
+    found = []
+    while len(found) < count:
+        prefix = Prefix(rng.getrandbits(length), length, router.width)
+        if (router.fib.engine.get_route(prefix) is None
+                and prefix not in found):
+            found.append(prefix)
+    return found
+
+
+def announce_fresh(router, oracle, rng, count, next_hop):
+    """Announce ``count`` fresh /24s to the router and the oracle."""
+    for prefix in fresh_prefixes(router, rng, count):
+        op = UpdateOp(ANNOUNCE, prefix, next_hop)
+        apply_update(router, op)
+        oracle.apply(op)
+
+
+def arena_sizes(router):
+    return [len(cell.result.arena) for cell in router.fib.engine.subcells]
+
+
+class TestWordBursts:
+    """Bursts keep every worker equal to the router at each cut."""
+
+    @pytest.mark.parametrize("backend", ["bloomier", "fuse"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_exact_answers_through_replans_and_growth(self, backend,
+                                                      workers):
+        """Every round the plane equals the router and the trie on keys
+        under the changed prefixes, counts no batch on the router, and
+        moves its generation only when a burst cannot carry the round:
+        a forced re-setup publishes, and Result-Table growth and the
+        trace's churn ride in bursts."""
+        table, fib, router = build_router(table_size=1000, seed=41,
+                                          backend=backend)
+        rng = random.Random(41)
+        trace = synthesize_trace(table, 100, seed=41)
+        oracle = Oracle(table)
+        resolve = fib.next_hops.resolve
+        grown_by_burst = published = 0
+        with ShardCoordinator(router, workers=workers) as coordinator:
+            for round_index in range(12):
+                replans = dict(router.metrics.replans)
+                sizes = arena_sizes(router)
+                ops = trace[round_index * 10:(round_index + 1) * 10]
+                for op in ops:
+                    apply_update(router, op)
+                    oracle.apply(op)
+                if round_index == 4:
+                    # A singleton denied: the group is re-setup in place.
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(XorIndexTable, "try_insert",
+                                      lambda self, key, value: None)
+                        announce_fresh(router, oracle, rng, 1, 201)
+                if round_index in (7, 8):
+                    # New buckets: Index-Table slots and fresh regions.
+                    announce_fresh(router, oracle, rng, 40, 202)
+                owed = coordinator._tracker.resync
+                replanned = router.metrics.replans != replans
+                assert (owed is not None) == (replanned
+                                              or owed == "overflow"), owed
+                generation = coordinator.generation
+                batches = router.metrics.batches_served
+                keys = np.array(
+                    keys_under(rng, table.width, 600, oracle.changed),
+                    dtype=np.uint64)
+                sharded = coordinator.lookup_batch(keys)
+                assert router.metrics.batches_served == batches
+                assert (coordinator.generation != generation) == (
+                    owed is not None), (round_index, owed)
+                published += owed is not None
+                if owed is None and arena_sizes(router) != sizes:
+                    grown_by_burst += 1
+                assert np.array_equal(sharded, router.lookup_batch(keys)), (
+                    f"{workers}w {backend} diverged on round {round_index}")
+                assert not oracle.mismatches(keys, [
+                    None if hop < 0 else resolve(int(hop))
+                    for hop in sharded]), round_index
+        assert router.metrics.replans.get("resetup", 0) > 0
+        assert published > 0 and grown_by_burst > 0
+
+    def test_respawned_worker_comes_back_on_a_fresh_publish(self):
+        """Killed after bursts were shipped, a worker's successor would
+        attach a segment without them; the respawn publishes, so the
+        batch is still exact."""
+        table, _fib, router = build_router(seed=42)
+        rng = random.Random(42)
+        keys = random_keys(table.width, 1500, seed=42)
+        hops = ["10.7.0.1", "10.7.0.2", "10.7.0.3"]
+        with ShardCoordinator(router, workers=2,
+                              batch_timeout=20.0) as coordinator:
+            for hop in hops:
+                for prefix in rng.sample(list(table.prefixes()), 20):
+                    router.announce(prefix, hop, "eth7")
+                assert np.array_equal(coordinator.lookup_batch(keys),
+                                      router.lookup_batch(keys))
+            assert coordinator.generation == 1, "bursts, not publishes"
+            victim = coordinator._processes[1]
+            victim.terminate()
+            victim.join(timeout=5)
+            assert np.array_equal(coordinator.lookup_batch(keys),
+                                  router.lookup_batch(keys))
+            assert coordinator.generation == 2
+            assert coordinator._processes[1].pid != victim.pid
+            assert coordinator.worker_acks() == [2, 2]
+
+    def test_burst_grows_a_result_table_past_the_segment(self):
+        """New buckets allocate Result-Table entries past the segment's
+        arena; the worker grows its copy, so their keys hit, with no
+        publish and no respawn."""
+        table, _fib, router = build_router(seed=43)
+        rng = random.Random(43)
+        with ShardCoordinator(router, workers=1) as coordinator:
+            sizes = arena_sizes(router)
+            prefixes = []
+            while arena_sizes(router) == sizes:
+                prefix = fresh_prefixes(router, rng, 1)[0]
+                router.announce(prefix, "10.6.0.1", "eth6")
+                prefixes.append(prefix)
+            assert coordinator._tracker.resync is None
+            respawns = coordinator._obs_respawns.value
+            keys = keys_under(rng, table.width, 400, prefixes)
+            assert np.array_equal(coordinator.lookup_batch(keys),
+                                  router.lookup_batch(keys))
+            assert coordinator.generation == 1
+            assert coordinator._obs_respawns.value == respawns
+
+    def test_live_segments_verify_after_churn(self):
+        """Workers write bursts into private copies: after churn, every
+        segment still mapped passes its digests."""
+        table, _fib, router = build_router(seed=44)
+        trace = synthesize_trace(table, 80, seed=44)
+        keys = random_keys(table.width, 1000, seed=44)
+        with ShardCoordinator(router, workers=2) as coordinator:
+            for round_index in range(8):
+                churn(router, trace, round_index * 10, 10)
+                assert np.array_equal(coordinator.lookup_batch(keys),
+                                      router.lookup_batch(keys))
+            assert coordinator.generation == 1, "the churn rode in bursts"
+            for segment in [coordinator._segment,
+                            *coordinator._stale_segments]:
+                segment.verify()
+
+    def test_respawn_on_a_degraded_router_leaves_the_slice_to_it(
+            self, monkeypatch):
+        """A worker respawned just after the router degraded gets no
+        publish, so its segment lacks the bursts: the slice it owed is
+        answered by the router, never from that segment."""
+        table, _fib, router = build_router(seed=45)
+        rng = random.Random(45)
+        changed = rng.sample(list(table.prefixes()), 40)
+        for prefix in changed:
+            router.announce(prefix, "10.5.0.1", "eth5")
+        keys = keys_under(rng, table.width, 1500, changed)
+        with ShardCoordinator(router, workers=2,
+                              batch_timeout=20.0) as coordinator:
+            for prefix in changed:
+                router.announce(prefix, "10.5.0.2", "eth5")
+            assert np.array_equal(coordinator.lookup_batch(keys),
+                                  router.lookup_batch(keys))
+            victim = coordinator._processes[1]
+            victim.terminate()
+            victim.join(timeout=5)
+            respawn = coordinator._respawn_dead
+
+            def degrade_then_respawn():
+                with router._lock:
+                    router._degrade("test: degraded before the respawn")
+                return respawn()
+
+            monkeypatch.setattr(coordinator, "_respawn_dead",
+                                degrade_then_respawn)
+            sharded = coordinator.lookup_batch(keys)
+            monkeypatch.undo()
+            assert coordinator.generation == 1
+            assert np.array_equal(sharded, router.lookup_batch(keys))

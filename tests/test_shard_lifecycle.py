@@ -260,11 +260,11 @@ class TestWorkerAttachRetry:
                 ValueError("zero-size map during teardown"),
             ])
 
-            def flaky(cls, name, verify=True):
+            def flaky(cls, name):
                 try:
                     raise next(failures)
                 except StopIteration:
-                    return real_attach(cls, name, verify=verify)
+                    return real_attach(cls, name)
 
             monkeypatch.setattr(SharedSnapshot, "attach",
                                 classmethod(flaky))
@@ -290,7 +290,7 @@ class TestWorkerAttachRetry:
             control.publish(1, segment.name)
             runtime = _WorkerRuntime(0, ControlBlock.attach(control.name))
 
-            def always_gone(cls, name, verify=True):
+            def always_gone(cls, name):
                 raise FileNotFoundError("never comes back")
 
             monkeypatch.setattr(SharedSnapshot, "attach",

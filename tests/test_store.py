@@ -55,13 +55,7 @@ from repro.store import (
     replay_log,
 )
 from repro.shard import codec
-from repro.shard.codec import (
-    SnapshotIntegrityError,
-    encode_image,
-    header_digest,
-    table_digest,
-    write_image_into,
-)
+from repro.shard.codec import SnapshotIntegrityError, encode_image
 from repro.store.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -755,36 +749,8 @@ class TestStoreIntegration:
         second.store.close()
 
 
-def render_with_overlay(lookup, overlay, blobs):
-    """A checkpoint as writers that kept an overlay cut it: the image,
-    then one ``ov<i>`` table per changed-prefix length, listed in the
-    header's ``overlay_lengths``, every digest recomputed."""
-    encoded = encode_image(lookup, 1, magic=CHECKPOINT_MAGIC, blobs=blobs,
-                           extra={"seq": 0})
-    header, entries = encoded.header, encoded.entries
-    arrays = list(encoded.arrays)
-    end = int(entries[-1]["offset"]) + arrays[-1].nbytes
-    header["meta"]["overlay_lengths"] = []
-    for index, (length, values) in enumerate(overlay):
-        offset = (end + 63) // 64 * 64
-        entries.append({"name": f"ov{index}", "dtype": str(values.dtype),
-                        "shape": list(values.shape), "offset": offset})
-        arrays.append(values)
-        header["meta"]["overlay_lengths"].append(length)
-        end = offset + values.nbytes
-    header["checksums"] = ([table_digest(array) for array in arrays]
-                           + [header_digest(header)])
-    rendered = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload_start = (8 + len(rendered) + 63) // 64 * 64
-    image = bytearray(payload_start + end)
-    write_image_into(memoryview(image), codec.EncodedImage(
-        header, rendered, entries, arrays, payload_start, len(image)))
-    return image
-
-
 class TestOverlayFreeCheckpoints:
-    """Checkpoints carry no overlay, boots patch private pages, and a
-    checkpoint cut while an overlay was pending boots from its FIB."""
+    """Checkpoints carry no overlay, and boots patch private pages."""
 
     def test_checkpoint_overlay_is_empty(self, store_dir):
         table, router = build_router()
@@ -798,42 +764,6 @@ class TestOverlayFreeCheckpoints:
         assert not [entry for entry in checkpoint.header["tables"]
                     if entry["name"].startswith("ov")]
         checkpoint.close()
-
-    def test_checkpoint_with_overlay_boots_like_the_oracle(self, store_dir):
-        """An image cut before its pending changes, with those changes
-        as its overlay (what a mid-window checkpoint held): the boot
-        compiles from the FIB blob instead of serving the stale image."""
-        import pickle
-
-        from repro.core.batch import BatchLookup
-        from repro.verify import Oracle, image_differences, keys_under
-
-        table, router = build_router()
-        stale = BatchLookup(router.fib.engine)
-        ops = churn(router, table, 40)
-        oracle = Oracle(table)
-        for op in ops:
-            oracle.apply(op)
-        by_length = {}
-        for prefix in oracle.changed:
-            by_length.setdefault(prefix.length, set()).add(prefix.value)
-        overlay = [(length, np.array(sorted(values), dtype=np.uint64))
-                   for length, values in sorted(by_length.items())]
-        write_image(checkpoint_path(store_dir, 1), render_with_overlay(
-            stale, overlay, {"fib": pickle.dumps(router.fib)}))
-        load_checkpoint(checkpoint_path(store_dir, 1)).close()  # verifies
-        keys = keys_under(random.Random(5), 32, 400, oracle.changed)
-        resolve = router.fib.next_hops.resolve
-        served_stale = [None if hop < 0 else resolve(int(hop))
-                        for hop in stale.lookup_batch(keys)]
-        assert oracle.mismatches(keys, served_stale), \
-            "the stale image should disagree somewhere"
-
-        result = cold_start(store_dir)
-        assert result.checkpoint is None  # not served from the mapping
-        assert not oracle.mismatches(keys, result.router.forward_batch(keys))
-        assert image_differences(result.router) == []
-        result.store.close()
 
     def test_cold_start_patches_private_pages(self, store_dir):
         """Tail replay patches the copy-on-write mapping: the file is
