@@ -143,9 +143,9 @@ class FuseIndexBackend(XorIndexTable):
         )
 
     def _restore_hash_state(self, state: object) -> None:
-        start_state, offset_states = state
+        start_state, offset_snapshots = state
         self._start_hash.restore(start_state)
-        for hash_fn, saved in zip(self._offset_hashes, offset_states):
+        for hash_fn, saved in zip(self._offset_hashes, offset_snapshots):
             hash_fn.restore(saved)
 
     # -- batch-compiler surface ---------------------------------------------

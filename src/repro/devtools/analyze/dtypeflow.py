@@ -44,7 +44,6 @@ DTYPE_MODULE_SUFFIXES = (
     "core/batch.py",
     "core/bitvector.py",
     "shard/codec.py",
-    "shard/control.py",
     "shard/coordinator.py",
     "faults/checksum.py",
     "serve/snapshot.py",

@@ -287,16 +287,27 @@ class SnapshotRouter:
         for hook in self._journals:
             hook(op, prefix.value, prefix.length, gateway, interface)
 
-    def track_changes(self, tracker: Optional[WordTracker]) -> None:
-        """Install (or, with None, clear) the shard plane's word tracker.
+    def track_changes(self, tracker: WordTracker) -> None:
+        """Install the shard plane's word tracker.
 
         Every patch of the served image feeds it under the update lock
         (``BatchLookup.patch``), and a whole image swapped in sets its
         ``resync``; its owner reads and clears it inside ``image_cut``.
-        One shard plane per router: installing replaces any previous one.
+        A router has one tracker: while another is installed, a second
+        is refused with ``RuntimeError`` — each plane's cuts would clear
+        words the other plane's workers still need.
         """
         with self._lock:
+            if self._tracker is not None and self._tracker is not tracker:
+                raise RuntimeError(
+                    "the router already feeds a shard plane's tracker")
             self._tracker = tracker
+
+    def untrack_changes(self, tracker: WordTracker) -> None:
+        """Remove ``tracker`` if it is the one installed; another stays."""
+        with self._lock:
+            if self._tracker is tracker:
+                self._tracker = None
 
     def image_cut(
             self, render: Callable[[BatchLookup], _Rendered],

@@ -7,31 +7,30 @@ across processes without copying tables per worker:
   tables into one ``multiprocessing.shared_memory`` segment; attaching
   rebuilds the batch datapath over zero-copy read-only views, guarded
   by per-table digests.
-* ``ControlBlock`` (control) is the generation fence: a seqlock publish
-  word naming the current segment, plus per-worker ack slots.
 * ``worker_main`` (worker) is the reader loop each ``ShardWorker``
-  process runs: re-attach on generation change, write each batch's word
-  burst into private copies of the tables it touches, serve key slices.
+  process runs: attach (and ack) each generation its task queue names,
+  write each batch's word burst into private copies of the tables it
+  touches, serve key slices.
 * ``ShardCoordinator`` (coordinator) is the single writer: each batch
   starts with one cut of the router's served image, under its update
   lock, that reads the words patched since the last cut into a burst
   for every worker — or, when a burst cannot carry the change (a
   replan, an image swap, an overflowing tracker) or a worker was
   respawned, publishes a copy of the whole image as a new generation.
-  It partitions batches across workers and owns their lifecycle.
+  A publish rides each worker's task queue ahead of the batches cut
+  against it, and the coordinator retires the old segment once every
+  worker acked the new one (the generation fence).  It partitions
+  batches across workers and owns their lifecycle.
 
 See docs/SHARDING.md for the full protocol and failure-mode table.
 """
 
 from .bench import run_shard_bench, scaling_gate_active
 from .codec import SharedSnapshot, SnapshotIntegrityError, table_digest
-from .control import ControlBlock, ControlBlockError
 from .coordinator import ShardCoordinator, ShardError
 from .worker import worker_main
 
 __all__ = [
-    "ControlBlock",
-    "ControlBlockError",
     "ShardCoordinator",
     "ShardError",
     "SharedSnapshot",

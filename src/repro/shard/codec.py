@@ -23,8 +23,9 @@ analogue of §4.3.2's parallel sub-cell lookups reading one memory).
 
 Segments are **immutable after export**: a new generation is a new
 segment, never an in-place rewrite — that is what makes the generation
-fence in :mod:`repro.shard.control` sufficient for consistency (no reader
-can ever observe a torn table, only an old-but-internally-consistent one).
+fence in :mod:`repro.shard.coordinator` sufficient for consistency (no
+reader can ever observe a torn table, only an old-but-internally-consistent
+one).
 A worker that applies word bursts copies the tables they touch into its
 own memory first (``FlatSubCellPlan.write_burst``); the views stay
 read-only.

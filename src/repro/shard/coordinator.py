@@ -17,10 +17,14 @@ served image current, over shared memory:
   rule), after a worker respawn, and on ``publish()``; never
   otherwise.  It never compiles the engine's tables, so a table word
   corrupted behind the router's back is never published.
-* **the fence**: an old generation's segment is retired only after every
-  live worker's control-block ack reaches the new generation; dead
-  workers are respawned (and attach the current generation on startup,
-  never a stale one).
+* **one channel per worker**: a publish rides each worker's task queue
+  as ``TASK_ATTACH`` ahead of any batch cut against it, and the worker
+  acks on the results queue.  The coordinator keeps the acks: an old
+  generation's segment is retired only after every live worker acked
+  the new one (**the fence**), read by the same result handler the
+  batch loop uses, so a batch in flight when a respawn publishes still
+  gets its answers.  Dead workers are respawned on the current
+  generation, never a stale one.
 * **degraded serving**: while the router is not HEALTHY the cut is
   refused, so the coordinator serves through the router's exact trie
   fallback — workers keep the last healthy generation mapped but
@@ -44,17 +48,15 @@ import numpy as np
 
 from ..core.batch import _MISS, BatchLookup, BurstCell, WordTracker, normalize_keys
 from ..obs import LATENCY_BUCKETS, get_registry
-from ..serve.snapshot import RouterState, SnapshotRouter, _STATE_GAUGE
+from ..serve.snapshot import RouterState, SnapshotRouter
 from .codec import SharedSnapshot
-from .control import ControlBlock
 from .names import fresh_nonce, reap_stale_segments, segment_name
 from .worker import (
-    RESULT_BATCH,
+    RESULT_ATTACHED,
     RESULT_ERROR,
-    RESULT_STOPPED,
+    TASK_ATTACH,
     TASK_BATCH,
     TASK_STOP,
-    TASK_SYNC,
     worker_main,
 )
 
@@ -78,6 +80,11 @@ class ShardCoordinator:
                  ack_timeout: float = 30.0) -> None:
         if workers < 1:
             raise ValueError("need at least one shard worker")
+        self._tracker = WordTracker()
+        # One plane per router: a second one is refused here, before any
+        # queue, process or segment exists.  From the bootstrap publish's
+        # cut on, every word patched into the image lands in the tracker.
+        router.track_changes(self._tracker)
         self.router = router
         self.workers = workers
         self.batch_timeout = batch_timeout
@@ -92,22 +99,19 @@ class ShardCoordinator:
         self._nonce = fresh_nonce()
         self._generation = 0  # guarded-by: single-writer
         self._segment: Optional[SharedSnapshot] = None  # guarded-by: single-writer
-        self._tracker = WordTracker()
         self._stale_segments: List[SharedSnapshot] = []  # guarded-by: single-writer
-        self._control = ControlBlock.create(
-            workers, name=segment_name("ctl", self._nonce))
+        #: Each worker's last acked generation, as its messages arrive.
+        self._acks = [0] * workers  # guarded-by: single-writer
         self._tasks = [self._ctx.Queue() for _ in range(workers)]
         self._results = self._ctx.Queue()
         self._processes: List[Optional[multiprocessing.Process]] = (
             [None] * workers
         )
         self._batch_counter = 0  # guarded-by: single-writer
+        #: The batch in flight: its answers, and the slices still owed.
+        self._answers = np.empty(0, dtype=np.int64)  # guarded-by: single-writer
+        self._pending: Dict[int, np.ndarray] = {}  # guarded-by: single-writer
         self._closed = False  # guarded-by: single-writer
-        #: Generation observed in each worker's results, in arrival order
-        #: (the monotonicity property tests assert over).
-        self.generation_history: Dict[int, List[int]] = {
-            worker_id: [] for worker_id in range(workers)
-        }
         registry = get_registry()
         self._obs_batches = registry.counter(
             "shard_batches_total", "key batches served by the shard plane")
@@ -138,8 +142,7 @@ class ShardCoordinator:
         ]
         self._obs_worker_count.set(workers)
         # Bootstrap: publish the router's served image before any worker
-        # exists; every word patched from the cut on lands in the tracker.
-        self.router.track_changes(self._tracker)
+        # exists.
         self.publish()
         if self._segment is None:
             self.close()
@@ -155,10 +158,12 @@ class ShardCoordinator:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, worker_id: int) -> None:
+        """Start a worker on the current generation."""
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self._control.name, self._tasks[worker_id],
-                  self._results, os.getpid()),
+            args=(worker_id, self._generation,
+                  self._segment_name(self._generation),
+                  self._tasks[worker_id], self._results, os.getpid()),
             name=f"chisel-shard-worker-{worker_id}",
             daemon=True,
         )
@@ -167,9 +172,9 @@ class ShardCoordinator:
 
     def ensure_workers(self) -> int:
         """Respawn any dead workers, then publish; returns how many were
-        respawned.  A respawned worker attaches the generation the control
-        block names, without the bursts its predecessor applied: the
-        publish brings every worker to one image."""
+        respawned.  A respawned worker starts on the current generation,
+        without the bursts its predecessor applied: the publish brings
+        every worker to one image."""
         respawned = self._respawn_dead()
         if respawned:
             self.publish()
@@ -226,61 +231,66 @@ class ShardCoordinator:
         if not healthy:
             # Degraded: the workers' tables are no longer trustworthy;
             # serve exactly through the router's trie fallback.
-            self._control.set_state(_STATE_GAUGE[self.router.state])
             return self.router.lookup_batch(key_array)
-        self._control.set_state(_STATE_GAUGE[RouterState.HEALTHY])
-        parts = self._partition(key_array)
         self._batch_counter += 1
         batch_id = self._batch_counter
-        pending: Dict[int, np.ndarray] = {}
-        for worker_id, indices in enumerate(parts):
+        out = self._answers = np.full(len(key_array), _MISS, dtype=np.int64)
+        self._pending = {}
+        for worker_id, indices in enumerate(self._partition(key_array)):
             # Every worker takes every burst, even with no keys to answer.
             if len(indices) or burst is not None:
-                pending[worker_id] = indices
+                self._pending[worker_id] = indices
                 self._tasks[worker_id].put(
                     (TASK_BATCH, batch_id, key_array[indices], burst))
-        out = np.full(len(key_array), _MISS, dtype=np.int64)
         deadline = time.monotonic() + self.batch_timeout
-        while pending:
-            try:
-                message = self._results.get(timeout=_POLL_SECONDS)
-            except Empty:
-                message = None
-            if message is not None:
-                self._handle_result(message, batch_id, pending, out)
+        while self._pending:
+            if self._poll():
                 continue
             if time.monotonic() > deadline:
                 raise ShardError(
-                    f"batch {batch_id}: workers {sorted(pending)} did not "
-                    f"answer within {self.batch_timeout}s"
+                    f"batch {batch_id}: workers {sorted(self._pending)} did "
+                    f"not answer within {self.batch_timeout}s"
                 )
             # No result yet: respawn any dead workers and re-dispatch
             # their slices (crash recovery).  The respawn published a
-            # generation past the burst, which the new worker skips.
+            # generation past the burst, which the new worker skips; the
+            # publish's fence collected the answers that came meanwhile.
             if not self.ensure_workers():
                 continue
             if self.router.state is not RouterState.HEALTHY:
                 # No generation holds the burst: the router answers.
-                for indices in pending.values():
+                for indices in self._pending.values():
                     out[indices] = self.router.lookup_batch(
                         key_array[indices])
-                break
-            for worker_id in list(pending):
+                self._pending = {}
+            for worker_id, indices in self._pending.items():
                 process = self._processes[worker_id]
                 if process is None or not process.is_alive():
                     continue
-                self._tasks[worker_id].put((
-                    TASK_BATCH, batch_id, key_array[pending[worker_id]],
-                    burst,
-                ))
+                self._tasks[worker_id].put(
+                    (TASK_BATCH, batch_id, key_array[indices], burst))
         self._obs_batches.inc()
         self._obs_lookups.inc(len(key_array))
         return out
 
-    def _handle_result(self, message: Any, batch_id: int,
-                       pending: Dict[int, np.ndarray],
-                       out: np.ndarray) -> None:
+    def _poll(self) -> bool:
+        """Handle the next worker message; False if none came within
+        one poll interval."""
+        try:
+            message = self._results.get(timeout=_POLL_SECONDS)
+        except Empty:
+            return False
+        self._handle_result(message)
+        return True
+
+    def _handle_result(self, message: Any) -> None:
+        """The one handler of worker messages, for the batch loop and
+        the fence alike: an ack, an error, or a slice's answers."""
         kind = message[0]
+        if kind == RESULT_ATTACHED:
+            _kind, worker_id, generation = message
+            self._acks[worker_id] = generation
+            return
         if kind == RESULT_ERROR:
             _kind, worker_id, detail = message
             get_registry().trace(
@@ -288,19 +298,13 @@ class ShardCoordinator:
             # The worker exits after reporting; the liveness pass will
             # respawn it and re-dispatch its slice.
             return
-        if kind == RESULT_STOPPED:
+        _kind, worker_id, batch_id, answers, elapsed, served = message
+        if batch_id != self._batch_counter or worker_id not in self._pending:
+            # A stale duplicate from a re-dispatch; the answers for the
+            # current batch already landed.
             return
-        if kind != RESULT_BATCH:
-            return
-        (_kind, worker_id, result_batch, generation, answers, elapsed,
-         served) = message
-        self.generation_history[worker_id].append(int(generation))
-        if result_batch != batch_id or worker_id not in pending:
-            # A stale duplicate from a timeout re-dispatch; the answers
-            # for the current batch already landed.
-            return
-        indices = pending.pop(worker_id)
-        out[indices] = answers
+        indices = self._pending.pop(worker_id)
+        self._answers[indices] = answers
         self._obs_batch_seconds.observe(elapsed)
         if elapsed > 0:
             self._obs_worker_rate[worker_id].set(
@@ -320,12 +324,16 @@ class ShardCoordinator:
         return segment_name(f"g{generation}", self._nonce)
 
     def _install(self, segment: SharedSnapshot) -> None:
-        """Record a new generation and point the control block at it."""
+        """Record a new generation and queue it to every spawned worker,
+        ahead of any batch cut against it."""
         if self._segment is not None:
             self._stale_segments.append(self._segment)
         self._segment = segment
         self._generation = segment.generation
-        self._control.publish(segment.generation, segment.name)
+        for worker_id, process in enumerate(self._processes):
+            if process is not None:
+                self._tasks[worker_id].put(
+                    (TASK_ATTACH, segment.generation, segment.name))
         self._obs_publishes.inc()
         self._obs_generation.set(segment.generation)
 
@@ -372,12 +380,14 @@ class ShardCoordinator:
         return cut
 
     def _fence(self) -> None:
-        """Retire superseded segments once every worker acked the swap."""
+        """Retire superseded segments once every worker acked the swap.
+
+        A worker acks only what it attached, and attaches only what its
+        queue or its spawn named, so no retired name is attached after.
+        """
         generation = self._generation
-        for worker_id in range(self.workers):
-            self._tasks[worker_id].put((TASK_SYNC,))
         deadline = time.monotonic() + self.ack_timeout
-        while not self._control.all_acked(generation):
+        while min(self._acks) < generation:
             if time.monotonic() > deadline:
                 # Keep the old segments (readers may still map them);
                 # they are retired at close().  Never block serving
@@ -385,13 +395,13 @@ class ShardCoordinator:
                 self._obs_fence_timeouts.inc()
                 get_registry().trace(
                     "shard_fence_timeout", generation=generation,
-                    acks=[int(a) for a in self._control.acks()],
+                    acks=list(self._acks),
                 )
                 return
-            # A worker respawned here attaches (and acks) the generation
-            # being fenced, which no burst has been cut against yet.
-            self._respawn_dead()
-            time.sleep(_POLL_SECONDS / 10)
+            if not self._poll():
+                # A worker respawned here starts on the generation being
+                # fenced, which no burst has been cut against yet.
+                self._respawn_dead()
         for segment in self._stale_segments:
             segment.retire()
         self._stale_segments = []
@@ -403,8 +413,8 @@ class ShardCoordinator:
         return self._generation
 
     def worker_acks(self) -> List[int]:
-        """Each worker's last acked generation (control-block view)."""
-        return [int(ack) for ack in self._control.acks()]
+        """Each worker's last acked generation, as read so far."""
+        return list(self._acks)
 
     def metrics_dict(self) -> Dict[str, object]:
         payload = self.router.metrics_dict()
@@ -423,7 +433,7 @@ class ShardCoordinator:
             return
         self._closed = True
         atexit.unregister(self.close)
-        self.router.track_changes(None)
+        self.router.untrack_changes(self._tracker)
         for worker_id, process in enumerate(self._processes):
             if process is not None and process.is_alive():
                 self._tasks[worker_id].put((TASK_STOP,))
@@ -444,7 +454,6 @@ class ShardCoordinator:
         if self._segment is not None:
             self._segment.retire()
             self._segment = None
-        self._control.close()
 
     def __enter__(self) -> "ShardCoordinator":
         return self

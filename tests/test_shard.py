@@ -5,25 +5,29 @@ The acceptance properties:
 * **differential**: a ``ShardCoordinator`` fleet answers exactly like the
   single-process ``SnapshotRouter`` it wraps, over churn, for every
   worker count — kept current by word bursts, with no key bounced;
-* **fence**: a worker never serves a generation older than the one
-  current at dispatch, worker-observed generations are monotone
-  (hypothesis property over the control block), and retired segments are
-  really gone;
-* **crash recovery**: a killed worker is respawned and re-attaches the
-  *current* generation, never a stale one, without dropping a batch;
+* **fence**: a publish rides each worker's task queue ahead of the
+  batches cut against it, so a worker never serves a generation older
+  than the one current at dispatch; worker acks never decrease, and
+  retired segments are really gone;
+* **crash recovery**: a killed worker is respawned on the *current*
+  generation, never a stale one, without dropping a batch;
+* **one plane per router**: a second plane over a router is refused
+  before it makes a queue, process or segment, and closing a plane
+  leaves the router free for the next;
 * **publish safety**: a publish copies the router's served image under
   its update lock — an update or scrub fired mid-export waits for it, a
   write made around the router is patched in first, and a table fault
   behind the router's back never reaches a segment.
 """
 
+import gc
+import multiprocessing
+import os
 import random
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bloomier.backend import XorIndexTable
 from repro.core.config import ChiselConfig
@@ -34,14 +38,13 @@ from repro.router import ForwardingEngine
 from repro.serve import SnapshotRouter
 from repro.core.batch import BatchLookup
 from repro.shard import (
-    ControlBlock,
-    ControlBlockError,
     ShardCoordinator,
     ShardError,
     SharedSnapshot,
     SnapshotIntegrityError,
 )
 from repro.shard.codec import encode_image, table_digest
+from repro.shard.names import SEGMENT_PREFIX
 from repro.verify import Oracle, apply_update, image_differences, keys_under
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
@@ -118,6 +121,7 @@ class TestDifferentialSharding:
         trace = synthesize_trace(table, 120, seed=22)
         keys = random_keys(table.width, 2500, seed=22)
         with ShardCoordinator(router, workers=workers) as coordinator:
+            acks = []
             for round_index in range(6):
                 churn(router, trace, round_index * 20, 20)
                 sharded = coordinator.lookup_batch(keys)
@@ -127,9 +131,12 @@ class TestDifferentialSharding:
                 )
                 if round_index % 2:
                     coordinator.publish()
-            # Worker-observed generations are monotone per worker.
-            for history in coordinator.generation_history.values():
-                assert history == sorted(history)
+                acks.append(coordinator.worker_acks())
+            # No worker ever attaches backwards, and the last publish's
+            # fence saw every worker ack it.
+            for before, after in zip(acks, acks[1:]):
+                assert all(b <= a for b, a in zip(before, after)), acks
+            assert acks[-1] == [coordinator.generation] * workers, acks
             assert coordinator.generation >= 1
 
     def test_partitions_cover_batch_exactly_once(self):
@@ -179,35 +186,6 @@ class TestGenerationFence:
             deadline_acks = coordinator.worker_acks()
             assert all(ack == coordinator.generation
                        for ack in deadline_acks), deadline_acks
-
-    def test_control_block_rejects_stale_generation(self):
-        with ControlBlock.create(workers=2) as control:
-            control.publish(3, "seg-3")
-            with pytest.raises(ControlBlockError):
-                control.publish(3, "seg-3-again")
-            with pytest.raises(ControlBlockError):
-                control.publish(2, "seg-2")
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=9),
-                    min_size=1, max_size=8))
-    def test_control_block_reads_are_monotone(self, increments):
-        """Hypothesis property: generations observed through the seqlock
-        read path are monotone and always paired with their own segment
-        name, for any publish cadence."""
-        with ControlBlock.create(workers=1) as control:
-            observed = []
-            generation = 0
-            for step in increments:
-                generation += step
-                control.publish(generation, f"segment-{generation}")
-                seen_generation, seen_name, _state = control.read()
-                observed.append(seen_generation)
-                assert seen_name == f"segment-{seen_generation}"
-                control.ack(0, seen_generation)
-                assert control.all_acked(seen_generation)
-            assert observed == sorted(observed)
-            assert observed[-1] == generation
 
 
 def assert_segment_is_a_fresh_compile(coordinator, fib):
@@ -524,3 +502,40 @@ class TestWordBursts:
             monkeypatch.undo()
             assert coordinator.generation == 1
             assert np.array_equal(sharded, router.lookup_batch(keys))
+
+
+def plane_segments():
+    """This process's ``chz-*`` shared-memory segments."""
+    prefix = f"{SEGMENT_PREFIX}-{os.getpid()}-"
+    return sorted(name for name in os.listdir("/dev/shm")
+                  if name.startswith(prefix))
+
+
+class TestOnePlanePerRouter:
+    def test_second_plane_is_refused_and_the_first_stays_exact(self):
+        """A router feeds one word tracker.  A second plane over it
+        would take the tracker's words from the first, which then serves
+        stale answers; it is refused before it makes a queue, process or
+        segment.  The first plane stays exact, and once it closes, a
+        plane built after it installs its own tracker and is exact."""
+        table, _fib, router = build_router(table_size=600, seed=46)
+        rng = random.Random(46)
+        changed = rng.sample(list(table.prefixes()), 60)
+        keys = keys_under(rng, table.width, 300, changed)
+        with ShardCoordinator(router, workers=1) as first:
+            segments = plane_segments()
+            children = multiprocessing.active_children()
+            with pytest.raises(RuntimeError, match="tracker"):
+                ShardCoordinator(router, workers=1)
+            gc.collect()  # the refused plane's teardown runs here
+            assert plane_segments() == segments
+            assert multiprocessing.active_children() == children
+            for prefix in changed[:30]:
+                router.announce(prefix, "10.4.0.1", "eth4")
+            assert np.array_equal(first.lookup_batch(keys),
+                                  router.lookup_batch(keys))
+        with ShardCoordinator(router, workers=1) as second:
+            for prefix in changed[30:]:
+                router.announce(prefix, "10.4.0.2", "eth4")
+            assert np.array_equal(second.lookup_batch(keys),
+                                  router.lookup_batch(keys))

@@ -3,16 +3,13 @@
 Two failure modes this file pins down:
 
 * **Stranded segments** — a coordinator killed before ``close()`` used
-  to leave its segments (and control block) in ``/dev/shm`` forever.
-  Segments now carry ``chz-<pid>-<nonce>-<tag>`` names, the coordinator
-  registers an ``atexit`` hook, and startup reaps any segment whose
-  owning pid is dead (``repro.shard.names``).
-* **Attach races** — a worker attaching mid-publish can see the named
-  segment vanish (``FileNotFoundError``) or fail checksum verification
-  (``SnapshotIntegrityError``) because the coordinator's ack-fenced
-  retirement unlinked it.  The worker retries with bounded exponential
-  backoff against the *current* control-block generation instead of
-  crashing.
+  to leave its segments in ``/dev/shm`` forever.  Segments now carry
+  ``chz-<pid>-<nonce>-<tag>`` names, the coordinator registers an
+  ``atexit`` hook, and startup reaps any segment whose owning pid is
+  dead (``repro.shard.names``).  A plane maps one kind of segment, one
+  per live generation: the publishes and acks ride its queues.
+* **Orphaned workers** — a worker whose coordinator was SIGKILLed,
+  even before the worker reached its loop, exits on its own.
 """
 
 import multiprocessing
@@ -27,8 +24,6 @@ import pytest
 
 from repro.router import ForwardingEngine
 from repro.serve import SnapshotRouter
-from repro.shard.codec import SharedSnapshot, SnapshotIntegrityError
-from repro.shard.control import ControlBlock
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.names import (
     SEGMENT_PREFIX,
@@ -36,7 +31,7 @@ from repro.shard.names import (
     reap_stale_segments,
     segment_name,
 )
-from repro.shard.worker import _ORPHAN_POLL_SECONDS, _WorkerRuntime
+from repro.shard.worker import _ORPHAN_POLL_SECONDS
 from repro.workloads import synthetic_table
 
 SHM_DIR = "/dev/shm"
@@ -183,7 +178,8 @@ class TestCoordinatorLifecycle:
     def test_close_leaves_no_segments(self):
         before = our_segments(os.getpid())
         coordinator = ShardCoordinator(build_router(), workers=1)
-        assert len(our_segments(os.getpid())) > len(before)
+        fresh = sorted(set(our_segments(os.getpid())) - set(before))
+        assert len(fresh) == 1, f"one generation, one segment: {fresh}"
         coordinator.close()
         assert our_segments(os.getpid()) == before
 
@@ -215,9 +211,9 @@ class TestCoordinatorLifecycle:
         against its new parent (the reaper), so it never exited.  The
         slowed attach makes that interleaving certain."""
         prelude = (
-            "from repro.shard.control import ControlBlock\n"
-            "_attach = ControlBlock.attach.__func__\n"
-            "ControlBlock.attach = classmethod(\n"
+            "from repro.shard.codec import SharedSnapshot\n"
+            "_attach = SharedSnapshot.attach.__func__\n"
+            "SharedSnapshot.attach = classmethod(\n"
             "    lambda cls, name: time.sleep(0.5) or _attach(cls, name))\n"
         )
         pid, returncode, pids = run_coordinator_subprocess(
@@ -237,72 +233,3 @@ class TestCoordinatorLifecycle:
             "pass  # fall off the end: interpreter exit runs atexit")
         assert returncode == 0
         assert our_segments(pid) == []
-
-
-class TestWorkerAttachRetry:
-    def test_attach_retries_through_transient_failures(self, monkeypatch):
-        """Regression: FileNotFoundError and SnapshotIntegrityError during
-        attach are transients of ack-fenced retirement, not crashes."""
-        router = build_router(size=120)
-        with router._lock:
-            snapshot = router._snapshot
-        nonce = fresh_nonce()
-        segment = SharedSnapshot.export(snapshot, 1,
-                                        name=segment_name("t1", nonce))
-        control = ControlBlock.create(1, name=segment_name("tc", nonce))
-        try:
-            control.publish(1, segment.name)
-            runtime = _WorkerRuntime(0, ControlBlock.attach(control.name))
-            real_attach = SharedSnapshot.attach.__func__
-            failures = iter([
-                FileNotFoundError("segment retired under us"),
-                SnapshotIntegrityError("superseded mid-verify"),
-                ValueError("zero-size map during teardown"),
-            ])
-
-            def flaky(cls, name):
-                try:
-                    raise next(failures)
-                except StopIteration:
-                    return real_attach(cls, name)
-
-            monkeypatch.setattr(SharedSnapshot, "attach",
-                                classmethod(flaky))
-            monkeypatch.setattr(
-                "repro.shard.worker._ATTACH_BACKOFF_FLOOR", 0.0001)
-            lookup = runtime.ensure_current()
-            assert runtime.generation == 1
-            assert lookup is not None
-            runtime.close()
-        finally:
-            segment.retire()
-            control.close()
-
-    def test_attach_exhaustion_still_raises(self, monkeypatch):
-        router = build_router(size=120)
-        with router._lock:
-            snapshot = router._snapshot
-        nonce = fresh_nonce()
-        segment = SharedSnapshot.export(snapshot, 1,
-                                        name=segment_name("t2", nonce))
-        control = ControlBlock.create(1, name=segment_name("td", nonce))
-        try:
-            control.publish(1, segment.name)
-            runtime = _WorkerRuntime(0, ControlBlock.attach(control.name))
-
-            def always_gone(cls, name):
-                raise FileNotFoundError("never comes back")
-
-            monkeypatch.setattr(SharedSnapshot, "attach",
-                                classmethod(always_gone))
-            monkeypatch.setattr(
-                "repro.shard.worker._ATTACH_BACKOFF_FLOOR", 0.0)
-            monkeypatch.setattr(
-                "repro.shard.worker._ATTACH_BACKOFF_CAP", 0.0)
-            monkeypatch.setattr("repro.shard.worker._ATTACH_RETRIES", 5)
-            with pytest.raises(RuntimeError, match="could not attach"):
-                runtime.ensure_current()
-            runtime.close()
-        finally:
-            segment.retire()
-            control.close()
