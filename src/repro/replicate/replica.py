@@ -98,7 +98,7 @@ _STATE_FILE = "state.bin"
 _LOG_FILE = "tail.log"
 
 #: ``state.bin`` header: magic, table width, base seq, CRC32 of the body.
-_STATE_MAGIC = b"chzledg1"
+_STATE_MAGIC = b"chzledg2"
 _STATE_HEADER = struct.Struct("<8sIQI")
 
 #: Control commands (harness -> replica, over the task queue).
@@ -205,18 +205,16 @@ class _ReplicaRuntime:
         self.seq = self.base_seq
         replay = replay_log(self._log_path(), start_seq=self.base_seq,
                             expected_generation=self.base_seq)
-        if replay.status in ("ok", "torn"):
+        if not replay.damaged:
             for record in replay.records:
-                if record.is_update:
-                    self._apply(record)
-                    self.seq = record.seq
-                    self.stats["replayed"] += 1
+                self._apply(record)
+                self.seq = record.seq
+                self.stats["replayed"] += 1
+            # A missing log, or one torn inside its header, is created
+            # afresh by ``open_append``.
             self.log = DeltaLog.open_append(
                 self._log_path(), self.base_seq, replay.valid_length,
                 sync=False)
-        elif replay.status == "missing":
-            self.log = DeltaLog.create(self._log_path(), self.base_seq,
-                                       sync=False)
         else:
             # Damaged beyond the tail: the durable prefix cannot be
             # trusted to chain.  Restart from the last good base state;
@@ -266,8 +264,6 @@ class _ReplicaRuntime:
 
     def apply_stream(self, record: LogRecord, payload: bytes) -> None:
         """One in-order streamed record: apply, persist, advance."""
-        if not record.is_update:
-            return
         if record.seq <= self.seq:
             self.stats["duplicates_skipped"] += 1
             return

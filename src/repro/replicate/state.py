@@ -34,7 +34,7 @@ from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
 from ..router.fib import ForwardingEngine, _default_naming
 from ..router.nexthop import NextHopInfo
-from ..store.records import ANNOUNCE, WITHDRAW, LogRecord
+from ..store.records import ANNOUNCE, LogRecord
 from .iblt import fingerprint
 
 RouteKey = Tuple[int, int]  # (prefix_value, prefix_length)
@@ -117,9 +117,8 @@ class RouteLedger:
             self.set_entry(RouteEntry(
                 record.prefix_value, record.prefix_length,
                 record.gateway, record.interface, record.seq))
-        elif record.op == WITHDRAW:
+        else:
             self.remove((record.prefix_value, record.prefix_length))
-        # PUBLISH markers carry no route state.
 
     # -- introspection -------------------------------------------------------
 

@@ -573,11 +573,12 @@ class SharedSnapshot(SnapshotImage):
         self._shm.unlink()
 
     def retire(self) -> None:
-        """Owner-side teardown: unlink the name, then drop the mapping."""
-        if not self._closed:
-            try:
-                self.unlink()
-            except FileNotFoundError:
-                # Already unlinked (e.g. a prior retire raced a close).
-                pass
-            self.close()
+        """Owner-side teardown: unlink the name, then drop the mapping
+        (if this process still has one: the shard coordinator closes its
+        own right after the export)."""
+        try:
+            self.unlink()
+        except FileNotFoundError:
+            # Already unlinked (a second retire).
+            pass
+        self.close()

@@ -372,6 +372,10 @@ class ShardCoordinator:
             generation = self._generation + 1
             cut = SharedSnapshot.export(
                 image, generation, name=self._segment_name(generation))
+            # Never read back here: a mapping kept would be inherited
+            # by every worker forked while it is current, and pin the
+            # segment in that worker after it is retired.
+            cut.close()
         else:
             cells = tracker.burst(image)
             if cells:

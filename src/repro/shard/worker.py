@@ -82,8 +82,8 @@ class _WorkerRuntime:
         self.generation = generation
         self.result_queue.put((RESULT_ATTACHED, self.worker_id, generation))
         if previous is not None:
-            # The caller still holds the old lookup's views, so this
-            # close leaves the mapping to go with them.
+            # The caller dropped the old lookup's views, so this close
+            # releases the old mapping and its descriptor.
             previous.close()
         return segment.to_lookup()
 
@@ -120,6 +120,7 @@ def worker_main(worker_id: int, generation: int, segment_name: str,
             if kind == TASK_STOP:
                 return 0
             if kind == TASK_ATTACH:
+                del lookup  # the old generation's views pin its segment
                 lookup = runtime.attach(task[1], task[2])
                 continue
             if kind != TASK_BATCH:

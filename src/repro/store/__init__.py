@@ -7,12 +7,11 @@ of a full compile:
   (magic + header + 64-byte-aligned payload + per-block checksums,
   sharing the :mod:`repro.shard.codec` layout) written via
   tmp-file + fsync + rename-into-place and read back through ``mmap``.
-* :mod:`repro.store.deltalog` — the append-only ``ImageDelta`` log:
-  length-prefixed CRC-framed records with fsync-per-append discipline
-  and torn-tail-tolerant replay.
-* :mod:`repro.store.records` — the binary record codec (route update
-  commands plus optional word-level :class:`repro.core.image.ImageDelta`
-  payloads).
+* :mod:`repro.store.deltalog` — the append-only journal of route
+  commands: length-prefixed CRC-framed records with fsync-per-append
+  discipline and torn-tail-tolerant replay.
+* :mod:`repro.store.records` — the binary record codec: one sequenced
+  ANNOUNCE or WITHDRAW command per record.
 * :mod:`repro.store.store` — :class:`SnapshotStore`, the single-writer
   store that journals a :class:`repro.serve.snapshot.SnapshotRouter`'s
   updates and cuts periodic checkpoints.
@@ -30,14 +29,10 @@ from .checkpoint import (
 from .deltalog import DeltaLog, LogReplay, replay_log
 from .records import (
     ANNOUNCE,
-    PUBLISH,
     WITHDRAW,
     LogRecord,
     RecordDecodeError,
-    apply_delta,
-    decode_delta,
     decode_record,
-    encode_delta,
     encode_record,
 )
 from .store import CheckpointPolicy, SnapshotStore, StoreError
@@ -45,7 +40,6 @@ from .boot import BootResult, RecoveryError, RecoveryReport, cold_start
 
 __all__ = [
     "ANNOUNCE",
-    "PUBLISH",
     "WITHDRAW",
     "BootResult",
     "CheckpointCorruptError",
@@ -59,11 +53,8 @@ __all__ = [
     "RecoveryReport",
     "SnapshotStore",
     "StoreError",
-    "apply_delta",
     "cold_start",
-    "decode_delta",
     "decode_record",
-    "encode_delta",
     "encode_record",
     "replay_log",
 ]

@@ -17,24 +17,21 @@ failure, sequence gap — is *detected and classified*, never served:
   backoff run first (transient I/O), then the boot degrades to a full
   recompile from ``bootstrap`` (the pre-store cold-start cost) or raises.
 
-Replay drives the recovered updates through the same
+Replay drives the recovered update commands through the same
 ``SnapshotRouter.announce``/``withdraw`` path the writer used, so the
 recovered engine is byte-identical to a golden rebuild of the same
 update prefix (the ``chisel-repro crash`` harness gates on exactly
-this).  When records carry ``ImageDelta`` payloads, an independent
-word-level reconstruction cross-checks the replayed engine image —
-divergence raises instead of serving.
+this, at every kill point and on both boot paths).
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..core.config import ChiselConfig
-from ..core.image import HardwareImage
 from ..obs import LATENCY_BUCKETS, get_registry
 from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
@@ -47,13 +44,7 @@ from .checkpoint import (
     load_checkpoint,
 )
 from .deltalog import replay_log
-from .records import (
-    ANNOUNCE,
-    WITHDRAW,
-    LogRecord,
-    RecordDecodeError,
-    apply_delta,
-)
+from .records import ANNOUNCE, LogRecord
 from .store import (
     CheckpointPolicy,
     SnapshotStore,
@@ -62,6 +53,7 @@ from .store import (
     log_path,
     sweep_tmp_files,
 )
+
 
 class RecoveryError(RuntimeError):
     """No checkpoint chain could be recovered from the store directory."""
@@ -76,53 +68,18 @@ class RecoveryReport:
     checkpoint_seq: int = 0
     seq: int = 0
     updates_replayed: int = 0
-    markers_seen: int = 0
     fallbacks: int = 0
     attempts: int = 1
     torn_tail: bool = False
     chain_broken: bool = False
     duplicates_skipped: int = 0
-    deep_verified: bool = False
     rejected: List[str] = field(default_factory=list)
     damage: List[str] = field(default_factory=list)
     replay_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "boot": self.boot,
-            "generation": self.generation,
-            "checkpoint_seq": self.checkpoint_seq,
-            "seq": self.seq,
-            "updates_replayed": self.updates_replayed,
-            "markers_seen": self.markers_seen,
-            "fallbacks": self.fallbacks,
-            "attempts": self.attempts,
-            "torn_tail": self.torn_tail,
-            "chain_broken": self.chain_broken,
-            "duplicates_skipped": self.duplicates_skipped,
-            "deep_verified": self.deep_verified,
-            "rejected": list(self.rejected),
-            "damage": list(self.damage),
-            "replay_seconds": round(self.replay_seconds, 6),
-        }
-
-
-@dataclass
-class _RecoveredState:
-    checkpoint: MappedCheckpoint
-    lookup: SharedBatchLookup
-    generation: int
-    checkpoint_seq: int
-    fib_blob: bytes
-    tail: List[LogRecord]
-    seq: int
-    torn_tail: bool
-    chain_broken: bool
-    duplicates: int
-    damage: List[str]
-    rejected: List[str]
-    fallbacks: int
-    tail_valid_length: int
+        return {**asdict(self),
+                "replay_seconds": round(self.replay_seconds, 6)}
 
 
 @dataclass
@@ -135,74 +92,72 @@ class BootResult:
     checkpoint: Optional[MappedCheckpoint] = None
 
 
-def _chain_logs(directory: str, start_generation: int, start_seq: int,
-                state_damage: List[str]) -> Tuple[List[LogRecord], int,
-                                                  bool, bool, int, int]:
-    """Replay logs ``start_generation..newest``; returns the tail.
+def _chain_logs(directory: str, start_generation: int,
+                report: RecoveryReport) -> Tuple[List[LogRecord], int]:
+    """Replay logs ``start_generation..newest`` past ``report.seq``.
 
-    -> (records, last_seq, torn_tail, chain_broken, duplicates,
-        newest_log_valid_length)
+    Returns the tail records and the newest log's valid length, and
+    fills the report's seq, tail and damage fields.
     """
     generations = list_generations(directory)
     newest = generations[-1] if generations else start_generation
     records: List[LogRecord] = []
-    last_seq = start_seq
-    torn_tail = False
-    chain_broken = False
-    duplicates = 0
     valid_length = 0
     for generation in range(start_generation, newest + 1):
         replay = replay_log(log_path(directory, generation),
-                            start_seq=last_seq,
+                            start_seq=report.seq,
                             expected_generation=generation)
-        duplicates += replay.duplicates_skipped
+        report.duplicates_skipped += replay.duplicates_skipped
         if replay.status == "missing":
             # A crash between checkpoint rename and log rotation: no
             # record can exist beyond this point.
             if generation < newest:
-                chain_broken = True
-                state_damage.append(
+                report.chain_broken = True
+                report.damage.append(
                     f"delta-{generation:08d}.log missing mid-chain")
             break
         records.extend(replay.records)
-        for record in replay.records:
-            if record.is_update:
-                last_seq = record.seq
+        if replay.records:
+            report.seq = replay.records[-1].seq
         if generation == newest:
             valid_length = replay.valid_length
         if replay.status == "torn":
-            torn_tail = True
+            report.torn_tail = True
             if generation < newest:
                 # Records were lost *between* logs; later logs cannot
                 # chain (their records would gap).  Serve the clean
                 # prefix and say so.
-                chain_broken = True
-                state_damage.append(
+                report.chain_broken = True
+                report.damage.append(
                     f"delta-{generation:08d}.log torn mid-chain: "
                     f"{replay.detail}")
             else:
-                state_damage.append(
+                report.damage.append(
                     f"delta-{generation:08d}.log torn tail: "
                     f"{replay.detail}")
             break
         if replay.damaged:
-            chain_broken = True
-            state_damage.append(
+            report.chain_broken = True
+            report.damage.append(
                 f"delta-{generation:08d}.log {replay.status}: "
                 f"{replay.detail}")
             break
-    return records, last_seq, torn_tail, chain_broken, duplicates, valid_length
+    return records, valid_length
 
 
-def _recover_state(directory: str) -> _RecoveredState:
-    """Newest recoverable (checkpoint, tail) pair, or ``RecoveryError``."""
+def _recover_state(
+        directory: str, report: RecoveryReport,
+) -> Tuple[MappedCheckpoint, SharedBatchLookup, bytes, List[LogRecord], int]:
+    """Newest recoverable checkpoint and its log tail, or ``RecoveryError``.
+
+    Fills ``report`` with what recovery found, used and refused; returns
+    ``(checkpoint, lookup, FIB blob, tail, newest log valid length)``.
+    """
     registry = get_registry()
     generations = list_generations(directory)
     if not generations:
         raise RecoveryError(
             f"{directory}: no checkpoints found (not a store?)")
-    rejected: List[str] = []
-    fallbacks = 0
     refused = registry.counter(
         "store_checkpoints_rejected_total",
         "checkpoints refused by recovery (bad header/checksum)",
@@ -212,16 +167,16 @@ def _recover_state(directory: str) -> _RecoveredState:
         try:
             checkpoint = load_checkpoint(path)
         except CheckpointCorruptError as error:
-            rejected.append(str(error))
+            report.rejected.append(str(error))
             refused.inc()
-            fallbacks += 1
+            report.fallbacks += 1
             continue
         try:
             fib_blob = checkpoint.blob("fib")
         except KeyError:
             checkpoint.close()
-            rejected.append(f"checkpoint {path}: missing FIB blob")
-            fallbacks += 1
+            report.rejected.append(f"checkpoint {path}: missing FIB blob")
+            report.fallbacks += 1
             continue
         try:
             lookup = checkpoint.to_lookup()
@@ -230,81 +185,31 @@ def _recover_state(directory: str) -> _RecoveredState:
             # layout this reader does not serve): same fallback as a
             # corrupt checkpoint.
             checkpoint.close()
-            rejected.append(str(error))
+            report.rejected.append(str(error))
             refused.inc()
-            fallbacks += 1
+            report.fallbacks += 1
             continue
-        damage: List[str] = []
-        (tail, last_seq, torn_tail, chain_broken, duplicates,
-         valid_length) = _chain_logs(
-            directory, generation, checkpoint.seq, damage)
-        if torn_tail:
+        report.generation = generation
+        report.checkpoint_seq = report.seq = checkpoint.seq
+        tail, valid_length = _chain_logs(directory, generation, report)
+        if report.torn_tail:
             registry.counter(
                 "store_torn_tails_total",
                 "torn final log records truncated by recovery").inc()
-        if chain_broken:
+        if report.chain_broken:
             registry.counter(
                 "store_corrupt_logs_total",
                 "log damage beyond a torn tail found by recovery").inc()
-        return _RecoveredState(
-            checkpoint=checkpoint, lookup=lookup, generation=generation,
-            checkpoint_seq=checkpoint.seq, fib_blob=fib_blob, tail=tail,
-            seq=last_seq, torn_tail=torn_tail, chain_broken=chain_broken,
-            duplicates=duplicates, damage=damage, rejected=rejected,
-            fallbacks=fallbacks, tail_valid_length=valid_length,
-        )
+        return checkpoint, lookup, fib_blob, tail, valid_length
     raise RecoveryError(
         f"{directory}: every checkpoint failed validation: "
-        + "; ".join(rejected)
+        + "; ".join(report.rejected)
     )
-
-
-def _replay_tail(router: SnapshotRouter, fib: ForwardingEngine,
-                 state: _RecoveredState,
-                 report: RecoveryReport) -> None:
-    """Re-apply the tail through the live update path; cross-check deltas."""
-    width = fib.width
-    mirror: Optional[HardwareImage] = None
-    updates = [record for record in state.tail if record.is_update]
-    if updates and all(record.delta is not None for record in updates):
-        mirror = HardwareImage.snapshot(fib.engine)
-    for record in state.tail:
-        if record.op == ANNOUNCE:
-            router.announce(Prefix(record.prefix_value,
-                                   record.prefix_length, width),
-                            record.gateway, record.interface)
-            report.updates_replayed += 1
-        elif record.op == WITHDRAW:
-            router.withdraw(Prefix(record.prefix_value,
-                                   record.prefix_length, width))
-            report.updates_replayed += 1
-        else:
-            report.markers_seen += 1
-            continue
-        if mirror is not None and record.delta is not None:
-            try:
-                apply_delta(mirror.tables, record.delta)
-            except RecordDecodeError as error:
-                raise RecoveryError(
-                    f"delta replay diverged at seq {record.seq}: {error}"
-                ) from error
-    if mirror is not None:
-        current = HardwareImage.snapshot(fib.engine)
-        forward = mirror.diff(current)
-        backward = current.diff(mirror)
-        if forward.word_count or backward.word_count:
-            raise RecoveryError(
-                f"delta cross-check failed: engine replay and word-level "
-                f"delta replay disagree on {forward.word_count + backward.word_count} "
-                f"words — refusing to serve"
-            )
-        report.deep_verified = True
 
 
 def cold_start(directory: str,
                policy: Optional[CheckpointPolicy] = None,
                sync: bool = True,
-               capture_deltas: bool = False,
                retries: int = 3,
                backoff: float = 0.05,
                sleep: Callable[[float], None] = time.sleep,
@@ -328,21 +233,20 @@ def cold_start(directory: str,
     replay_hist = registry.histogram(
         "store_replay_seconds", LATENCY_BUCKETS,
         "cold-start recovery: map + unpickle + tail replay")
-    report = RecoveryReport()
     attempts = max(retries, 1)
-    state: Optional[_RecoveredState] = None
+    recovered = None
     last_error: Optional[Exception] = None
     started = time.perf_counter()
     for attempt in range(attempts):
-        report.attempts = attempt + 1
+        report = RecoveryReport(attempts=attempt + 1)
         try:
-            state = _recover_state(directory)
+            recovered = _recover_state(directory, report)
             break
         except RecoveryError as error:
             last_error = error
             if attempt + 1 < attempts:
                 sleep(backoff * (2 ** attempt))
-    if state is None:
+    if recovered is None:
         registry.counter(
             "store_recovery_failures_total",
             "recovery attempts that found no usable checkpoint").inc()
@@ -355,45 +259,43 @@ def cold_start(directory: str,
         # loudly via boot="recompile" and the rejected list.
         fib = ForwardingEngine.from_table(bootstrap, config=config)
         router = SnapshotRouter(fib)
-        report.boot = "recompile"
-        report.rejected.append(str(last_error))
+        report = RecoveryReport(boot="recompile", attempts=attempts,
+                                rejected=[str(last_error)])
         sweep_tmp_files(directory)
         store = SnapshotStore.create(directory, router, policy=policy,
-                                     sync=sync,
-                                     capture_deltas=capture_deltas)
+                                     sync=sync)
         report.generation = store.generation
         report.replay_seconds = time.perf_counter() - started
         return BootResult(router=router, store=store, report=report)
-    report.generation = state.generation
-    report.checkpoint_seq = state.checkpoint_seq
-    report.seq = state.seq
-    report.fallbacks = state.fallbacks
-    report.torn_tail = state.torn_tail
-    report.chain_broken = state.chain_broken
-    report.duplicates_skipped = state.duplicates
-    report.rejected = list(state.rejected)
-    report.damage = list(state.damage)
+    checkpoint, lookup, fib_blob, tail, valid_length = recovered
     try:
-        fib = pickle.loads(state.fib_blob)
+        fib = pickle.loads(fib_blob)
     except Exception as error:
         # The blob is checksummed, so this is version skew, not rot;
         # surface it as a recovery failure rather than a crash.
-        state.checkpoint.close()
+        checkpoint.close()
         raise RecoveryError(
-            f"checkpoint generation {state.generation}: FIB blob failed "
+            f"checkpoint generation {report.generation}: FIB blob failed "
             f"to unpickle: {error}") from error
-    router = SnapshotRouter(fib, initial_snapshot=state.lookup)
-    _replay_tail(router, fib, state, report)
+    router = SnapshotRouter(fib, initial_snapshot=lookup)
+    # Re-apply the tail through the live update path.
+    for record in tail:
+        prefix = Prefix(record.prefix_value, record.prefix_length, fib.width)
+        if record.op == ANNOUNCE:
+            router.announce(prefix, record.gateway, record.interface)
+        else:
+            router.withdraw(prefix)
+    report.updates_replayed = len(tail)
     report.replay_seconds = time.perf_counter() - started
     replay_hist.observe(report.replay_seconds)
     registry.counter(
         "store_recoveries_total", "successful cold-start recoveries").inc()
-    if state.fallbacks:
+    if report.fallbacks:
         registry.counter(
             "store_recovery_fallbacks_total",
             "recoveries that used an older checkpoint generation").inc()
     sweep_tmp_files(directory)
-    if checkpoint_on_boot or state.chain_broken:
+    if checkpoint_on_boot or report.chain_broken:
         # A fresh generation makes recovery itself crash-consistent
         # (no in-place log surgery survives a crash-during-boot) and
         # bounds boot time across repeated crash cycles.  Seeding the
@@ -401,13 +303,11 @@ def cold_start(directory: str,
         # intact: a later fallback past this checkpoint must see the
         # post-boot records as successors, not stale duplicates.
         store = SnapshotStore.create(directory, router, policy=policy,
-                                     sync=sync,
-                                     capture_deltas=capture_deltas,
-                                     seq=state.seq)
+                                     sync=sync, seq=report.seq)
     else:
         store = SnapshotStore.resume(
-            directory, router, generation=state.generation,
-            seq=state.seq, log_valid_length=state.tail_valid_length,
-            policy=policy, sync=sync, capture_deltas=capture_deltas)
+            directory, router, generation=report.generation,
+            seq=report.seq, log_valid_length=valid_length,
+            policy=policy, sync=sync)
     return BootResult(router=router, store=store, report=report,
-                      checkpoint=state.checkpoint)
+                      checkpoint=checkpoint)

@@ -138,6 +138,7 @@ class MappedCheckpoint(SnapshotImage):
         except CheckpointCorruptError:
             os.close(self._fd)
             raise
+        self._closed = False
         try:
             header, payload_start = parse_image_header(
                 memoryview(self._map), context=f"checkpoint {path}",
@@ -148,7 +149,6 @@ class MappedCheckpoint(SnapshotImage):
             raise CheckpointCorruptError(str(error)) from error
         super().__init__(memoryview(self._map), header, payload_start,
                          context=f"checkpoint {path}", writable=True)
-        self._closed = False
 
     def verify(self) -> None:
         try:
@@ -169,9 +169,14 @@ class MappedCheckpoint(SnapshotImage):
         return len(self._map)
 
     def close(self) -> None:
-        """Drop the mapping (views handed out keep it pinned until GC)."""
-        if getattr(self, "_closed", True) is False:
-            self._closed = True
+        """Drop the mapping (views handed out keep it pinned until GC).
+
+        Idempotent: the descriptor is closed once, since by a second
+        call the OS may have given its number to another file.
+        """
+        if self._closed:
+            return
+        self._closed = True
         try:
             self._map.close()
         except BufferError:
@@ -179,10 +184,7 @@ class MappedCheckpoint(SnapshotImage):
             # exit.  Mirrors SharedSnapshot.close's accepted leak.
             pass
         finally:
-            try:
-                os.close(self._fd)
-            except OSError:
-                pass
+            os.close(self._fd)
 
 
 def load_checkpoint(path: str) -> MappedCheckpoint:

@@ -9,7 +9,10 @@ with a crashpoint hook that calls ``os._exit`` at the Nth durability
 boundary — every ``log:*`` and ``ckpt:*`` point the store exposes, so
 the writer dies mid-append, mid-fsync, between tmp write and rename,
 after rename before directory fsync, mid-rotation and mid-prune.  The
-parent then cold-starts from whatever the child left on disk and gates:
+parent then cold-starts from whatever the child left on disk, twice:
+the default way (cutting a fresh checkpoint), and on a copy taken before
+that boot with ``checkpoint_on_boot=False`` (appending to the recovered
+log).  Each boot is gated:
 
 * recovery reaches at least the sequence number that was durable when
   the child died (acknowledged updates are never lost);
@@ -54,7 +57,7 @@ from ..serve.snapshot import SnapshotRouter
 from ..verify import Answer, HarnessReport, Oracle, apply_update, keys_under
 from ..workloads import synthetic_table
 from ..workloads.traces import synthesize_trace
-from .boot import RecoveryError, cold_start
+from .boot import BootResult, RecoveryError, cold_start
 from .checkpoint import CHECKPOINT_MAGIC
 from .crashpoints import set_crashpoint_hook
 from .store import (
@@ -267,11 +270,41 @@ def _verify_recovery(directory: str, workload: _Workload,
                      golden_final: HardwareImage,
                      min_seq: int, report: CrashReport,
                      context: str) -> Optional[str]:
-    """Boot from ``directory`` and apply every gate; None means passed."""
+    """Boot ``directory`` both ways and gate each boot; None means passed.
+
+    A copy taken before the first boot is booted with
+    ``checkpoint_on_boot=False``, the path that resumes appending to the
+    recovered log; ``directory`` itself boots the default way, cutting a
+    fresh checkpoint.
+    """
+    resumed = tempfile.mkdtemp(prefix="chz-crash-resume-")
     try:
-        result = cold_start(directory, sync=True, retries=1, backoff=0.0)
-    except RecoveryError as error:
-        return f"{context}: recovery refused: {error}"
+        shutil.rmtree(resumed)
+        shutil.copytree(directory, resumed)
+        for path, checkpoint_on_boot, label in (
+                (directory, True, context),
+                (resumed, False, f"{context}, resumed")):
+            try:
+                result = cold_start(path, sync=True, retries=1, backoff=0.0,
+                                    checkpoint_on_boot=checkpoint_on_boot)
+            except RecoveryError as error:
+                return f"{label}: recovery refused: {error}"
+            except OSError as error:
+                return f"{label}: boot failed: {error!r}"
+            failure = _gate_boot(result, workload, golden_answers,
+                                 golden_final, min_seq, report, label)
+            if failure is not None:
+                return failure
+    finally:
+        shutil.rmtree(resumed, ignore_errors=True)
+    return None
+
+
+def _gate_boot(result: BootResult, workload: _Workload,
+               golden_answers: List[List[Answer]],
+               golden_final: HardwareImage, min_seq: int,
+               report: CrashReport, context: str) -> Optional[str]:
+    """Apply every gate to one boot, then close it; None means passed."""
     report.boots += 1
     boot_report = result.report
     report.fallbacks += boot_report.fallbacks

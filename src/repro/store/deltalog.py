@@ -2,8 +2,12 @@
 
 File layout::
 
-    [16-byte header: b"CHZLOG1\\0" + u64 generation]
+    [16-byte header: b"CHZLOG2\\0" + u64 generation]
     [frame]*            frame = [u32 payload length][u32 crc32][payload]
+
+Each payload is one :class:`~repro.store.records.LogRecord`, a sequenced
+ANNOUNCE or WITHDRAW command.  A log of format 1 (``CHZLOG1``) replays
+as ``bad-header``.
 
 The writer appends a frame, flushes, and fsyncs before acknowledging
 (``sync="always"``); :func:`crashpoint` markers bracket every boundary
@@ -34,20 +38,17 @@ import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from .checkpoint import fsync_directory
 from .crashpoints import crashpoint
 from .records import LogRecord, RecordDecodeError, decode_record
 
-_LOG_MAGIC = b"CHZLOG1\0"
+_LOG_MAGIC = b"CHZLOG2\0"
 _HEADER = struct.Struct("<8sQ")
 _FRAME = struct.Struct("<II")
 
 #: Split point for the two-phase frame write: bytes flushed before the
 #: ``log:torn`` crashpoint.  Killing there leaves a genuinely torn frame.
 _TORN_SPLIT = 6
-
-
-class LogCorruptionError(RuntimeError):
-    """A log file failed structural validation beyond a torn tail."""
 
 
 @dataclass
@@ -104,12 +105,20 @@ class DeltaLog:
     @classmethod
     def open_append(cls, path: str, generation: int, valid_length: int,
                     sync: bool = True) -> "DeltaLog":
-        """Reopen an existing log for appending after replay.
+        """Reopen a log for appending after replay.
 
         ``valid_length`` is the replayed-clean byte count; anything after
         it (a torn tail) is truncated away so new frames chain onto the
-        valid prefix instead of hiding behind garbage.
+        valid prefix instead of hiding behind garbage.  When replay found
+        no durable header (the log is missing, or torn inside its
+        header), the log is created afresh, header and directory entry
+        fsynced: frames appended behind no magic would make the next
+        replay refuse the whole log.
         """
+        if valid_length < _HEADER.size:
+            log = cls.create(path, generation, sync=sync)
+            fsync_directory(os.path.dirname(path) or ".")
+            return log
         handle = open(path, "r+b")
         handle.truncate(valid_length)
         handle.seek(0, os.SEEK_END)
@@ -139,11 +148,6 @@ class DeltaLog:
         if self.sync:
             os.fsync(self._file.fileno())
             crashpoint("log:durable")
-
-    def flush(self) -> None:
-        if not self._closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if not self._closed:
@@ -237,21 +241,18 @@ def replay_log(path: str, start_seq: int = 0,
             replay.detail = f"undecodable frame at {position}: {error}"
             return replay
         replay.frames += 1
-        if record.is_update:
-            if record.seq <= last_seq:
-                # Double-append after a crash between fsync and ack, or
-                # a record the checkpoint already covers.
-                replay.duplicates_skipped += 1
-            elif record.seq == last_seq + 1:
-                replay.records.append(record)
-                last_seq = record.seq
-            else:
-                replay.status = "corrupt"
-                replay.detail = (f"sequence gap at {position}: record seq "
-                                 f"{record.seq} after {last_seq}")
-                return replay
-        else:
+        if record.seq <= last_seq:
+            # Double-append after a crash between fsync and ack, or a
+            # record the checkpoint already covers.
+            replay.duplicates_skipped += 1
+        elif record.seq == last_seq + 1:
             replay.records.append(record)
+            last_seq = record.seq
+        else:
+            replay.status = "corrupt"
+            replay.detail = (f"sequence gap at {position}: record seq "
+                             f"{record.seq} after {last_seq}")
+            return replay
         position = payload_end
         replay.valid_length = position
     return replay

@@ -1,39 +1,34 @@
 """Binary codec for delta-log records.
 
-One log record is one durably-applied route update (announce/withdraw)
-or a publish marker, carrying:
+One log record is one durably-applied route update command, carrying:
 
 * an absolute sequence number (``seq``) — replay uses it to skip
   duplicated frames and to detect gaps;
-* the update command itself (prefix value/length, gateway, interface) —
-  replay re-applies commands through the same
-  :class:`~repro.router.fib.ForwardingEngine` path the writer used,
-  which is what makes recovery byte-identical to a golden rebuild
-  (engine updates are deterministic, proven by
-  ``tests/test_recovery_property.py``);
-* optionally the word-level :class:`~repro.core.image.ImageDelta` the
-  command produced, so recovery can cross-check the replayed engine
-  against an independent reconstruction of the image.
+* the command: ANNOUNCE or WITHDRAW, the prefix value and length, and
+  for an announce its gateway and interface.
 
-Values use LEB128 varints (zigzag for signed words) because table words
-are arbitrary Python ints: spillover TCAM keys reach ``2**width`` (128
-for IPv6) and the Filter table encodes "empty" as ``-1`` — a fixed
-64-bit field would silently truncate both.
+Nothing word-level is journaled.  The §4.4 software shadow is the
+authority and the hardware words follow from it, so replay re-applies
+commands through the same :class:`~repro.router.fib.ForwardingEngine`
+path the writer used, which is what makes recovery byte-identical to a
+golden rebuild (engine updates are deterministic, proven by
+``tests/test_recovery_property.py``).
+
+Values use LEB128 varints because prefix values are arbitrary Python
+ints: an IPv6 prefix value reaches ``2**128``, which a fixed 64-bit
+field would silently truncate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from ..core.image import ImageDelta
+from dataclasses import dataclass
+from typing import List, Tuple
 
 #: Record kinds (the first payload byte).
 ANNOUNCE = 1
 WITHDRAW = 2
-PUBLISH = 3
 
-_KINDS = (ANNOUNCE, WITHDRAW, PUBLISH)
+_KINDS = (ANNOUNCE, WITHDRAW)
 
 
 class RecordDecodeError(ValueError):
@@ -69,28 +64,9 @@ def _read_uvarint(buffer: bytes, position: int) -> Tuple[int, int]:
             return result, position
         shift += 7
         if shift > 1024:
-            # Words are bounded by 2**width (<= 2**128); anything this
-            # long is garbage, not a big table word.
+            # Values are bounded by 2**width (<= 2**128); anything this
+            # long is garbage, not a big prefix value.
             raise RecordDecodeError("runaway varint")
-
-
-def _zigzag(value: int) -> int:
-    # Zigzag keeps small magnitudes (including -1, the Filter empty
-    # marker) to one byte.
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-def _unzigzag(encoded: int) -> int:
-    return (encoded >> 1) if not encoded & 1 else -((encoded + 1) >> 1)
-
-
-def _write_signed(out: bytearray, value: int) -> None:
-    _write_uvarint(out, _zigzag(value))
-
-
-def _read_signed(buffer: bytes, position: int) -> Tuple[int, int]:
-    encoded, position = _read_uvarint(buffer, position)
-    return _unzigzag(encoded), position
 
 
 def _write_string(out: bytearray, text: str) -> None:
@@ -110,96 +86,12 @@ def _read_string(buffer: bytes, position: int) -> Tuple[str, int]:
         raise RecordDecodeError(f"malformed string: {error}") from error
 
 
-# -- ImageDelta --------------------------------------------------------------
-
-
-def encode_delta(delta: ImageDelta) -> bytes:
-    """Serialize an ``ImageDelta`` (sorted for determinism)."""
-    out = bytearray()
-    writes_by_table: Dict[str, List[Tuple[int, int]]] = {}
-    for (table, address), word in delta.writes.items():
-        writes_by_table.setdefault(table, []).append((address, word))
-    _write_uvarint(out, len(writes_by_table))
-    for table in sorted(writes_by_table):
-        _write_string(out, table)
-        cells = sorted(writes_by_table[table])
-        _write_uvarint(out, len(cells))
-        for address, word in cells:
-            _write_uvarint(out, address)
-            _write_signed(out, word)
-    deletions_by_table: Dict[str, List[int]] = {}
-    for table, address in delta.deletions:
-        deletions_by_table.setdefault(table, []).append(address)
-    _write_uvarint(out, len(deletions_by_table))
-    for table in sorted(deletions_by_table):
-        _write_string(out, table)
-        addresses = sorted(deletions_by_table[table])
-        _write_uvarint(out, len(addresses))
-        for address in addresses:
-            _write_uvarint(out, address)
-    return bytes(out)
-
-
-def decode_delta(buffer: bytes, position: int = 0) -> Tuple[ImageDelta, int]:
-    """Parse an ``ImageDelta``; returns (delta, next position)."""
-    delta = ImageDelta()
-    table_count, position = _read_uvarint(buffer, position)
-    for _ in range(table_count):
-        table, position = _read_string(buffer, position)
-        cell_count, position = _read_uvarint(buffer, position)
-        for _ in range(cell_count):
-            address, position = _read_uvarint(buffer, position)
-            word, position = _read_signed(buffer, position)
-            delta.writes[(table, address)] = word
-    table_count, position = _read_uvarint(buffer, position)
-    for _ in range(table_count):
-        table, position = _read_string(buffer, position)
-        address_count, position = _read_uvarint(buffer, position)
-        for _ in range(address_count):
-            address, position = _read_uvarint(buffer, position)
-            delta.deletions.append((table, address))
-    return delta, position
-
-
-def apply_delta(tables: Dict[str, List[int]], delta: ImageDelta) -> None:
-    """Apply a delta in place, mirroring ``HardwareImage.diff`` semantics.
-
-    Deletions truncate a table to the smallest deleted address (diff only
-    emits deletions for a contiguous removed suffix); writes then set or
-    append words.  A write past the end of its table (a gap) means the
-    delta does not chain onto this image — raised, never papered over.
-    """
-    shrink: Dict[str, int] = {}
-    for table, address in delta.deletions:
-        current = shrink.get(table)
-        shrink[table] = address if current is None else min(current, address)
-    for table, new_length in shrink.items():
-        words = tables.get(table, [])
-        if new_length > len(words):
-            raise RecordDecodeError(
-                f"delta deletes {table}[{new_length}:] but the table has "
-                f"only {len(words)} words"
-            )
-        tables[table] = words[:new_length]
-    for (table, address) in sorted(delta.writes):
-        words = tables.setdefault(table, [])
-        if address < len(words):
-            words[address] = delta.writes[(table, address)]
-        elif address == len(words):
-            words.append(delta.writes[(table, address)])
-        else:
-            raise RecordDecodeError(
-                f"delta writes {table}[{address}] past the table end "
-                f"({len(words)} words) — non-contiguous delta"
-            )
-
-
 # -- log records -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One framed delta-log record, decoded."""
+    """One sequenced route command (ANNOUNCE or WITHDRAW), decoded."""
 
     op: int
     seq: int
@@ -207,12 +99,6 @@ class LogRecord:
     prefix_length: int = 0
     gateway: str = ""
     interface: str = ""
-    generation: int = 0
-    delta: Optional[ImageDelta] = field(default=None)
-
-    @property
-    def is_update(self) -> bool:
-        return self.op in (ANNOUNCE, WITHDRAW)
 
 
 def encode_record(record: LogRecord) -> bytes:
@@ -221,19 +107,11 @@ def encode_record(record: LogRecord) -> bytes:
         raise RecordDecodeError(f"unknown record op {record.op}")
     out = bytearray([record.op])
     _write_uvarint(out, record.seq)
-    if record.op == PUBLISH:
-        _write_uvarint(out, record.generation)
-        return bytes(out)
     _write_uvarint(out, record.prefix_value)
     _write_uvarint(out, record.prefix_length)
     if record.op == ANNOUNCE:
         _write_string(out, record.gateway)
         _write_string(out, record.interface)
-    if record.delta is not None:
-        out.append(1)
-        out.extend(encode_delta(record.delta))
-    else:
-        out.append(0)
     return bytes(out)
 
 
@@ -244,31 +122,17 @@ def decode_record(buffer: bytes) -> LogRecord:
     op = buffer[0]
     if op not in _KINDS:
         raise RecordDecodeError(f"unknown record op {op}")
-    position = 1
-    seq, position = _read_uvarint(buffer, position)
-    if op == PUBLISH:
-        generation, position = _read_uvarint(buffer, position)
-        _expect_end(buffer, position)
-        return LogRecord(op=op, seq=seq, generation=generation)
+    seq, position = _read_uvarint(buffer, 1)
     prefix_value, position = _read_uvarint(buffer, position)
     prefix_length, position = _read_uvarint(buffer, position)
     gateway = interface = ""
     if op == ANNOUNCE:
         gateway, position = _read_string(buffer, position)
         interface, position = _read_string(buffer, position)
-    if position >= len(buffer):
-        raise RecordDecodeError("record truncated before delta flag")
-    has_delta = buffer[position]
-    position += 1
-    delta: Optional[ImageDelta] = None
-    if has_delta == 1:
-        delta, position = decode_delta(buffer, position)
-    elif has_delta != 0:
-        raise RecordDecodeError(f"bad delta flag {has_delta}")
     _expect_end(buffer, position)
     return LogRecord(op=op, seq=seq, prefix_value=prefix_value,
                      prefix_length=prefix_length, gateway=gateway,
-                     interface=interface, delta=delta)
+                     interface=interface)
 
 
 def encode_records(records: List[LogRecord]) -> bytes:

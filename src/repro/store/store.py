@@ -26,13 +26,11 @@ coordinator's single-writer design.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from ..core.image import HardwareImage, ImageDelta
 from ..obs import LATENCY_BUCKETS, get_registry
 from .checkpoint import fsync_directory, render_checkpoint, write_image
 from .crashpoints import crashpoint
@@ -106,18 +104,16 @@ class SnapshotStore:
 
     def __init__(self, directory: str,
                  policy: Optional[CheckpointPolicy] = None,
-                 sync: bool = True, capture_deltas: bool = False) -> None:
+                 sync: bool = True) -> None:
         self.directory = directory
         self.policy = policy or CheckpointPolicy()
         self.sync = sync
-        self.capture_deltas = capture_deltas
         self._router: Optional["SnapshotRouter"] = None
         self._log: Optional[DeltaLog] = None
         self._generation = 0
         self._seq = 0
         self._durable_seq = 0
         self._records_since_checkpoint = 0
-        self._mirror: Optional[HardwareImage] = None
         self._closed = False
         registry = get_registry()
         self._obs_append = registry.histogram(
@@ -141,7 +137,6 @@ class SnapshotStore:
     def create(cls, directory: str, router: "SnapshotRouter",
                policy: Optional[CheckpointPolicy] = None,
                sync: bool = True,
-               capture_deltas: bool = False,
                seq: int = 0) -> "SnapshotStore":
         """Initialize a store from a live router and attach its journal.
 
@@ -158,16 +153,13 @@ class SnapshotStore:
         """
         os.makedirs(directory, exist_ok=True)
         sweep_tmp_files(directory)
-        store = cls(directory, policy=policy, sync=sync,
-                    capture_deltas=capture_deltas)
+        store = cls(directory, policy=policy, sync=sync)
         store._router = router
         store._seq = seq
         store._durable_seq = seq
         existing = list_generations(directory)
         store._generation = existing[-1] if existing else 0
         store.checkpoint()
-        if capture_deltas:
-            store._mirror = HardwareImage.snapshot(router.fib.engine)
         router.add_journal(store.record_update)
         return store
 
@@ -175,16 +167,17 @@ class SnapshotStore:
     def resume(cls, directory: str, router: "SnapshotRouter",
                generation: int, seq: int, log_valid_length: int,
                policy: Optional[CheckpointPolicy] = None,
-               sync: bool = True,
-               capture_deltas: bool = False) -> "SnapshotStore":
+               sync: bool = True) -> "SnapshotStore":
         """Continue appending to a recovered store (see ``boot``).
 
         ``log_valid_length`` is the replay-validated byte count of the
         newest log; a torn tail beyond it is truncated so new records
-        chain onto the durable prefix.
+        chain onto the durable prefix.  When it is below the log header
+        (no log after a kill between a checkpoint's rename and the log
+        rotation, or a torn header), a fresh log is created, header and
+        directory fsynced (``DeltaLog.open_append``).
         """
-        store = cls(directory, policy=policy, sync=sync,
-                    capture_deltas=capture_deltas)
+        store = cls(directory, policy=policy, sync=sync)
         store._router = router
         store._generation = generation
         store._seq = seq
@@ -195,8 +188,6 @@ class SnapshotStore:
             log_path(directory, tail_generation), tail_generation,
             log_valid_length, sync=sync,
         )
-        if capture_deltas:
-            store._mirror = HardwareImage.snapshot(router.fib.engine)
         router.add_journal(store.record_update)
         store._obs_generation.set(store._generation)
         store._obs_seq.set(store._seq)
@@ -218,12 +209,11 @@ class SnapshotStore:
             raise StoreError(f"store {self.directory} is not accepting "
                              f"records (closed or unattached)")
         self._seq += 1
-        delta = self._capture_delta() if self.capture_deltas else None
         record = LogRecord(
             op=ANNOUNCE if op == "announce" else WITHDRAW,
             seq=self._seq, prefix_value=prefix_value,
             prefix_length=prefix_length, gateway=gateway or "",
-            interface=interface or "", delta=delta,
+            interface=interface or "",
         )
         started = time.perf_counter()
         self._log.append(encode_record(record))
@@ -232,16 +222,6 @@ class SnapshotStore:
         self._records_since_checkpoint += 1
         self._obs_records.inc()
         self._obs_seq.set(self._seq)
-
-    def _capture_delta(self) -> Optional[ImageDelta]:
-        router = self._router
-        if router is None:
-            return None
-        current = HardwareImage.snapshot(router.fib.engine)
-        delta = (self._mirror.diff(current)
-                 if self._mirror is not None else None)
-        self._mirror = current
-        return delta
 
     # -- checkpointing -------------------------------------------------------
 

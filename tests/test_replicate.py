@@ -252,6 +252,8 @@ STATE_FILES = {
     "truncated": (lambda good: good[:len(good) // 2], 1),
     "garbage": (lambda good: random.Random(3).randbytes(len(good)), 1),
     "flipped-body-byte": (_flip_a_gateway_byte, 1),
+    # Version 1 (records with a word-delta flag byte) is refused whole.
+    "format-1": (lambda good: b"chzledg1" + good[8:], 1),
 }
 
 

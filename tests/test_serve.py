@@ -222,25 +222,33 @@ class TestLockFreeRecompile:
     holds the raw lock and is timed on its own histogram."""
 
     def test_lock_hold_histogram_stays_microseconds(self):
-        from repro.obs import get_registry
+        from repro.obs import MetricsRegistry, set_registry
 
-        _table, fib, router = build_router(table_size=2000, seed=52)
-        rng = random.Random(52)
-        registry = get_registry()
-        hold = registry.get("serve_lock_hold_seconds")
-        count_before = hold.count
-        for octet in range(8):
-            router.announce(f"198.18.{octet}.0/24", "10.0.0.1", "eth0")
-        router.lookup_batch([rng.getrandbits(32) for _ in range(5000)])
-        assert hold.count > count_before
-        # 5ms is the p99 budget serve-bench --smoke gates.
-        assert hold.quantile(0.99) < 0.005
-        compiles = registry.get("serve_recompile_compile_seconds").count
-        holds = hold.count
-        router.recompile()
-        assert registry.get("serve_recompile_compile_seconds").count \
-            == compiles + 1
-        assert hold.count == holds
+        # A fresh registry: the histogram is process-global, and holds
+        # other tests made on purpose (an update waiting out a publish)
+        # would count in its p99.  Enough updates that the p99 is not
+        # simply the slowest hold.
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            _table, fib, router = build_router(table_size=2000, seed=52)
+            rng = random.Random(52)
+            hold = registry.get("serve_lock_hold_seconds")
+            count_before = hold.count
+            for octet in range(256):
+                router.announce(f"198.18.{octet}.0/24", "10.0.0.1", "eth0")
+            router.lookup_batch([rng.getrandbits(32) for _ in range(5000)])
+            assert hold.count > count_before
+            # 5ms is the p99 budget serve-bench --smoke gates.
+            assert hold.quantile(0.99) < 0.005
+            compiles = registry.get("serve_recompile_compile_seconds").count
+            holds = hold.count
+            router.recompile()
+            assert registry.get("serve_recompile_compile_seconds").count \
+                == compiles + 1
+            assert hold.count == holds
+        finally:
+            set_registry(previous)
 
 
 class TestBulkLoad:

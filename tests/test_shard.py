@@ -455,7 +455,7 @@ class TestWordBursts:
 
     def test_live_segments_verify_after_churn(self):
         """Workers write bursts into private copies: after churn, every
-        segment still mapped passes its digests."""
+        live segment passes its digests (``attach`` verifies them)."""
         table, _fib, router = build_router(seed=44)
         trace = synthesize_trace(table, 80, seed=44)
         keys = random_keys(table.width, 1000, seed=44)
@@ -467,7 +467,7 @@ class TestWordBursts:
             assert coordinator.generation == 1, "the churn rode in bursts"
             for segment in [coordinator._segment,
                             *coordinator._stale_segments]:
-                segment.verify()
+                SharedSnapshot.attach(segment.name).close()
 
     def test_respawn_on_a_degraded_router_leaves_the_slice_to_it(
             self, monkeypatch):

@@ -226,6 +226,42 @@ class TestCoordinatorLifecycle:
         assert survivors == [], "orphans outlived 3 orphan polls"
         assert our_segments(pid) == []
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc to read a worker's mappings")
+    def test_worker_maps_only_the_current_segment(self):
+        """After four publishes the worker maps, and holds descriptors
+        on, the current generation's segment alone.  It used to keep the
+        mapping it inherited from the coordinator at its fork, and a
+        descriptor on every generation it had attached, past their
+        retirement."""
+        coordinator = ShardCoordinator(build_router(), workers=1)
+        try:
+            coordinator.lookup_batch([1, 2, 3])
+            for _ in range(4):
+                coordinator.publish()
+            # The batch queues behind the last attach: once it is
+            # answered, the worker has dropped the previous generation.
+            coordinator.lookup_batch([1, 2, 3])
+            current = {os.path.join(
+                SHM_DIR, coordinator._segment_name(coordinator.generation))}
+            segments = os.path.join(SHM_DIR, f"{SEGMENT_PREFIX}-")
+            pid = coordinator._processes[0].pid
+            with open(f"/proc/{pid}/maps") as handle:
+                mapped = {line.split(None, 5)[-1].strip() for line in handle
+                          if segments in line}
+            held = set()
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                except OSError:
+                    continue  # closed since the listing
+                if target.startswith(segments):
+                    held.add(target)
+            assert mapped == current
+            assert held == current
+        finally:
+            coordinator.close()
+
     def test_atexit_cleanup_on_interpreter_exit(self):
         """A coordinator alive at normal interpreter exit is closed by
         the atexit hook — nothing left in /dev/shm."""

@@ -6,9 +6,9 @@ integration — a cold start from disk must serve exactly what a golden
 single-process router serves, or refuse visibly.
 
 The hypothesis property (``TestDeltaFraming``) is the log-format
-contract: *any* sequence of image deltas — appends, overwrites,
-truncations, -1 sentinels, beyond-64-bit spillover keys — survives
-encode → append → replay → apply byte-for-byte.
+contract: *any* sequence of route commands — beyond-64-bit prefix
+values, empty and non-ASCII next-hop names — survives encode → append →
+replay unchanged.
 """
 
 import bisect
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.image import HardwareImage, ImageDelta
+from repro.core.image import HardwareImage
 from repro.faults.fileinject import (
     duplicate_final_record,
     flip_file_bit,
@@ -36,7 +36,6 @@ from repro.router import ForwardingEngine
 from repro.serve import RouterState, SnapshotRouter
 from repro.store import (
     ANNOUNCE,
-    PUBLISH,
     WITHDRAW,
     CheckpointCorruptError,
     CheckpointPolicy,
@@ -46,11 +45,8 @@ from repro.store import (
     RecoveryError,
     SnapshotStore,
     StoreError,
-    apply_delta,
     cold_start,
-    decode_delta,
     decode_record,
-    encode_delta,
     encode_record,
     replay_log,
 )
@@ -62,6 +58,7 @@ from repro.store.checkpoint import (
     render_checkpoint,
     write_image,
 )
+from repro.store.crashpoints import set_crashpoint_hook
 from repro.store.deltalog import scan_frames
 from repro.store.store import checkpoint_path, list_generations, log_path
 from repro.verify import apply_update
@@ -133,27 +130,10 @@ class TestRecordCodec:
                            prefix_value=2**127 - 1, prefix_length=128)
         assert decode_record(encode_record(record)) == record
 
-    def test_publish_marker_round_trip(self):
-        record = LogRecord(op=PUBLISH, seq=5, generation=12)
-        decoded = decode_record(encode_record(record))
-        assert decoded == record
-        assert not decoded.is_update
-
-    def test_record_with_delta(self):
-        delta = ImageDelta(
-            writes={("subcell3", 0): 7, ("/filter", 4): -1,
-                    ("/spillover_key", 1): 2**70 + 3},
-            deletions=[("/result", 9)],
-        )
-        record = LogRecord(op=ANNOUNCE, seq=1, prefix_value=1,
-                           prefix_length=32, gateway="g", interface="i",
-                           delta=delta)
-        decoded = decode_record(encode_record(record))
-        assert decoded.delta.writes == delta.writes
-        assert sorted(decoded.delta.deletions) == sorted(delta.deletions)
-
     def test_trailing_garbage_rejected(self):
-        payload = encode_record(LogRecord(op=PUBLISH, seq=1, generation=2))
+        payload = encode_record(LogRecord(
+            op=ANNOUNCE, seq=1, prefix_value=10, prefix_length=8,
+            gateway="gw", interface="if"))
         with pytest.raises(RecordDecodeError):
             decode_record(payload + b"\x00")
 
@@ -167,93 +147,50 @@ class TestRecordCodec:
     def test_unknown_op_rejected(self):
         with pytest.raises(RecordDecodeError):
             decode_record(b"\x09\x01")
-
-    def test_apply_delta_gap_rejected(self):
-        tables = {"t": [1, 2]}
+        # Kind 3 was the publish marker, which nothing writes any more.
         with pytest.raises(RecordDecodeError):
-            apply_delta(tables, ImageDelta(writes={("t", 5): 9},
-                                           deletions=[]))
-
-    def test_apply_delta_truncates_then_writes(self):
-        tables = {"t": [1, 2, 3, 4]}
-        apply_delta(tables, ImageDelta(
-            writes={("t", 1): 20, ("t", 2): 30},
-            deletions=[("t", 2), ("t", 3)],
-        ))
-        assert tables["t"] == [1, 20, 30]
+            decode_record(b"\x03\x05\x0c")
 
 
-_TABLE_NAMES = ("subcell3", "/filter", "/spillover_key", "/dirty")
-_WORDS = st.one_of(
-    st.integers(min_value=-1, max_value=2**20),
-    st.just(-1),
-    # IPv6 spillover keys overflow 64 bits by design; the signed varint
-    # must carry them losslessly.
-    st.integers(min_value=2**64, max_value=2**80),
-)
-_OPS = st.lists(
+_COMMANDS = st.lists(
     st.tuples(
-        st.sampled_from(_TABLE_NAMES),
-        st.sampled_from(("append", "write", "truncate")),
-        _WORDS,
-        st.floats(min_value=0.0, max_value=0.999),
+        st.sampled_from((ANNOUNCE, WITHDRAW)),
+        # IPv6 prefix values overflow 64 bits; the varint must carry
+        # them losslessly.
+        st.integers(min_value=0, max_value=2**128 - 1),
+        st.integers(min_value=0, max_value=128),
+        st.text(max_size=12),
+        st.text(max_size=12),
     ),
     min_size=1, max_size=40,
 )
 
 
 class TestDeltaFraming:
-    """Satellite: the hypothesis round-trip property for the delta log."""
+    """The hypothesis round-trip property for the delta log."""
 
-    @given(ops=_OPS)
+    @given(commands=_COMMANDS)
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_arbitrary_delta_sequences_replay_to_equal_state(self, ops):
-        tables = {}
-        deltas = []
-        for name, kind, value, fraction in ops:
-            column = tables.get(name, [])
-            if kind == "append":
-                delta = ImageDelta(writes={(name, len(column)): value},
-                                   deletions=[])
-            elif kind == "write" and column:
-                index = int(fraction * len(column))
-                delta = ImageDelta(writes={(name, index): value},
-                                   deletions=[])
-            elif kind == "truncate" and column:
-                keep = int(fraction * len(column))
-                delta = ImageDelta(
-                    writes={},
-                    deletions=[(name, addr)
-                               for addr in range(keep, len(column))],
-                )
-            else:
-                continue
-            apply_delta(tables, delta)
-            deltas.append(delta)
-
+    def test_arbitrary_delta_sequences_replay_to_equal_state(self, commands):
+        records = [
+            LogRecord(op=op, seq=seq, prefix_value=value,
+                      prefix_length=length,
+                      gateway=gateway if op == ANNOUNCE else "",
+                      interface=interface if op == ANNOUNCE else "")
+            for seq, (op, value, length, gateway, interface)
+            in enumerate(commands, start=1)
+        ]
         directory = tempfile.mkdtemp(prefix="chz-prop-")
         try:
             path = os.path.join(directory, "delta-00000001.log")
             log = DeltaLog.create(path, generation=1, sync=False)
-            for seq, delta in enumerate(deltas, start=1):
-                # Codec-level round trip, independent of the log.
-                decoded, _end = decode_delta(encode_delta(delta))
-                assert decoded.writes == delta.writes
-                assert sorted(decoded.deletions) == sorted(delta.deletions)
-                log.append(encode_record(LogRecord(
-                    op=ANNOUNCE, seq=seq, prefix_value=seq,
-                    prefix_length=32, gateway="g", interface="i",
-                    delta=delta,
-                )))
+            for record in records:
+                log.append(encode_record(record))
             log.close()
             replay = replay_log(path, expected_generation=1)
             assert replay.clean
-            assert len(replay.records) == len(deltas)
-            replayed = {}
-            for record in replay.records:
-                apply_delta(replayed, record.delta)
-            assert replayed == tables
+            assert replay.records == records
         finally:
             shutil.rmtree(directory, ignore_errors=True)
 
@@ -321,6 +258,19 @@ class TestDeltaLog:
         path = self._filled_log(store_dir)
         replay = replay_log(path, expected_generation=9)
         assert replay.status == "bad-header"
+
+    def test_format_1_log_refused(self, store_dir):
+        """A version-1 log (its records ended in a word-delta flag byte)
+        is refused by its magic, as a damaged header."""
+        path = self._filled_log(store_dir)
+        with open(path, "r+b") as handle:
+            assert handle.read(8) == b"CHZLOG2\0"
+            handle.seek(0)
+            handle.write(b"CHZLOG1\0")
+        replay = replay_log(path, expected_generation=1)
+        assert replay.status == "bad-header"
+        assert "CHZLOG1" in replay.detail
+        assert replay.records == []
 
     def test_open_append_truncates_torn_tail(self, store_dir):
         path = self._filled_log(store_dir)
@@ -517,6 +467,27 @@ class TestCheckpoint:
         write_image(path, bytes(old))
         with pytest.raises(SnapshotIntegrityError, match="chisel-ckpt-v1"):
             load_checkpoint(path)
+
+    def test_second_close_leaves_a_reused_descriptor_alone(self,
+                                                           store_dir):
+        """``close`` twice closes the descriptor once: by the second
+        call the OS may have given its number to another file."""
+        path, _router = self._checkpointed(store_dir)
+        checkpoint = load_checkpoint(path)
+        released = checkpoint._fd
+        checkpoint.close()
+        other = os.open(os.path.join(store_dir, "other"),
+                        os.O_CREAT | os.O_WRONLY)
+        if other != released:
+            # Hand the released number to the other file, as the next
+            # open in the process usually does.
+            os.dup2(other, released)
+            os.close(other)
+        try:
+            checkpoint.close()
+            assert os.write(released, b"still open") == 10
+        finally:
+            os.close(released)
 
     def test_truncation_detected(self, store_dir):
         path, _router = self._checkpointed(store_dir)
@@ -717,17 +688,80 @@ class TestStoreIntegration:
         assert list_generations(store_dir) == before
         store.close()
 
-    def test_delta_capture_cross_check(self, store_dir):
-        table, router = build_router(size=150)
+    def test_resume_when_the_newest_checkpoint_has_no_log(self,
+                                                          store_dir):
+        """A kill between a checkpoint's rename and the log rotation
+        leaves ``checkpoint-G`` with no ``delta-G.log``.  A boot without
+        a fresh checkpoint used to raise FileNotFoundError; it now
+        starts that log, and what it journals survives the next boot."""
+
+        class Killed(Exception):
+            pass
+
+        def kill(tag):
+            if tag == "ckpt:renamed":
+                raise Killed(tag)
+
+        table, router = build_router()
         store = SnapshotStore.create(
-            store_dir, router,
-            policy=CheckpointPolicy(every_records=6, retain=2),
-            capture_deltas=True)
-        churn(router, table, 15, store=store)
+            store_dir, router, policy=CheckpointPolicy(every_records=0))
+        ops = churn(router, table, 9)
+        set_crashpoint_hook(kill)
+        try:
+            with pytest.raises(Killed):
+                store.checkpoint()
+        finally:
+            set_crashpoint_hook(None)
+        journaled = store.seq
         store.close()
-        result = cold_start(store_dir, capture_deltas=True)
-        assert result.report.deep_verified
+        assert os.path.exists(checkpoint_path(store_dir, 2))
+        assert not os.path.exists(log_path(store_dir, 2))
+
+        result = cold_start(store_dir, checkpoint_on_boot=False)
+        assert result.report.generation == 2
+        assert result.report.seq == journaled
+        more = churn(result.router, table, 7, seed=31, store=result.store)
+        total = result.store.seq
+        assert total > journaled
         result.store.close()
+        result.checkpoint.close()
+
+        second = cold_start(store_dir)
+        assert not second.report.chain_broken
+        assert second.report.seq == total
+        golden = golden_replay(table, ops + more)
+        keys = [int(key) for key in
+                np.random.default_rng(10).integers(0, 2**32, size=300)]
+        assert_identical(second.router, golden, keys)
+        second.store.close()
+
+    def test_resume_over_a_torn_log_header(self, store_dir):
+        """A log torn inside its header replays no record.  Resuming
+        used to truncate it to 0 bytes and append frames behind no
+        magic, so the next boot refused the log (``chain_broken``) and
+        lost acknowledged updates; now it starts the log afresh."""
+        table, router = build_router()
+        store = SnapshotStore.create(
+            store_dir, router, policy=CheckpointPolicy(every_records=0))
+        store.close()
+        truncate_file(log_path(store_dir, store.generation), 5)
+
+        result = cold_start(store_dir, checkpoint_on_boot=False)
+        assert result.report.torn_tail
+        ops = churn(result.router, table, 9, store=result.store)
+        total = result.store.seq
+        assert total > 0
+        result.store.close()
+        result.checkpoint.close()
+
+        second = cold_start(store_dir)
+        assert not second.report.chain_broken
+        assert second.report.seq == total
+        golden = golden_replay(table, ops)
+        keys = [int(key) for key in
+                np.random.default_rng(11).integers(0, 2**32, size=300)]
+        assert_identical(second.router, golden, keys)
+        second.store.close()
 
     def test_recovered_store_keeps_accepting_updates(self, store_dir):
         table, router = build_router(size=150)
