@@ -27,8 +27,9 @@ and every replica must rebuild to a byte-identical canonical
 All waits are deadline-bounded; a hang becomes a named gate failure,
 not a stuck process.
 
-Control (probe/corrupt/partition/stop) rides multiprocessing queues so
-the socket byte counters measure replication traffic and nothing else.
+Control (probe/corrupt/partition/stop) rides one duplex pipe per
+replica, so the socket byte counters measure replication traffic and
+nothing else; EOF on a replica's pipe means the replica died.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
-from queue import Empty
+from multiprocessing.connection import Connection
+from multiprocessing.util import register_after_fork
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ChiselConfig
@@ -125,49 +127,44 @@ class ReplicaHandle:
         self.status_interval = status_interval
         self.scrub_interval = scrub_interval
         self.process: Optional[Any] = None
-        self.task_queue: Any = None
-        self.result_queue: Any = None
+        #: The harness's end of the replica's control pipe.
+        self.pipe: Optional[Connection] = None
 
     def spawn(self) -> None:
-        # Fresh queues every (re)spawn: a SIGKILLed child may leave the
-        # old queue's feeder state inconsistent.
-        self.task_queue = _CTX.Queue()
-        self.result_queue = _CTX.Queue()
+        self.pipe, child_end = _CTX.Pipe()
+        # Forked children close their copies of our end, and we close ours
+        # of the replica's: EOF on either end means the other side died.
+        register_after_fork(self.pipe, Connection.close)
         self.process = _CTX.Process(
             target=replica_main,
             args=(self.replica_id, self.port, self.table, self.config,
-                  self.directory, self.task_queue, self.result_queue,
-                  self.status_interval, self.scrub_interval),
+                  self.directory, child_end, self.status_interval,
+                  self.scrub_interval),
             daemon=True,
             name=f"replica-{self.replica_id}",
         )
         self.process.start()
+        child_end.close()
 
     def command(self, kind: str, *parts: Any,
                 timeout: float = _WAIT_SECONDS) -> Tuple:
         """Send one control command; return its matching response."""
-        if self.process is None or not self.process.is_alive():
-            raise HarnessError(
-                f"replica {self.replica_id} is not running")
-        self.task_queue.put((kind,) + parts)
+        if self.pipe is None:
+            raise HarnessError(f"replica {self.replica_id} is not running")
         deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise HarnessError(
-                    f"replica {self.replica_id}: {kind} timed out")
-            try:
-                item = self.result_queue.get(timeout=min(remaining, 0.5))
-            except Empty:
-                if not self.process.is_alive():
+        try:
+            self.pipe.send((kind,) + parts)
+            while self.pipe.poll(max(0.0, deadline - time.monotonic())):
+                item = self.pipe.recv()
+                if item[0] == "error":
                     raise HarnessError(
-                        f"replica {self.replica_id} died during {kind}")
-                continue
-            if item[0] == "error":
-                raise HarnessError(
-                    f"replica {self.replica_id} failed: {item[2]}")
-            if item[0] == kind and item[1] == self.replica_id:
-                return item
+                        f"replica {self.replica_id} failed: {item[2]}")
+                if item[0] == kind:
+                    return item
+        except (EOFError, OSError):
+            raise HarnessError(
+                f"replica {self.replica_id} died during {kind}") from None
+        raise HarnessError(f"replica {self.replica_id}: {kind} timed out")
 
     def status(self) -> Dict[str, Any]:
         return self.command(CMD_STATUS)[2]
@@ -177,27 +174,19 @@ class ReplicaHandle:
         if self.process is not None:
             self.process.kill()
             self.process.join(timeout=5.0)
-        self._drop_queues()
+        if self.pipe is not None:
+            self.pipe.close()
+            self.pipe = None
 
     def stop(self) -> None:
-        if self.process is None:
-            return
-        if self.process.is_alive():
+        """Ask the replica to stop; kill it if it has not within 3 s."""
+        if self.process is not None and self.process.is_alive():
             try:
                 self.command(CMD_STOP, timeout=3.0)
             except HarnessError:
                 pass
             self.process.join(timeout=3.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=3.0)
-        self._drop_queues()
-
-    def _drop_queues(self) -> None:
-        for queue in (self.task_queue, self.result_queue):
-            if queue is not None:
-                queue.close()
-                queue.cancel_join_thread()
+        self.kill()
 
 
 def _wait_until(predicate, label: str, failures: List[str],

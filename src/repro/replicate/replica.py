@@ -33,8 +33,9 @@ damaged ``state.bin`` reads as no state: the replica boots from the
 table and the writer streams or reconciles the difference.
 
 The harness drives control (probe / corrupt / partition / verify /
-stop) over multiprocessing queues — never over the socket — so the
-wire byte counters measure pure replication traffic.
+stop) over one duplex pipe per replica — never over the socket — so the
+wire byte counters measure pure replication traffic.  EOF on that pipe
+means the harness is gone, and the replica exits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import socket
 import struct
 import time
 import zlib
-from queue import Empty
+from contextlib import suppress
+from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ChiselConfig
@@ -101,7 +103,7 @@ _LOG_FILE = "tail.log"
 _STATE_MAGIC = b"chzledg2"
 _STATE_HEADER = struct.Struct("<8sIQI")
 
-#: Control commands (harness -> replica, over the task queue).
+#: Control commands (harness -> replica, over its pipe).
 CMD_PROBE = "probe"
 CMD_VERIFY = "verify"
 CMD_STATUS = "status"
@@ -412,7 +414,7 @@ class _ReplicaRuntime:
 
     # -- control (harness) ---------------------------------------------------
 
-    def control(self, command: Tuple, result_queue: Any) -> bool:
+    def control(self, command: Tuple, pipe: Connection) -> bool:
         """Handle one harness command; returns False on stop."""
         kind = command[0]
         if kind == CMD_STOP:
@@ -421,7 +423,7 @@ class _ReplicaRuntime:
                     self.conn.send(encode_bye())
                 except Disconnected:
                     pass
-            result_queue.put((CMD_STOP, self.replica_id))
+            pipe.send((CMD_STOP, self.replica_id))
             return False
         if kind == CMD_PROBE:
             keys = command[1]
@@ -430,19 +432,18 @@ class _ReplicaRuntime:
                 info = self.fib.forward(key)
                 answers.append(None if info is None
                                else (info.gateway, info.interface))
-            result_queue.put((CMD_PROBE, self.replica_id, answers))
+            pipe.send((CMD_PROBE, self.replica_id, answers))
         elif kind == CMD_VERIFY:
             image = HardwareImage.snapshot(
                 canonical_fib(self.ledger, self.config).engine)
-            result_queue.put((CMD_VERIFY, self.replica_id, image.tables,
-                              self.seq, self.ledger.checksum,
-                              len(self.ledger)))
+            pipe.send((CMD_VERIFY, self.replica_id, image.tables,
+                       self.seq, self.ledger.checksum, len(self.ledger)))
         elif kind == CMD_STATUS:
             conn = self.conn
             sent = self.total_bytes_sent + (conn.bytes_sent if conn else 0)
             received = (self.total_bytes_received
                         + (conn.bytes_received if conn else 0))
-            result_queue.put((CMD_STATUS, self.replica_id, {
+            pipe.send((CMD_STATUS, self.replica_id, {
                 "seq": self.seq,
                 "checksum": self.ledger.checksum if self.ledger else 0,
                 "routes": len(self.ledger) if self.ledger else 0,
@@ -459,7 +460,7 @@ class _ReplicaRuntime:
             for _ in range(count):
                 if injector.flip_table_bit(self.fib.engine) is not None:
                     flipped += 1
-            result_queue.put((CMD_CORRUPT_WORDS, self.replica_id, flipped))
+            pipe.send((CMD_CORRUPT_WORDS, self.replica_id, flipped))
         elif kind == CMD_CORRUPT_DROP:
             # Silently lose one route: ledger + engine both forget it,
             # so only the writer's digest can notice.
@@ -471,7 +472,7 @@ class _ReplicaRuntime:
                                          self.ledger.width))
                 self.ledger.remove(entry.key)
                 dropped = entry.key
-            result_queue.put((CMD_CORRUPT_DROP, self.replica_id, dropped))
+            pipe.send((CMD_CORRUPT_DROP, self.replica_id, dropped))
         elif kind == CMD_CORRUPT_PHANTOM:
             rng = random.Random(command[1])
             width = self.ledger.width
@@ -484,20 +485,19 @@ class _ReplicaRuntime:
                               "10.255.0.1", "eth9")
             self.ledger.set_entry(RouteEntry(value, length, "10.255.0.1",
                                              "eth9", self.seq))
-            result_queue.put((CMD_CORRUPT_PHANTOM, self.replica_id,
-                              (value, length)))
+            pipe.send((CMD_CORRUPT_PHANTOM, self.replica_id,
+                       (value, length)))
         elif kind == CMD_PARTITION:
             self.partition_until = time.monotonic() + command[1]
-            result_queue.put((CMD_PARTITION, self.replica_id,
-                              command[1]))
+            pipe.send((CMD_PARTITION, self.replica_id, command[1]))
         elif kind == CMD_SCRUB:
-            result_queue.put((CMD_SCRUB, self.replica_id, self.run_scrub()))
+            pipe.send((CMD_SCRUB, self.replica_id, self.run_scrub()))
         return True
 
 
 def replica_main(replica_id: int, port: int, table: RoutingTable,
-                 config: ChiselConfig, directory: str, task_queue: Any,
-                 result_queue: Any, status_interval: float = 0.1,
+                 config: ChiselConfig, directory: str, pipe: Connection,
+                 status_interval: float = 0.1,
                  scrub_interval: float = 0.25) -> int:
     """The replica process entry point (module-level: spawn-safe)."""
     runtime = _ReplicaRuntime(replica_id, port, table, config, directory,
@@ -506,19 +506,15 @@ def replica_main(replica_id: int, port: int, table: RoutingTable,
     try:
         runtime.boot()
         if not runtime.connect(time.monotonic() + 10.0):
-            result_queue.put(("error", replica_id, "cannot reach writer"))
+            pipe.send(("error", replica_id, "cannot reach writer"))
             return 1
         idle_since = time.monotonic()
         while True:
             now = time.monotonic()
             # Control first: probes and corruption must work even while
             # partitioned from the writer.
-            try:
-                command = task_queue.get_nowait()
-            except Empty:
-                command = None
-            if command is not None:
-                if not runtime.control(command, result_queue):
+            if pipe.poll():
+                if not runtime.control(pipe.recv(), pipe):
                     return 0
                 continue
             if now - idle_since > _ORPHAN_POLL_SECONDS:
@@ -533,8 +529,7 @@ def replica_main(replica_id: int, port: int, table: RoutingTable,
             if runtime.conn is None:
                 runtime.stats["reconnects"] += 1
                 if not runtime.connect(now + 5.0):
-                    result_queue.put(("error", replica_id,
-                                      "writer unreachable"))
+                    pipe.send(("error", replica_id, "writer unreachable"))
                     return 1
             try:
                 kind, body = runtime.conn.recv()
@@ -547,10 +542,13 @@ def replica_main(replica_id: int, port: int, table: RoutingTable,
                 continue
             runtime.dispatch(kind, body)
             runtime.tick(time.monotonic())
+    except EOFError:
+        return 2  # the harness is gone
     except KeyboardInterrupt:
         return 130
     except Exception as error:  # surface, never vanish silently
-        result_queue.put(("error", replica_id, repr(error)))
+        with suppress(OSError):  # unless the harness is gone
+            pipe.send(("error", replica_id, repr(error)))
         return 1
     finally:
         runtime.drop_connection()

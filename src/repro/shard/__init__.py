@@ -8,16 +8,16 @@ across processes without copying tables per worker:
   rebuilds the batch datapath over zero-copy read-only views, guarded
   by per-table digests.
 * ``worker_main`` (worker) is the reader loop each ``ShardWorker``
-  process runs: attach (and ack) each generation its task queue names,
-  write each batch's word burst into private copies of the tables it
-  touches, serve key slices.
+  process runs: attach (and ack) each generation its pipe names, write
+  each batch's word burst into private copies of the tables it touches,
+  serve key slices.
 * ``ShardCoordinator`` (coordinator) is the single writer: each batch
   starts with one cut of the router's served image, under its update
   lock, that reads the words patched since the last cut into a burst
   for every worker — or, when a burst cannot carry the change (a
   replan, an image swap, an overflowing tracker) or a worker was
   respawned, publishes a copy of the whole image as a new generation.
-  A publish rides each worker's task queue ahead of the batches cut
+  A publish rides each worker's one pipe ahead of the batches cut
   against it, and the coordinator retires the old segment once every
   worker acked the new one (the generation fence).  It partitions
   batches across workers and owns their lifecycle.

@@ -17,14 +17,14 @@ served image current, over shared memory:
   rule), after a worker respawn, and on ``publish()``; never
   otherwise.  It never compiles the engine's tables, so a table word
   corrupted behind the router's back is never published.
-* **one channel per worker**: a publish rides each worker's task queue
-  as ``TASK_ATTACH`` ahead of any batch cut against it, and the worker
-  acks on the results queue.  The coordinator keeps the acks: an old
-  generation's segment is retired only after every live worker acked
-  the new one (**the fence**), read by the same result handler the
-  batch loop uses, so a batch in flight when a respawn publishes still
-  gets its answers.  Dead workers are respawned on the current
-  generation, never a stale one.
+* **one pipe per worker** carries every message both ways: a publish
+  as ``TASK_ATTACH`` ahead of any batch cut against it, and the acks.
+  An old generation's segment is retired only after every live worker
+  acked the new one (**the fence**), read by the same result handler
+  the batch loop uses, so a batch in flight when a respawn publishes
+  still gets its answers.  EOF on a pipe means its worker died, and a
+  worker that misses the batch deadline is killed; either is respawned
+  on the current generation, never a stale one.
 * **degraded serving**: while the router is not HEALTHY the cut is
   refused, so the coordinator serves through the router's exact trie
   fallback — workers keep the last healthy generation mapped but
@@ -41,8 +41,9 @@ import atexit
 import multiprocessing
 import os
 import time
-from queue import Empty
-from typing import Any, Dict, List, Optional, Tuple, Union
+from multiprocessing.connection import Connection, wait
+from multiprocessing.util import register_after_fork
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,9 +60,6 @@ from .worker import (
     TASK_STOP,
     worker_main,
 )
-
-#: Poll interval while waiting on worker results / fence acks.
-_POLL_SECONDS = 0.05
 
 #: A burst as the workers receive it: the generation it was cut
 #: against, and its cells.
@@ -82,7 +80,7 @@ class ShardCoordinator:
             raise ValueError("need at least one shard worker")
         self._tracker = WordTracker()
         # One plane per router: a second one is refused here, before any
-        # queue, process or segment exists.  From the bootstrap publish's
+        # pipe, process or segment exists.  From the bootstrap publish's
         # cut on, every word patched into the image lands in the tracker.
         router.track_changes(self._tracker)
         self.router = router
@@ -102,11 +100,11 @@ class ShardCoordinator:
         self._stale_segments: List[SharedSnapshot] = []  # guarded-by: single-writer
         #: Each worker's last acked generation, as its messages arrive.
         self._acks = [0] * workers  # guarded-by: single-writer
-        self._tasks = [self._ctx.Queue() for _ in range(workers)]
-        self._results = self._ctx.Queue()
         self._processes: List[Optional[multiprocessing.Process]] = (
             [None] * workers
         )
+        #: The coordinator's end of each worker's pipe; None once buried.
+        self._pipes: List[Optional[Connection]] = [None] * workers
         self._batch_counter = 0  # guarded-by: single-writer
         #: The batch in flight: its answers, and the slices still owed.
         self._answers = np.empty(0, dtype=np.int64)  # guarded-by: single-writer
@@ -158,17 +156,22 @@ class ShardCoordinator:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self, worker_id: int) -> None:
-        """Start a worker on the current generation."""
+        """Start a worker on the current generation, over a fresh pipe."""
+        pipe, child_end = self._ctx.Pipe()
+        # Forked children close their copies of our end, and we close ours
+        # of the worker's: EOF on either end means the other side died.
+        register_after_fork(pipe, Connection.close)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, self._generation,
-                  self._segment_name(self._generation),
-                  self._tasks[worker_id], self._results, os.getpid()),
+            args=(self._generation, self._segment_name(self._generation),
+                  child_end, os.getpid()),
             name=f"chisel-shard-worker-{worker_id}",
             daemon=True,
         )
         process.start()
+        child_end.close()
         self._processes[worker_id] = process
+        self._pipes[worker_id] = pipe
 
     def ensure_workers(self) -> int:
         """Respawn any dead workers, then publish; returns how many were
@@ -183,17 +186,10 @@ class ShardCoordinator:
     def _respawn_dead(self) -> int:
         respawned = 0
         for worker_id, process in enumerate(self._processes):
-            if process is not None and process.is_alive():
+            if (self._pipes[worker_id] is not None
+                    and process is not None and process.is_alive()):
                 continue
-            if process is not None:
-                process.join(timeout=0)
-            # A worker killed while blocked in ``Queue.get`` dies holding
-            # the queue's reader lock, poisoning it for any successor —
-            # the respawn gets a fresh queue (it has no other reader).
-            poisoned = self._tasks[worker_id]
-            self._tasks[worker_id] = self._ctx.Queue()
-            poisoned.close()
-            poisoned.cancel_join_thread()
+            self._bury(worker_id)
             self._spawn(worker_id)
             respawned += 1
             self._obs_respawns.inc()
@@ -202,6 +198,17 @@ class ShardCoordinator:
                 generation=self._generation,
             )
         return respawned
+
+    def _bury(self, worker_id: int) -> None:
+        """Close a worker's pipe, SIGKILL its process (a stopped one acts
+        on SIGTERM only once continued) and reap it."""
+        pipe, self._pipes[worker_id] = self._pipes[worker_id], None
+        if pipe is not None:
+            pipe.close()
+        process = self._processes[worker_id]
+        if process is not None:
+            process.kill()
+            process.join(timeout=5.0)
 
     # -- partitioning --------------------------------------------------------
 
@@ -220,7 +227,7 @@ class ShardCoordinator:
 
         Input normalization matches ``BatchLookup.lookup_batch``: 1-D,
         scalars accepted, negative/oversized keys rejected with a clear
-        ``ValueError`` before anything is enqueued to a worker.  Answers
+        ``ValueError`` before anything is sent to a worker.  Answers
         are the router's image's at this call's cut.
         """
         key_array = np.ascontiguousarray(
@@ -235,74 +242,88 @@ class ShardCoordinator:
         self._batch_counter += 1
         batch_id = self._batch_counter
         out = self._answers = np.full(len(key_array), _MISS, dtype=np.int64)
-        self._pending = {}
-        for worker_id, indices in enumerate(self._partition(key_array)):
-            # Every worker takes every burst, even with no keys to answer.
-            if len(indices) or burst is not None:
-                self._pending[worker_id] = indices
-                self._tasks[worker_id].put(
-                    (TASK_BATCH, batch_id, key_array[indices], burst))
+        # Every worker takes every burst, even with no keys to answer.
+        self._pending = {
+            worker_id: indices
+            for worker_id, indices in enumerate(self._partition(key_array))
+            if len(indices) or burst is not None
+        }
+        # A pipe send blocks once ~176 KiB sit unread, so a slice goes
+        # out once per pipe: again only on a respawned worker's fresh one.
+        sent: Dict[int, Connection] = {}
         deadline = time.monotonic() + self.batch_timeout
         while self._pending:
-            if self._poll():
-                continue
+            for worker_id, indices in self._pending.items():
+                pipe = self._pipes[worker_id]
+                if pipe is not None and sent.get(worker_id) is not pipe:
+                    sent[worker_id] = pipe
+                    self._send(worker_id, (TASK_BATCH, batch_id,
+                                           key_array[indices], burst))
             if time.monotonic() > deadline:
+                # Killed, not abandoned: a wedged worker never answers,
+                # and none may be sent a batch over an unread answer.
+                late = sorted(self._pending)
+                for worker_id in late:
+                    self._bury(worker_id)
                 raise ShardError(
-                    f"batch {batch_id}: workers {sorted(self._pending)} did "
-                    f"not answer within {self.batch_timeout}s"
-                )
-            # No result yet: respawn any dead workers and re-dispatch
-            # their slices (crash recovery).  The respawn published a
-            # generation past the burst, which the new worker skips; the
-            # publish's fence collected the answers that came meanwhile.
-            if not self.ensure_workers():
+                    f"batch {batch_id}: workers {late} did not answer "
+                    f"within {self.batch_timeout}s")
+            if all(self._pipes[w] is not None for w in self._pending):
+                self._receive(list(self._pending), deadline)
                 continue
+            # Crash recovery: the respawn publishes a generation past the
+            # burst, which the new worker skips; the publish's fence
+            # keeps the answers that come meanwhile.
+            self.ensure_workers()
             if self.router.state is not RouterState.HEALTHY:
                 # No generation holds the burst: the router answers.
                 for indices in self._pending.values():
                     out[indices] = self.router.lookup_batch(
                         key_array[indices])
                 self._pending = {}
-            for worker_id, indices in self._pending.items():
-                process = self._processes[worker_id]
-                if process is None or not process.is_alive():
-                    continue
-                self._tasks[worker_id].put(
-                    (TASK_BATCH, batch_id, key_array[indices], burst))
         self._obs_batches.inc()
         self._obs_lookups.inc(len(key_array))
         return out
 
-    def _poll(self) -> bool:
-        """Handle the next worker message; False if none came within
-        one poll interval."""
+    def _send(self, worker_id: int, message: Tuple) -> None:
+        """Send on a worker's pipe, if any; a broken one buries the worker."""
+        pipe = self._pipes[worker_id]
         try:
-            message = self._results.get(timeout=_POLL_SECONDS)
-        except Empty:
-            return False
-        self._handle_result(message)
-        return True
+            if pipe is not None:
+                pipe.send(message)
+        except OSError:
+            self._bury(worker_id)
 
-    def _handle_result(self, message: Any) -> None:
+    def _receive(self, worker_ids: Sequence[int], deadline: float) -> None:
+        """Handle one message from each of these workers' pipes ready by
+        ``deadline``; EOF or an ``OSError`` (death mid-message) buries it."""
+        pipes = {pipe: worker_id for worker_id, pipe in enumerate(self._pipes)
+                 if pipe is not None and worker_id in worker_ids}
+        ready = wait(list(pipes), max(0.0, deadline - time.monotonic()))
+        for pipe, worker_id in pipes.items():
+            if pipe in ready:
+                try:
+                    message = pipe.recv()
+                except (EOFError, OSError):
+                    self._bury(worker_id)
+                else:
+                    self._handle_result(worker_id, message)
+
+    def _handle_result(self, worker_id: int, message: Any) -> None:
         """The one handler of worker messages, for the batch loop and
         the fence alike: an ack, an error, or a slice's answers."""
         kind = message[0]
         if kind == RESULT_ATTACHED:
-            _kind, worker_id, generation = message
-            self._acks[worker_id] = generation
+            self._acks[worker_id] = message[1]
             return
         if kind == RESULT_ERROR:
-            _kind, worker_id, detail = message
             get_registry().trace(
-                "shard_worker_error", worker=worker_id, error=detail)
-            # The worker exits after reporting; the liveness pass will
-            # respawn it and re-dispatch its slice.
+                "shard_worker_error", worker=worker_id, error=message[1])
+            # The worker exits after reporting; its pipe reads EOF next.
             return
-        _kind, worker_id, batch_id, answers, elapsed, served = message
+        _kind, batch_id, answers, elapsed, served = message
         if batch_id != self._batch_counter or worker_id not in self._pending:
-            # A stale duplicate from a re-dispatch; the answers for the
-            # current batch already landed.
-            return
+            return  # a late answer, to a batch that ended without it
         indices = self._pending.pop(worker_id)
         self._answers[indices] = answers
         self._obs_batch_seconds.observe(elapsed)
@@ -324,16 +345,15 @@ class ShardCoordinator:
         return segment_name(f"g{generation}", self._nonce)
 
     def _install(self, segment: SharedSnapshot) -> None:
-        """Record a new generation and queue it to every spawned worker,
+        """Record a new generation and send it to every spawned worker,
         ahead of any batch cut against it."""
         if self._segment is not None:
             self._stale_segments.append(self._segment)
         self._segment = segment
         self._generation = segment.generation
-        for worker_id, process in enumerate(self._processes):
-            if process is not None:
-                self._tasks[worker_id].put(
-                    (TASK_ATTACH, segment.generation, segment.name))
+        for worker_id in range(self.workers):
+            self._send(worker_id,
+                       (TASK_ATTACH, segment.generation, segment.name))
         self._obs_publishes.inc()
         self._obs_generation.set(segment.generation)
 
@@ -387,7 +407,7 @@ class ShardCoordinator:
         """Retire superseded segments once every worker acked the swap.
 
         A worker acks only what it attached, and attaches only what its
-        queue or its spawn named, so no retired name is attached after.
+        pipe or its spawn named, so no retired name is attached after.
         """
         generation = self._generation
         deadline = time.monotonic() + self.ack_timeout
@@ -402,10 +422,10 @@ class ShardCoordinator:
                     acks=list(self._acks),
                 )
                 return
-            if not self._poll():
-                # A worker respawned here starts on the generation being
-                # fenced, which no burst has been cut against yet.
-                self._respawn_dead()
+            # A worker respawned here starts on the generation being
+            # fenced, which no burst has been cut against yet.
+            self._respawn_dead()
+            self._receive(range(self.workers), deadline)
         for segment in self._stale_segments:
             segment.retire()
         self._stale_segments = []
@@ -438,20 +458,13 @@ class ShardCoordinator:
         self._closed = True
         atexit.unregister(self.close)
         self.router.untrack_changes(self._tracker)
-        for worker_id, process in enumerate(self._processes):
-            if process is not None and process.is_alive():
-                self._tasks[worker_id].put((TASK_STOP,))
+        for worker_id in range(self.workers):
+            self._send(worker_id, (TASK_STOP,))
         deadline = time.monotonic() + timeout
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        for queue in self._tasks + [self._results]:
-            queue.close()
-            queue.cancel_join_thread()
+        for worker_id, process in enumerate(self._processes):
+            if process is not None:
+                process.join(timeout=max(0.0, deadline - time.monotonic()))
+            self._bury(worker_id)  # kills a straggler
         for segment in self._stale_segments:
             segment.retire()
         self._stale_segments = []
@@ -469,6 +482,6 @@ class ShardCoordinator:
         try:
             self.close()
         except Exception:
-            # Interpreter shutdown can have already reclaimed the queues;
+            # Interpreter shutdown can have already reclaimed the pipes;
             # nothing left worth surfacing.
             return

@@ -1,13 +1,13 @@
 """``ShardWorker`` — one reader process of the sharded serving plane.
 
-Each worker serves the key slices the coordinator queues to it from the
-zero-copy batch datapath over one generation's segment.  Its task queue
-is its one channel from the coordinator, and its order is the
-generation fence from the reader side:
+Each worker serves the key slices the coordinator sends it from the
+zero-copy batch datapath over one generation's segment.  One duplex pipe
+carries every message both ways (no worker id: the pipe names the
+sender), and its order is the generation fence from the reader side:
 
 * a worker starts on the generation current at its spawn (passed as
   arguments); every later publish arrives as a ``TASK_ATTACH`` message,
-  queued ahead of any batch cut against it (the coordinator publishes
+  sent ahead of any batch cut against it (the coordinator publishes
   before it dispatches).  The worker attaches (verifying the segment's
   digests) and acks with ``RESULT_ATTACHED`` before it reads its next
   task — so no batch is ever answered from a generation older than the
@@ -22,17 +22,18 @@ generation fence from the reader side:
   metrics stay single-writer.
 
 A worker that hits an unrecoverable error — an attach failure included
-— reports it on the results queue and exits nonzero; the coordinator's
-liveness check respawns it
-(tests/test_shard.py::test_worker_crash_recovery).
+— reports it on its pipe and exits; the coordinator reads EOF there and
+respawns it (tests/test_shard.py::test_worker_crash_recovery).  EOF read
+by the worker means the coordinator is gone: it exits too.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from queue import Empty
-from typing import Any, Optional
+from contextlib import suppress
+from multiprocessing.connection import Connection
+from typing import Optional
 
 from ..core.batch import normalize_keys
 from .codec import SharedBatchLookup, SharedSnapshot, SnapshotIntegrityError
@@ -46,21 +47,20 @@ RESULT_ATTACHED = "attached"
 RESULT_BATCH = "result"
 RESULT_ERROR = "error"
 
-#: How long a worker blocks on the task queue before checking whether
-#: its coordinator is still alive.  A hard-killed coordinator never
-#: sends ``TASK_STOP``; without this poll its daemon workers would sit
-#: in ``queue.get()`` forever, pinning their inherited file descriptors
-#: and shared-memory mappings (the second flavour of stranded resource
-#: besides the /dev/shm segments themselves).
+#: How long a worker waits on its pipe before checking whether its
+#: coordinator is still alive.  A hard-killed coordinator never sends
+#: ``TASK_STOP``, and its end of the pipe reads EOF only if no process
+#: forked outside ``multiprocessing`` holds a copy; without this poll the
+#: worker could wait forever, pinning its inherited file descriptors and
+#: shared-memory mappings (the second flavour of stranded resource).
 _ORPHAN_POLL_SECONDS = 1.0
 
 
 class _WorkerRuntime:
     """Per-process serving state: the attached generation and its segment."""
 
-    def __init__(self, worker_id: int, result_queue: Any) -> None:
-        self.worker_id = worker_id
-        self.result_queue = result_queue
+    def __init__(self, pipe: Connection) -> None:
+        self.pipe = pipe
         self.segment: Optional[SharedSnapshot] = None
         self.generation = 0
 
@@ -80,7 +80,7 @@ class _WorkerRuntime:
         previous = self.segment
         self.segment = segment
         self.generation = generation
-        self.result_queue.put((RESULT_ATTACHED, self.worker_id, generation))
+        self.pipe.send((RESULT_ATTACHED, generation))
         if previous is not None:
             # The caller dropped the old lookup's views, so this close
             # releases the old mapping and its descriptor.
@@ -93,8 +93,8 @@ class _WorkerRuntime:
             self.segment = None
 
 
-def worker_main(worker_id: int, generation: int, segment_name: str,
-                task_queue: Any, result_queue: Any, parent_pid: int) -> int:
+def worker_main(generation: int, segment_name: str, pipe: Connection,
+                parent_pid: int) -> int:
     """The worker process entry point (module-level: spawn-safe).
 
     ``generation`` and ``segment_name`` are the generation current at
@@ -104,18 +104,17 @@ def worker_main(worker_id: int, generation: int, segment_name: str,
     worker would record the reaper's pid and never notice it was
     orphaned.
     """
-    runtime = _WorkerRuntime(worker_id, result_queue)
+    runtime = _WorkerRuntime(pipe)
     try:
         lookup = runtime.attach(generation, segment_name)
         while True:
-            try:
-                task = task_queue.get(timeout=_ORPHAN_POLL_SECONDS)
-            except Empty:
+            if not pipe.poll(_ORPHAN_POLL_SECONDS):
                 # Coordinator hard-killed (we were re-parented): exit so
                 # we do not strand mappings and inherited descriptors.
                 if os.getppid() != parent_pid:
                     return 2
                 continue
+            task = pipe.recv()
             kind = task[0]
             if kind == TASK_STOP:
                 return 0
@@ -136,16 +135,17 @@ def worker_main(worker_id: int, generation: int, segment_name: str,
             key_array = normalize_keys(keys, lookup.width)
             answers = lookup.lookup_keys(key_array)
             elapsed = time.perf_counter() - started
-            result_queue.put((
-                RESULT_BATCH, worker_id, batch_id, answers, elapsed,
-                len(key_array),
-            ))
+            pipe.send((RESULT_BATCH, batch_id, answers, elapsed,
+                       len(key_array)))
+    except EOFError:
+        return 2  # the coordinator is gone
     except KeyboardInterrupt:
         return 130
     except Exception as error:
         # Surface the failure to the coordinator before dying; it owns
-        # the respawn decision.
-        result_queue.put((RESULT_ERROR, worker_id, repr(error)))
+        # the respawn decision.  A coordinator that is gone reads none.
+        with suppress(OSError):
+            pipe.send((RESULT_ERROR, repr(error)))
         return 1
     finally:
         runtime.close()

@@ -8,7 +8,7 @@ the shard worker loop, and the ``ShardCoordinator`` — now routes through
 ``normalize_keys``: scalars and n-d input flatten to 1-D, and negative /
 oversized / non-integer keys raise a clear ``ValueError`` naming the
 offending value, *before* anything reaches the datapath (or a worker
-queue).  So do keys wider than the engine: the scalar path drops their
+pipe).  So do keys wider than the engine: the scalar path drops their
 high bits, and the batch path used to answer them as misses.
 """
 
@@ -206,7 +206,7 @@ class TestCoordinatorEntryPoint:
                 coordinator.lookup_batch([4, -4])
             with pytest.raises(ValueError):
                 coordinator.lookup_batch([2**64])
-            # The rejection happened before any task hit a queue: the
+            # The rejection happened before any task went to a worker: the
             # fleet still answers and a scalar entry normalizes.
             assert np.array_equal(coordinator.lookup_batch(keys),
                                   router.lookup_batch(keys))
@@ -222,38 +222,38 @@ class TestCoordinatorEntryPoint:
             assert np.array_equal(coordinator.lookup_batch(keys),
                                   router.lookup_batch(keys))
 
+    @staticmethod
+    def _error_from_worker(coordinator, task):
+        """Send ``task`` straight down worker 0's pipe, bypassing the
+        coordinator's normalization; the RESULT_ERROR detail it answers."""
+        pipe = coordinator._pipes[0]
+        pipe.send(task)
+        seen = []
+        while pipe.poll(5):
+            seen.append(pipe.recv())
+            if seen[-1][0] == RESULT_ERROR:
+                return seen[-1][1]
+        pytest.fail(f"no RESULT_ERROR: {seen!r}")
+
     def test_worker_refuses_a_wide_key(self):
-        """A key wider than the engine pushed straight onto the task
-        queue surfaces as RESULT_ERROR(ValueError)."""
+        """A key wider than the engine sent straight down a worker's
+        pipe surfaces as RESULT_ERROR(ValueError)."""
         _table, router = self._fleet()
         with ShardCoordinator(router, workers=1) as coordinator:
             wide = np.array([3, 1 << 33], dtype=np.uint64)
-            coordinator._tasks[0].put((TASK_BATCH, 998, wide, []))
-            for _ in range(200):
-                message = coordinator._results.get(timeout=5)
-                if message[0] == RESULT_ERROR:
-                    break
-            else:
-                pytest.fail("no RESULT_ERROR for a wide key")
-            assert "ValueError" in message[2]
-            assert "2**32" in message[2]
+            error_repr = self._error_from_worker(
+                coordinator, (TASK_BATCH, 998, wide, []))
+            assert "ValueError" in error_repr
+            assert "2**32" in error_repr
 
     def test_worker_normalizes_defense_in_depth(self):
-        """A malformed batch pushed straight onto the task queue —
+        """A malformed batch sent straight down a worker's pipe —
         bypassing the coordinator's normalization — must surface as a
         clear ValueError via RESULT_ERROR, not an OverflowError."""
         _table, router = self._fleet()
         with ShardCoordinator(router, workers=1) as coordinator:
-            coordinator._tasks[0].put((TASK_BATCH, 999, [3, -9], []))
-            deadline_messages = []
-            for _ in range(200):
-                message = coordinator._results.get(timeout=5)
-                deadline_messages.append(message)
-                if message[0] == RESULT_ERROR:
-                    break
-            else:
-                pytest.fail(f"no RESULT_ERROR: {deadline_messages!r}")
-            error_repr = message[2]
+            error_repr = self._error_from_worker(
+                coordinator, (TASK_BATCH, 999, [3, -9], []))
             assert "ValueError" in error_repr
             assert "non-negative" in error_repr
             assert "OverflowError" not in error_repr

@@ -792,11 +792,12 @@ def test_fixed_worker_runtime_returns_lookup():
 
 
 def test_fixed_coordinator_guards_optional_process():
+    """Each worker's process and pipe are Optional: both are checked
+    before use (the respawn scan, every send, every close)."""
     import inspect
 
     from repro.shard.coordinator import ShardCoordinator
 
-    source = inspect.getsource(ShardCoordinator._collect_batch) \
-        if hasattr(ShardCoordinator, "_collect_batch") \
-        else inspect.getsource(ShardCoordinator)
-    assert "process is None or not process.is_alive()" in source
+    source = inspect.getsource(ShardCoordinator)
+    assert "process is not None and process.is_alive()" in source
+    assert "if pipe is not None:" in source

@@ -8,8 +8,10 @@ end-to-end run of the kill/corrupt/partition harness.
 """
 
 import json
+import os
 import pickle
 import random
+import signal
 import socket
 import subprocess
 import sys
@@ -31,6 +33,7 @@ from repro.replicate import (
     run_replicate,
 )
 from repro.replicate import wire
+from repro.replicate.harness import HarnessError
 from repro.replicate.replica import _STATE_FILE, decode_state, encode_state
 from repro.replicate.state import canonical_fib
 from repro.serve import SnapshotRouter
@@ -286,6 +289,35 @@ def test_replica_boots_from_any_state_file_and_converges(tmp_path, case):
             assert time.monotonic() < deadline, status
             time.sleep(0.02)
         assert status["state_rejected"] == refused
+    finally:
+        handle.stop()
+        writer.stop()
+
+
+def test_replica_death_during_a_command_is_named(tmp_path):
+    """A replica that dies owing a reply is named dead as soon as its
+    pipe reads EOF, not after the 30 s command timeout.  Stopped first,
+    so the STATUS cannot be answered before the kill."""
+    table = synthetic_table(120, seed=14)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    writer = ReplicationCoordinator(SnapshotRouter(fib), ledger, config)
+    port = writer.listen()
+    handle = ReplicaHandle(0, port, table, config, str(tmp_path),
+                           status_interval=0.02, scrub_interval=60.0)
+    try:
+        handle.spawn()
+        writer.start()
+        handle.status()  # booted and answering
+        pid = handle.process.pid
+        os.kill(pid, signal.SIGSTOP)
+        killer = threading.Timer(0.5, os.kill, (pid, signal.SIGKILL))
+        killer.start()
+        started = time.monotonic()
+        with pytest.raises(HarnessError, match="died during status"):
+            handle.status()
+        assert time.monotonic() - started < 5.0
+        killer.join()
     finally:
         handle.stop()
         writer.stop()

@@ -5,14 +5,16 @@ The acceptance properties:
 * **differential**: a ``ShardCoordinator`` fleet answers exactly like the
   single-process ``SnapshotRouter`` it wraps, over churn, for every
   worker count — kept current by word bursts, with no key bounced;
-* **fence**: a publish rides each worker's task queue ahead of the
+* **fence**: a publish goes down each worker's pipe ahead of the
   batches cut against it, so a worker never serves a generation older
   than the one current at dispatch; worker acks never decrease, and
   retired segments are really gone;
-* **crash recovery**: a killed worker is respawned on the *current*
-  generation, never a stale one, without dropping a batch;
+* **crash recovery**: a killed worker — or one that dies halfway
+  through a message — is respawned on the *current* generation, never a
+  stale one, without dropping a batch; a wedged worker costs one failed
+  batch, not every later one;
 * **one plane per router**: a second plane over a router is refused
-  before it makes a queue, process or segment, and closing a plane
+  before it makes a pipe, process or segment, and closing a plane
   leaves the router free for the next;
 * **publish safety**: a publish copies the router's served image under
   its update lock — an update or scrub fired mid-export waits for it, a
@@ -24,6 +26,8 @@ import gc
 import multiprocessing
 import os
 import random
+import signal
+import struct
 import threading
 
 import numpy as np
@@ -43,6 +47,7 @@ from repro.shard import (
     SharedSnapshot,
     SnapshotIntegrityError,
 )
+from repro.shard import coordinator as coordinator_module
 from repro.shard.codec import encode_image, table_digest
 from repro.shard.names import SEGMENT_PREFIX
 from repro.verify import Oracle, apply_update, image_differences, keys_under
@@ -186,6 +191,61 @@ class TestGenerationFence:
             deadline_acks = coordinator.worker_acks()
             assert all(ack == coordinator.generation
                        for ack in deadline_acks), deadline_acks
+
+    def test_wedged_worker_is_replaced_after_the_timeout(self):
+        """A stopped worker fails the batch it owes, is killed at the
+        deadline, and the next batch respawns it (with a publish) and is
+        exact.  Only dead workers used to be replaced, so every later
+        batch failed too."""
+        table, _fib, router = build_router()
+        keys = random_keys(table.width, 2000, seed=25)
+        with ShardCoordinator(router, workers=2,
+                              batch_timeout=2) as coordinator:
+            victim = coordinator._processes[1]
+            try:
+                assert np.array_equal(coordinator.lookup_batch(keys),
+                                      router.lookup_batch(keys))
+                respawns = coordinator._obs_respawns.value
+                os.kill(victim.pid, signal.SIGSTOP)
+                with pytest.raises(ShardError, match=r"workers \[1\]"):
+                    coordinator.lookup_batch(keys)
+                assert np.array_equal(coordinator.lookup_batch(keys),
+                                      router.lookup_batch(keys))
+                assert coordinator._obs_respawns.value == respawns + 1
+            finally:
+                if victim.is_alive():
+                    os.kill(victim.pid, signal.SIGCONT)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched entry point reaches forked workers only")
+    def test_worker_dying_mid_message_costs_one_respawn(self, monkeypatch):
+        """Worker 0's first incarnation writes a frame header promising
+        1 MB, 10 bytes of it, and exits.  Its pipe reads an error, not a
+        hang, and no other worker's channel is touched: one respawn, and
+        every batch is exact.  A worker killed inside the shared results
+        queue's feeder used to hold its write lock, failing every later
+        batch."""
+        table, _fib, router = build_router()
+        keys = random_keys(table.width, 2000, seed=27)
+        worker_main = coordinator_module.worker_main
+
+        def torn_first_message(generation, segment_name, pipe, parent_pid):
+            if multiprocessing.current_process().name.endswith("-0"):
+                os.write(pipe.fileno(),
+                         struct.pack("!i", 1 << 20) + bytes(10))
+                os._exit(1)
+            return worker_main(generation, segment_name, pipe, parent_pid)
+
+        monkeypatch.setattr(coordinator_module, "worker_main",
+                            torn_first_message)
+        with ShardCoordinator(router, workers=2) as coordinator:
+            monkeypatch.undo()  # the respawn runs the real entry point
+            respawns = coordinator._obs_respawns.value
+            for _ in range(3):
+                assert np.array_equal(coordinator.lookup_batch(keys),
+                                      router.lookup_batch(keys))
+            assert coordinator._obs_respawns.value == respawns + 1
 
 
 def assert_segment_is_a_fresh_compile(coordinator, fib):
@@ -515,7 +575,7 @@ class TestOnePlanePerRouter:
     def test_second_plane_is_refused_and_the_first_stays_exact(self):
         """A router feeds one word tracker.  A second plane over it
         would take the tracker's words from the first, which then serves
-        stale answers; it is refused before it makes a queue, process or
+        stale answers; it is refused before it makes a pipe, process or
         segment.  The first plane stays exact, and once it closes, a
         plane built after it installs its own tracker and is exact."""
         table, _fib, router = build_router(table_size=600, seed=46)

@@ -7,9 +7,10 @@ Two failure modes this file pins down:
   ``chz-<pid>-<nonce>-<tag>`` names, the coordinator registers an
   ``atexit`` hook, and startup reaps any segment whose owning pid is
   dead (``repro.shard.names``).  A plane maps one kind of segment, one
-  per live generation: the publishes and acks ride its queues.
+  per live generation: the publishes and acks ride each worker's pipe.
 * **Orphaned workers** — a worker whose coordinator was SIGKILLed,
-  even before the worker reached its loop, exits on its own.
+  even before the worker reached its loop, exits on its own: it reads
+  EOF on its pipe, or its orphan poll sees it was re-parented.
 """
 
 import multiprocessing
