@@ -78,26 +78,31 @@ class Bucket:
 
     # -- hardware views -----------------------------------------------------------
 
+    def paint(self) -> Tuple[int, List[NextHop]]:
+        """The bit-vector and the Result-Table region, in one pass.
+
+        An original of relative length ``rel`` covers an aligned run of
+        ``2**(span - rel)`` expansions.  Painting the runs into one slot
+        per expansion in ascending length order lets the longest covering
+        original — :meth:`winner` — overwrite the rest, so the set slots,
+        read in bit order, are the region.
+        """
+        vector = 0
+        slots: List[Optional[NextHop]] = [None] * (1 << self.span)
+        for (length, suffix), next_hop in sorted(self.originals.items()):
+            run = 1 << (self.span - length + self.base)
+            start = suffix * run
+            slots[start:start + run] = [next_hop] * run
+            vector |= ((1 << run) - 1) << start
+        return vector, [hop for hop in slots if hop is not None]
+
     def bit_vector(self) -> int:
         """The 2**span-bit vector; bit e set iff expansion e has a winner."""
-        vector = 0
-        for (length, suffix) in self.originals:
-            rel = length - self.base
-            free = self.span - rel
-            base_expansion = suffix << free
-            # An original of relative length `rel` covers a 2**free-expansion
-            # aligned run of bits.
-            vector |= ((1 << (1 << free)) - 1) << base_expansion
-        return vector
+        return self.paint()[0]
 
     def region(self) -> List[NextHop]:
         """Result-Table region contents: winners' next hops in bit order."""
-        hops: List[NextHop] = []
-        vector = self.bit_vector()
-        for expansion in range(1 << self.span):
-            if (vector >> expansion) & 1:
-                hops.append(self.originals[self.winner(expansion)])
-        return hops
+        return self.paint()[1]
 
     def ones(self) -> int:
         return bin(self.bit_vector()).count("1")

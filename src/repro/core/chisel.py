@@ -11,8 +11,10 @@ simulator scans longest-first, which is decision-equivalent.)
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import DEPTH_BUCKETS, get_registry
@@ -22,6 +24,24 @@ from .collapse import CollapsePlan, group_by_subcell, plan_for_table
 from .config import ChiselConfig
 from .events import CapacityError, UpdateKind
 from .subcell import ChiselSubCell
+
+
+@contextmanager
+def paused_collector() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk build.
+
+    A build allocates hundreds of thousands of long-lived objects and
+    frees almost none, so the collections those allocations trigger walk
+    an ever larger heap and find nothing to free.  The prior state comes
+    back on exit, error included, so a caller's ``gc.disable()`` holds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ChiselLPM:
@@ -72,6 +92,7 @@ class ChiselLPM:
     # -- construction ---------------------------------------------------------
 
     @classmethod
+    @paused_collector()
     def build(cls, table: RoutingTable,
               config: Optional[ChiselConfig] = None) -> "ChiselLPM":
         """Plan, collapse, and set up every sub-cell for a routing table."""

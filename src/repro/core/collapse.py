@@ -195,30 +195,39 @@ def plan_storage_bits(table: RoutingTable, plan: CollapsePlan) -> int:
     return total
 
 
-def group_by_subcell(
-    table: RoutingTable, plan: CollapsePlan
-) -> Dict[SubCellPlan, Dict[int, Dict[Tuple[int, int], NextHop]]]:
+#: One sub-cell's shadow buckets: collapsed value -> {(length, suffix) -> hop}.
+Buckets = Dict[int, Dict[Tuple[int, int], NextHop]]
+
+
+def group_by_subcell(table: RoutingTable,
+                     plan: CollapsePlan) -> Dict[SubCellPlan, Buckets]:
     """Collapse every route into its sub-cell's buckets.
 
     Returns, per sub-cell, a mapping
     ``collapsed value -> {(original length, suffix bits) -> next hop}``:
     exactly the shadow state each sub-cell keeps (§4.4's software copy).
+    The collapsed value is ``Prefix.collapse(base).value`` and the suffix
+    ``suffix_bits(base)``; each length's interval is resolved once.
     """
-    grouped: Dict[SubCellPlan, Dict[int, Dict[Tuple[int, int], NextHop]]] = {
-        cell: {} for cell in plan
-    }
+    grouped: Dict[SubCellPlan, Buckets] = {cell: {} for cell in plan}
+    # length -> (its sub-cell's buckets, collapsed bits, suffix mask)
+    by_length: Dict[int, Tuple[Buckets, int, int]] = {}
     for prefix, next_hop in table:
-        cell = plan.interval_for(prefix.length)
-        collapsed = prefix.collapse(cell.base)
-        bucket = grouped[cell].setdefault(collapsed.value, {})
-        bucket[(prefix.length, prefix.suffix_bits(cell.base))] = next_hop
+        length = prefix.length
+        target = by_length.get(length)
+        if target is None:
+            cell = plan.interval_for(length)
+            shift = length - cell.base
+            target = by_length[length] = (grouped[cell], shift,
+                                          (1 << shift) - 1)
+        buckets, shift, mask = target
+        value = prefix.value
+        bucket = buckets.setdefault(value >> shift, {})
+        bucket[(length, value & mask)] = next_hop
     return grouped
 
 
 def collapsed_count(table: RoutingTable, plan: CollapsePlan) -> int:
     """Number of distinct collapsed prefixes (Index Table keys) for a table."""
-    seen = set()
-    for prefix, _next_hop in table:
-        cell = plan.interval_for(prefix.length)
-        seen.add((cell.base, prefix.collapse(cell.base).value))
-    return len(seen)
+    return sum(len(buckets)
+               for buckets in group_by_subcell(table, plan).values())

@@ -206,8 +206,7 @@ class ChiselSubCell:
         """Recompute a bucket's bit-vector and region; an ``update``
         counts and logs the words."""
         pointer = bucket.pointer
-        vector = bucket.bit_vector()
-        region = bucket.region()
+        vector, region = bucket.paint()
         needed = max(len(region), self.config.region_slack)
         written = 0
         if fresh:

@@ -165,9 +165,9 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
             report._fixed("dirty")
         if bucket.dirty:
             continue  # bv/regionptr/result are dead words behind the dirty bit
-        if _check_word(report, "bitvector", bucket.bit_vector(),
-                       subcell.bv_table[pointer]):
-            subcell.bv_table[pointer] = bucket.bit_vector()
+        vector, region = bucket.paint()
+        if _check_word(report, "bitvector", vector, subcell.bv_table[pointer]):
+            subcell.bv_table[pointer] = vector
             subcell.wrote(1, replan="scrub")
             report._fixed("bitvector")
         shadow_ptr = subcell.region_ptr_shadow[pointer]
@@ -176,7 +176,6 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
             subcell.region_ptr[pointer] = shadow_ptr
             subcell.wrote(1, replan="scrub")
             report._fixed("regionptr")
-        region = bucket.region()
         arena = subcell.result.arena
         if shadow_ptr + len(region) > len(arena):
             report.uncorrectable.append(

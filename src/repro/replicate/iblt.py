@@ -38,6 +38,8 @@ import math
 import struct
 from typing import Iterable, List, Optional, Set, Tuple
 
+from ..integrity import IntegrityError
+
 #: Cells per difference key (see module docstring / tests/test_iblt.py).
 CELL_MULTIPLIER = 1.8
 
@@ -55,7 +57,7 @@ _CELL = struct.Struct("<qQQ")  # count, key_sum, check_sum
 _HEADER = struct.Struct("<IBQ")  # cells, hashes, seed
 
 
-class IBLTError(ValueError):
+class IBLTError(IntegrityError, ValueError):
     """Structurally invalid IBLT input (geometry mismatch, bad blob)."""
 
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..core.chisel import paused_collector
 from ..core.config import ChiselConfig
 from ..core.image import HardwareImage
 from ..prefix.prefix import Prefix
 from ..prefix.table import RoutingTable
-from ..router.fib import ForwardingEngine, _default_naming
+from ..router.fib import ForwardingEngine, _default_naming, name_next_hops
 from ..router.nexthop import NextHopInfo
 from ..store.records import ANNOUNCE, LogRecord
 from .iblt import fingerprint
@@ -80,6 +81,7 @@ class RouteLedger:
         self._checksum = 0
 
     @classmethod
+    @paused_collector()
     def from_table(cls, table: RoutingTable) -> "RouteLedger":
         """The seq-0 ledger both sides derive from the initial table.
 
@@ -87,8 +89,9 @@ class RouteLedger:
         ledger and FIB agree on every (gateway, interface) from birth.
         """
         ledger = cls(table.width)
+        names = name_next_hops(table, _default_naming)
         for prefix, next_hop in table:
-            info = _default_naming(next_hop)
+            info = names[next_hop]
             ledger.set_entry(RouteEntry(prefix.value, prefix.length,
                                         info.gateway, info.interface, 0))
         return ledger

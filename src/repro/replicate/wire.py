@@ -36,6 +36,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..integrity import IntegrityError
 from ..store.records import (
     LogRecord,
     RecordDecodeError,
@@ -71,7 +72,7 @@ MODE_RESYNC = 2     # resume point fell off the journal: full resync follows
 MAX_FRAME = 64 << 20
 
 
-class WireError(RuntimeError):
+class WireError(IntegrityError, RuntimeError):
     """A malformed frame or message body (protocol violation)."""
 
 

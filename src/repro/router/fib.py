@@ -11,7 +11,7 @@ hardware path the paper describes, with the pushed-word counter exposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..core.chisel import ChiselLPM
 from ..core.config import ChiselConfig
@@ -35,6 +35,15 @@ def _default_naming(next_hop: NextHop) -> NextHopInfo:
         f"10.{(next_hop >> 8) & 0xFF}.{next_hop & 0xFF}.1",
         f"eth{next_hop % 8}",
     )
+
+
+def name_next_hops(
+    table: RoutingTable, naming: Callable[[NextHop], NextHopInfo]
+) -> Dict[NextHop, NextHopInfo]:
+    """``naming`` of each distinct next-hop id in ``table``, called once
+    per id in order of first appearance; routes then share the names."""
+    return {next_hop: naming(next_hop)
+            for next_hop in dict.fromkeys(hop for _prefix, hop in table)}
 
 
 @dataclass
@@ -92,10 +101,10 @@ class ForwardingEngine:
         """
         fib = cls(width=table.width, config=config,
                   dirty_purge_threshold=dirty_purge_threshold)
-        naming = naming or _default_naming
+        names = name_next_hops(table, naming or _default_naming)
         mapped = RoutingTable(width=table.width, name=table.name)
         for prefix, next_hop in table:
-            mapped.add(prefix, fib.next_hops.acquire(naming(next_hop)))
+            mapped.add(prefix, fib.next_hops.acquire(names[next_hop]))
             fib._obs_acquires.inc()
         fib._engine = ChiselLPM.build(mapped, fib.config)
         fib._obs_occupancy.set(len(fib.next_hops))

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..core.batch import BatchLookup
 from ..core.flatpath import RECORD_ARRAYS, FlatSubCellPlan, _FusedIndex
+from ..integrity import IntegrityError
 
 #: Image format 2: geometry-sized bucket arrays with a sentinel entry and
 #: one copy of the hash byte tables.  Format-1 images are refused.
@@ -62,7 +63,7 @@ _ALIGN = 64
 _DIGEST_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-class SnapshotIntegrityError(RuntimeError):
+class SnapshotIntegrityError(IntegrityError, RuntimeError):
     """An attached segment failed header or checksum validation."""
 
 

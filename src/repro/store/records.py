@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..integrity import IntegrityError
+
 #: Record kinds (the first payload byte).
 ANNOUNCE = 1
 WITHDRAW = 2
@@ -31,7 +33,7 @@ WITHDRAW = 2
 _KINDS = (ANNOUNCE, WITHDRAW)
 
 
-class RecordDecodeError(ValueError):
+class RecordDecodeError(IntegrityError, ValueError):
     """A record payload failed structural validation."""
 
 

@@ -153,6 +153,18 @@ def test_fingerprint_nonzero_and_sensitive():
     assert fingerprint(("ab", "c")) != fingerprint(("a", "bc"))
 
 
+@pytest.mark.parametrize("entry, expected", [
+    ((167772160, 8, "10.8.1.1", "eth0", 7), 2416178778918757336),
+    ((3232235520, 16, "192.168.0.1", "éth0/ünï☃", 0), 15983380765453721474),
+    ((0, 0, "10.0.0.1", "eth7", 2**40 + 5), 6214487440390035350),
+])
+def test_fingerprint_golden_values(entry, expected):
+    """Ledger checksums XOR these: the bytes hashed never change
+    (a non-ASCII interface hashes its UTF-8 length; a seq past 2**32 its
+    full decimal text)."""
+    assert fingerprint(entry) == expected
+
+
 def test_cells_for_scales_with_delta_and_is_k_aligned():
     small = cells_for(10)
     large = cells_for(1000)

@@ -8,6 +8,7 @@ must hold their structural invariants under arbitrary operation sequences.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.ranges import prefixes_cover, range_to_prefixes
@@ -16,6 +17,7 @@ from repro.bloomier import BloomierFilter
 from repro.core import ChiselConfig, ChiselLPM
 from repro.core.alloc import BlockAllocator
 from repro.core.bitvector import Bucket
+from repro.core.collapse import group_by_subcell, plan_for_table
 from repro.prefix import (
     Prefix,
     RoutingTable,
@@ -153,27 +155,68 @@ class TestBloomierProperties:
             assert bf.lookup(key) == value
 
 
+# -- collapse grouping ----------------------------------------------------------------------
+
+class TestGroupingProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(routing_tables(max_routes=40), st.sampled_from(["greedy", "full"]),
+           st.booleans(), st.data())
+    def test_group_by_subcell_matches_collapse(self, table, coverage, edges,
+                                               data):
+        """Grouping equals the ``Prefix.collapse`` / ``suffix_bits``
+        definition, insertion order included (it sets pointer order)."""
+        if edges:
+            table.add(Prefix(0, 0, 32), 7)
+            table.add(Prefix((1 << 32) - 1, 32, 32), 8)
+        plan = plan_for_table(table, 4, coverage)
+        expected = {cell: {} for cell in plan}
+        for prefix, next_hop in table:
+            cell = plan.interval_for(prefix.length)
+            bucket = expected[cell].setdefault(
+                prefix.collapse(cell.base).value, {})
+            bucket[(prefix.length, prefix.suffix_bits(cell.base))] = next_hop
+        grouped = group_by_subcell(table, plan)
+        assert grouped == expected
+        for cell in plan:
+            assert list(grouped[cell]) == list(expected[cell])
+            for value, originals in grouped[cell].items():
+                assert list(originals) == list(expected[cell][value])
+        uncovered = [length for length in range(33)
+                     if not plan.has_interval_for(length)]
+        if uncovered:
+            length = data.draw(st.sampled_from(uncovered))
+            table.add(Prefix(0, length, 32), 1)
+            with pytest.raises(KeyError):
+                group_by_subcell(table, plan)
+
+
 # -- bucket and allocator invariants ------------------------------------------------------
 
 class TestBucketProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 15), st.integers(1, 99)),
-            min_size=0, max_size=12,
-        )
-    )
-    def test_region_matches_winners(self, entries):
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 26), st.integers(0, 6), st.data())
+    def test_region_matches_winners(self, base, span, data):
         """For any bucket contents: popcount-indexed region = per-expansion
         winner next hops, and ones() = popcount(bit_vector())."""
-        bucket = Bucket(base=8, span=4, pointer=0)
+        entries = data.draw(st.lists(
+            st.tuples(st.integers(0, span), st.integers(0, (1 << span) - 1),
+                      st.integers(0, 99)),
+            max_size=3 * (span + 1)))
+        if data.draw(st.booleans()):
+            # An original at every relative length, so runs of every
+            # size overlap.
+            entries += [(rel_length, data.draw(st.integers(0, (1 << span) - 1)),
+                         data.draw(st.integers(0, 99)))
+                        for rel_length in range(span + 1)]
+        bucket = Bucket(base=base, span=span, pointer=0)
         for rel_length, suffix, next_hop in entries:
-            bucket.add(8 + rel_length, suffix & ((1 << rel_length) - 1), next_hop)
+            bucket.add(base + rel_length, suffix & ((1 << rel_length) - 1),
+                       next_hop)
         vector = bucket.bit_vector()
         region = bucket.region()
         assert bucket.ones() == bin(vector).count("1") == len(region)
         rank = 0
-        for expansion in range(16):
+        for expansion in range(1 << span):
             if (vector >> expansion) & 1:
                 assert region[rank] == bucket.next_hop_for(expansion)
                 rank += 1
