@@ -274,14 +274,15 @@ class ChiselLPM:
 
     def save(self, path: str) -> None:
         """Checkpoint the whole engine — shadow copies and hardware state —
-        so a line card can restart without re-running setup.  (Pickle of a
-        pure-Python object graph; no custom reducers needed.)"""
+        so a line card can restart without re-running setup.  (A pickle;
+        each sub-cell writes its shadow buckets as flat columns, see
+        ``ChiselSubCell.__getstate__``.)"""
         with open(path, "wb") as handle:
             pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def load(cls, path: str) -> "ChiselLPM":
-        with open(path, "rb") as handle:
+        with open(path, "rb") as handle, paused_collector():
             engine = pickle.load(handle)
         if not isinstance(engine, cls):
             raise TypeError(f"{path} does not contain a {cls.__name__}")

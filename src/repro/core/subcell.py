@@ -24,10 +24,13 @@ portions of the data structure to the hardware engine").
 from __future__ import annotations
 
 import random
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..bloomier.filter import SetupReport
 from ..bloomier.partitioned import InsertOutcome, PartitionedBloomierFilter
+from ..integrity import IntegrityError
 from ..obs import get_registry
 from ..prefix.prefix import Prefix, key_bits
 from ..prefix.table import NextHop
@@ -161,15 +164,58 @@ class ChiselSubCell:
 
     def __getstate__(self) -> Tuple[None, Dict[str, object]]:
         # The write log belongs to the serving image tracking this
-        # sub-cell, not to its tables: a pickle carries none.
-        return None, {name: getattr(self, name)
-                      for name in self.__slots__ if name != "log"}
+        # sub-cell, not to its tables: a pickle carries none.  The
+        # buckets go as flat columns in dict order (purge, scrub and
+        # maintenance iterate them, so a restored engine must too):
+        # tens of thousands of small objects pickle and unpickle slowly.
+        slots = {name: getattr(self, name) for name in self.__slots__
+                 if name not in ("log", "buckets")}
+        members = list(self.buckets.values())
+        originals = list(map(attrgetter("originals"), members))
+        keys = list(chain.from_iterable(chain.from_iterable(originals)))
+        slots["buckets"] = (
+            list(self.buckets),
+            list(map(attrgetter("pointer"), members)),
+            list(map(attrgetter("dirty"), members)),
+            list(map(len, originals)),
+            keys[0::2],  # original lengths
+            keys[1::2],  # original suffixes
+            list(chain.from_iterable(map(dict.values, originals))),
+        )
+        return None, slots
 
     def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
         _dict, slots = state
         for name, value in slots.items():
             setattr(self, name, value)
         self.log = None
+        # A pickle written before the columns holds the Bucket map itself.
+        if not isinstance(self.buckets, dict):
+            self.buckets = self._unpack_buckets(self.buckets)
+
+    def _unpack_buckets(self, columns: Tuple[list, ...]) -> Dict[int, Bucket]:
+        """The bucket map from :meth:`__getstate__`'s columns."""
+        values, pointers, dirty, counts, lengths, suffixes, hops = columns
+        if (not len(values) == len(pointers) == len(dirty) == len(counts)
+                or sum(counts) != len(lengths)
+                or not len(lengths) == len(suffixes) == len(hops)
+                or min(counts, default=0) < 0):
+            raise IntegrityError(
+                f"sub-cell /{self.base}: bucket columns disagree")
+        # Each bucket's dict takes the next ``count`` entries.
+        entries = iter(zip(zip(lengths, suffixes), hops))
+        dicts = map(dict, map(islice, repeat(entries), counts))
+        buckets: Dict[int, Bucket] = {}
+        for value, pointer, flag, originals in zip(values, pointers, dirty,
+                                                   dicts):
+            bucket = Bucket.__new__(Bucket)
+            bucket.base = self.base
+            bucket.span = self.span
+            bucket.pointer = pointer
+            bucket.dirty = flag
+            bucket.originals = originals
+            buckets[value] = bucket
+        return buckets
 
     def wrote(self, words: int, row: Optional[int] = None,
               result: Optional[Tuple[int, int]] = None,

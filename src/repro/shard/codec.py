@@ -288,7 +288,9 @@ def parse_image_header(buffer: memoryview, context: str,
         header = json.loads(
             bytes(buffer[8:8 + header_length]).decode("utf-8")
         )
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and an integer past
+        # Python's digit limit; RecursionError, nesting past its depth.
         raise SnapshotIntegrityError(
             f"{context}: unparseable header: {error}"
         ) from error

@@ -7,8 +7,9 @@ their valid prefixes.  Replay patches the mapped image's private pages
 — never the file, and never a whole-plan copy.  Any damage — bad magic, checksum mismatch, mid-log CRC
 failure, sequence gap — is *detected and classified*, never served:
 
-* a damaged newest checkpoint falls back to the previous generation
-  (whose logs still chain to the present, so no durable record is lost);
+* a damaged newest checkpoint — or one whose FIB blob does not
+  unpickle — falls back to the previous generation (whose logs still
+  chain to the present, so no durable record is lost);
 * a torn final log record is truncated away (it was never acknowledged);
 * damage in the middle of a durable log stops replay at the last clean
   record — the store serves a correct prefix of history and reports the
@@ -31,6 +32,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from ..core.chisel import paused_collector
 from ..core.config import ChiselConfig
 from ..obs import LATENCY_BUCKETS, get_registry
 from ..prefix.prefix import Prefix
@@ -147,11 +149,12 @@ def _chain_logs(directory: str, start_generation: int,
 
 def _recover_state(
         directory: str, report: RecoveryReport,
-) -> Tuple[MappedCheckpoint, SharedBatchLookup, bytes, List[LogRecord], int]:
+) -> Tuple[MappedCheckpoint, SharedBatchLookup, ForwardingEngine,
+           List[LogRecord], int]:
     """Newest recoverable checkpoint and its log tail, or ``RecoveryError``.
 
     Fills ``report`` with what recovery found, used and refused; returns
-    ``(checkpoint, lookup, FIB blob, tail, newest log valid length)``.
+    ``(checkpoint, lookup, FIB, tail, newest log valid length)``.
     """
     registry = get_registry()
     generations = list_generations(directory)
@@ -179,6 +182,22 @@ def _recover_state(
             report.fallbacks += 1
             continue
         try:
+            # The unpickle frees nothing, so collections it triggered
+            # would only walk the heap it builds.
+            with paused_collector():
+                fib = pickle.loads(fib_blob)
+        except Exception as error:
+            # The blob is checksummed, so this is version skew or bucket
+            # columns that disagree, not rot: refused like a corrupt
+            # checkpoint, so an older generation can still serve.
+            checkpoint.close()
+            report.rejected.append(
+                f"checkpoint generation {generation}: FIB blob failed "
+                f"to unpickle: {error}")
+            refused.inc()
+            report.fallbacks += 1
+            continue
+        try:
             lookup = checkpoint.to_lookup()
         except SnapshotIntegrityError as error:
             # Checksums held but the datapath cannot be rebuilt (a
@@ -200,7 +219,7 @@ def _recover_state(
             registry.counter(
                 "store_corrupt_logs_total",
                 "log damage beyond a torn tail found by recovery").inc()
-        return checkpoint, lookup, fib_blob, tail, valid_length
+        return checkpoint, lookup, fib, tail, valid_length
     raise RecoveryError(
         f"{directory}: every checkpoint failed validation: "
         + "; ".join(report.rejected)
@@ -267,16 +286,7 @@ def cold_start(directory: str,
         report.generation = store.generation
         report.replay_seconds = time.perf_counter() - started
         return BootResult(router=router, store=store, report=report)
-    checkpoint, lookup, fib_blob, tail, valid_length = recovered
-    try:
-        fib = pickle.loads(fib_blob)
-    except Exception as error:
-        # The blob is checksummed, so this is version skew, not rot;
-        # surface it as a recovery failure rather than a crash.
-        checkpoint.close()
-        raise RecoveryError(
-            f"checkpoint generation {report.generation}: FIB blob failed "
-            f"to unpickle: {error}") from error
+    checkpoint, lookup, fib, tail, valid_length = recovered
     router = SnapshotRouter(fib, initial_snapshot=lookup)
     # Re-apply the tail through the live update path.
     for record in tail:

@@ -12,10 +12,12 @@ replay unchanged.
 """
 
 import bisect
+import contextlib
 import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import shutil
 import tempfile
@@ -25,7 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ChiselConfig
 from repro.core.image import HardwareImage
+from repro.core.subcell import ChiselSubCell
 from repro.faults.fileinject import (
     duplicate_final_record,
     flip_file_bit,
@@ -52,6 +56,7 @@ from repro.store import (
 )
 from repro.shard import codec
 from repro.shard.codec import SnapshotIntegrityError, encode_image
+import repro.store.boot as boot_module
 from repro.store.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -61,7 +66,7 @@ from repro.store.checkpoint import (
 from repro.store.crashpoints import set_crashpoint_hook
 from repro.store.deltalog import scan_frames
 from repro.store.store import checkpoint_path, list_generations, log_path
-from repro.verify import apply_update
+from repro.verify import Oracle, apply_update, keys_under
 from repro.workloads import synthetic_table
 from repro.workloads.traces import synthesize_trace
 
@@ -781,6 +786,89 @@ class TestStoreIntegration:
                 np.random.default_rng(7).integers(0, 2**32, size=300)]
         assert_identical(second.router, golden, keys)
         second.store.close()
+
+
+class TestUndecodableFibBlob:
+    """A FIB blob that passes its digest but does not unpickle (version
+    skew, bucket columns that disagree) refuses its generation like a
+    corrupt checkpoint: the boot falls back to the previous one, whose
+    logs chain to the present."""
+
+    @staticmethod
+    def _two_generations(store_dir, damage_second):
+        """Generation 1 at create, generation 2 twenty updates later,
+        written inside the ``damage_second()`` context."""
+        table, router = build_router(size=2000, seed=23)
+        oracle = Oracle(table)
+        store = SnapshotStore.create(
+            store_dir, router, policy=CheckpointPolicy(every_records=10**6))
+        trace = synthesize_trace(table, 40, seed=24)
+        for op in trace[:20]:
+            apply_update(router, op)
+            oracle.apply(op)
+        with damage_second():
+            store.checkpoint()
+        for op in trace[20:]:
+            apply_update(router, op)
+            oracle.apply(op)
+        store.close()
+        assert list_generations(store_dir) == [1, 2]
+        return table, oracle, store.seq
+
+    @staticmethod
+    def _assert_booted_from_the_first(result, oracle, seq):
+        assert result.report.boot == "replay"
+        assert result.report.generation == 1
+        assert result.report.fallbacks == 1
+        assert result.report.seq == seq
+        assert any("FIB blob failed to unpickle" in reason
+                   for reason in result.report.rejected)
+        keys = keys_under(random.Random(25), 32, 600, oracle.changed)
+        assert not oracle.mismatches(keys, result.router.forward_batch(keys))
+        result.store.close()
+        result.checkpoint.close()
+
+    def test_blob_that_fails_to_unpickle_falls_back(self, store_dir,
+                                                    monkeypatch):
+        table, oracle, seq = self._two_generations(
+            store_dir, contextlib.nullcontext)
+        real = pickle.loads
+        calls = []
+
+        def first_fails(blob):
+            calls.append(len(blob))
+            if len(calls) == 1:
+                raise pickle.UnpicklingError("written by another version")
+            return real(blob)
+
+        monkeypatch.setattr(boot_module.pickle, "loads", first_fails)
+        result = cold_start(store_dir, bootstrap=table,
+                            config=ChiselConfig(width=32))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        self._assert_booted_from_the_first(result, oracle, seq)
+
+    def test_columns_that_disagree_fall_back(self, store_dir, monkeypatch):
+        real = ChiselSubCell.__getstate__
+
+        def short_hops(cell):
+            _none, slots = real(cell)
+            columns = list(slots["buckets"])
+            columns[-1] = columns[-1][:-1]
+            slots["buckets"] = tuple(columns)
+            return _none, slots
+
+        @contextlib.contextmanager
+        def damaged():
+            with monkeypatch.context() as patch:
+                patch.setattr(ChiselSubCell, "__getstate__", short_hops)
+                yield
+
+        _table, oracle, seq = self._two_generations(store_dir, damaged)
+        result = cold_start(store_dir)
+        assert any("columns disagree" in reason
+                   for reason in result.report.rejected)
+        self._assert_booted_from_the_first(result, oracle, seq)
 
 
 class TestOverlayFreeCheckpoints:
