@@ -11,9 +11,10 @@ replica processes:
   with the post-update ledger checksum (the per-seq verification
   anchor).
 * **Streaming** — one sender thread per connected replica pushes
-  journal records in seq order; a replica that reconnects with
-  ``resume_seq = S`` receives only the suffix, which is what makes
-  catch-up traffic proportional to the missed count K.
+  journal records in seq order, each drained backlog in one socket
+  write; a replica that reconnects with ``resume_seq = S`` receives
+  only the suffix, which is what makes catch-up traffic proportional
+  to the missed count K.
 * **Reconciliation** — a replica whose checksum disagrees sends its
   route set folded into an IBLT; the writer folds its own set into the
   same geometry, subtracts, peels, and answers with exactly the
@@ -71,7 +72,8 @@ from .wire import (
     encode_welcome,
 )
 
-#: Records per sender batch — bounds lock-hold while draining a backlog.
+#: Records per sender batch — bounds lock-hold while draining a backlog
+#: and the size of the one write that ships it.
 _SENDER_BATCH = 256
 
 #: Give up on IBLT sizing and resync once the table would exceed this
@@ -127,6 +129,9 @@ class ReplicationCoordinator:
         registry = get_registry()
         self._obs_streamed = registry.counter(
             "repl_records_streamed_total", "journal records sent to replicas")
+        self._obs_writes = registry.counter(
+            "repl_stream_writes_total",
+            "socket writes that carried streamed records (one per drain)")
         self._obs_recons = registry.counter(
             "repl_recon_sessions_total", "IBLT reconciliation rounds served")
         self._obs_retries = registry.counter(
@@ -362,8 +367,11 @@ class ReplicationCoordinator:
                     with self._lock:
                         session.sent_seq = max(session.sent_seq, resync_seq)
                     continue
-                for payload in batch:
-                    session.conn.send(encode_record_msg(payload))
+                # One write per drain: the writer's update loop holds the
+                # interpreter lock between this thread's turns, so a write
+                # per record would ship one record per turn.
+                session.conn.send(*map(encode_record_msg, batch))
+                self._obs_writes.inc()
                 self._obs_streamed.inc(len(batch))
         except (Disconnected, OSError):
             with self._lock:

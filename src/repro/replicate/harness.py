@@ -5,7 +5,9 @@ ReplicationCoordinator` over a ``SnapshotRouter``) plus N replica
 processes through five phases while a synthesized update trace churns
 the route set:
 
-A. **Steady streaming** — all replicas follow the live record stream.
+A. **Steady streaming** — all replicas follow the live record stream;
+   ``stream_seconds`` times it from the last churn update until every
+   replica reports the writer's seq and checksum.
 B. **Kill / catch-up** — SIGKILL a replica, apply K updates, respawn;
    it replays its local log and resumes at its old seq, so the writer
    ships only the missed suffix.  Measured at K and 4K: catch-up bytes
@@ -90,6 +92,7 @@ class ReplicateReport(HarnessReport):
     updates_applied: int = 0
     writer_seq: int = 0
     checkpoint_bytes: int = 0
+    stream_seconds: float = 0.0
     catchup_k1: int = 0
     catchup_bytes_k1: int = 0
     catchup_seconds_k1: float = 0.0
@@ -270,10 +273,15 @@ def run_replicate(table: RoutingTable, config: ChiselConfig,
         _wait_until(lambda: all(h.status()["connected"] for h in handles),
                     "replicas connect", report.failures)
         apply_ops(churn)
-        for handle in handles:
+        churned = time.monotonic()
+        streamed = [
             _wait_until(lambda h=handle: replica_caught_up(h),
                         f"replica {handle.replica_id} streams the churn",
-                        report.failures)
+                        report.failures, poll=0.005)
+            for handle in handles
+        ]
+        if all(streamed):
+            report.stream_seconds = round(time.monotonic() - churned, 3)
 
         # -- Phase B: kill, miss K updates, respawn, catch up ------------
         victim = handles[0]

@@ -290,7 +290,11 @@ class _ReplicaRuntime:
             except OSError:
                 time.sleep(0.05)
                 continue
-            sock.settimeout(0.05)
+            # A caught-up replica sits in this wait until its next tick,
+            # so bounding it by the status interval sends the STATUS that
+            # confirms its last seq within one interval.  Never zero: that
+            # would make the socket non-blocking.
+            sock.settimeout(max(0.001, min(0.05, self.status_interval)))
             self.conn = Connection(sock)
             self.reconciling = False
             self.pending = []

@@ -314,16 +314,24 @@ class Connection:
         # reader answering STATUS/RECON); frames must not interleave.
         self._send_lock = threading.Lock()
 
-    def send(self, payload: bytes) -> None:
-        """Frame and send one message payload (thread-safe)."""
-        frame = _FRAME.pack(len(payload),
-                            zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    def send(self, *payloads: bytes) -> None:
+        """Frame message payloads and send them in one write (thread-safe).
+
+        The frames go out back to back, byte-identical to one ``send``
+        per payload; one ``sendall`` for the lot lets a sender that
+        holds the interpreter lock once ship its whole backlog.
+        """
+        frames = bytearray()
+        for payload in payloads:
+            frames += _FRAME.pack(len(payload),
+                                  zlib.crc32(payload) & 0xFFFFFFFF)
+            frames += payload
         with self._send_lock:
             try:
-                self.sock.sendall(frame)
+                self.sock.sendall(frames)
             except OSError as error:
                 raise Disconnected(f"send failed: {error}") from error
-            self.bytes_sent += len(frame)
+            self.bytes_sent += len(frames)
 
     def recv(self):
         """One decoded (type, body); blocks per the socket timeout.

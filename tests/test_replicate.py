@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.core.config import ChiselConfig
+from repro.obs import MetricsRegistry, set_registry
 from repro.prefix.prefix import Prefix
 from repro.replicate import (
     ReplicaHandle,
@@ -34,7 +35,12 @@ from repro.replicate import (
 )
 from repro.replicate import wire
 from repro.replicate.harness import HarnessError
-from repro.replicate.replica import _STATE_FILE, decode_state, encode_state
+from repro.replicate.replica import (
+    _STATE_FILE,
+    _ReplicaRuntime,
+    decode_state,
+    encode_state,
+)
 from repro.replicate.state import canonical_fib
 from repro.serve import SnapshotRouter
 from repro.store import SnapshotStore
@@ -43,6 +49,7 @@ from repro.store.records import (
     WITHDRAW,
     LogRecord,
     RecordDecodeError,
+    decode_record,
 )
 from repro.verify import apply_update
 from repro.workloads.synthetic import synthetic_table
@@ -107,17 +114,41 @@ def test_wire_rejects_damage():
         wire.decode_message(bytes([wire.MSG_HELLO, 0x80]))
 
 
+class _WriteLog:
+    """Wraps a socket and keeps a copy of each ``sendall``."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 def test_connection_frames_over_socketpair():
     left_sock, right_sock = socket.socketpair()
-    left = wire.Connection(left_sock)
+    log = _WriteLog(left_sock)
+    left = wire.Connection(log)
     right = wire.Connection(right_sock)
     try:
         for payload in MESSAGES:
             left.send(payload)
         for payload in MESSAGES:
-            kind, _body = right.recv()
-            assert kind == payload[0]
+            assert right.recv() == wire.decode_message(payload)
         assert right.bytes_received == left.bytes_sent
+        # One send of many payloads is one write of the same bytes, and
+        # reassembles into the same messages and byte counts.
+        single = left.bytes_sent
+        left.send(*MESSAGES)
+        assert len(log.writes) == len(MESSAGES) + 1
+        assert log.writes[-1] == b"".join(log.writes[:-1])
+        for payload in MESSAGES:
+            assert right.recv() == wire.decode_message(payload)
+        assert left.bytes_sent == right.bytes_received == 2 * single
         # A frame split across many sends still reassembles.
         big = wire.encode_resync(wire.Resync(1, 2, RECORDS * 50))
         writer = threading.Thread(target=left.send, args=(big,))
@@ -398,6 +429,84 @@ def test_journal_wrapper_calls_every_hook(tmp_path):
         store.close()
 
 
+# -- streaming ---------------------------------------------------------------
+
+
+def test_sender_ships_a_backlog_in_one_write():
+    """100 updates journaled while a live session's send lock is held
+    reach the replica end in seq order in at most 2 writes: the batch
+    the sender drained before it blocked, then the rest in one drain."""
+    table = synthetic_table(120, seed=21)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    previous = set_registry(MetricsRegistry())
+    try:
+        writer = ReplicationCoordinator(router, ledger, config)
+    finally:
+        registry = set_registry(previous)
+    port = writer.listen()
+    writer.start()
+    replica = wire.Connection(
+        socket.create_connection(("127.0.0.1", port), timeout=10.0))
+    try:
+        replica.send(wire.encode_hello(wire.Hello(
+            0, 0, ledger.checksum, len(ledger))))
+        kind, welcome = replica.recv()
+        assert kind == wire.MSG_WELCOME
+        assert welcome.mode == wire.MODE_STREAM
+        deadline = time.monotonic() + 10
+        while writer.status()["connected"] < 1:  # registered after WELCOME
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        conn = writer._sessions[0].conn
+        log = _WriteLog(conn.sock)
+        conn.sock = log
+        with conn._send_lock:
+            for octet in range(100):
+                _announce(router, octet)
+        records = []
+        while len(records) < 100:
+            kind, body = replica.recv()
+            assert kind == wire.MSG_RECORD
+            records.append(decode_record(body))
+        assert [record.seq for record in records] == list(range(1, 101))
+        writer.stop()  # joins the sender, so its counts are final
+        assert 1 <= len(log.writes) <= 2
+        assert conn.bytes_sent == replica.bytes_received
+        assert conn.bytes_received == replica.bytes_sent
+        assert registry.value("repl_records_streamed_total") == 100
+        assert registry.value("repl_stream_writes_total") == len(log.writes)
+    finally:
+        replica.close()
+        writer.stop()
+
+
+@pytest.mark.parametrize("interval", [0.005, 0.02, 0.2])
+def test_caught_up_replica_waits_at_most_one_status_interval(tmp_path,
+                                                             interval):
+    """A caught-up replica blocks in its receive until the next tick
+    sends STATUS, so that wait is bounded by the status interval (and
+    by 50 ms, which keeps harness commands answered promptly)."""
+    table = synthetic_table(120, seed=22)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    writer = ReplicationCoordinator(SnapshotRouter(fib), ledger, config)
+    writer.listen()
+    writer.start()
+    runtime = _ReplicaRuntime(0, writer.port, table, config, str(tmp_path),
+                              status_interval=interval, scrub_interval=60.0)
+    try:
+        runtime.boot()
+        assert runtime.connect(time.monotonic() + 10.0)
+        wait = runtime.conn.sock.gettimeout()
+        assert 0 < wait <= min(interval, 0.05)
+    finally:
+        runtime.drop_connection()
+        runtime.log.close()
+        writer.stop()
+
+
 # -- end to end --------------------------------------------------------------
 
 
@@ -412,6 +521,7 @@ def test_replicate_harness_end_to_end(tmp_path):
     assert report.divergent_answers == 0
     assert report.image_diff_words == 0
     assert report.recon_sessions >= 1 and report.resyncs == 0
+    assert report.stream_seconds > 0
     assert report.scrub_repaired >= 1
     assert 0 < report.catchup_bytes_k1 < report.checkpoint_bytes / 2
     payload = report.to_dict()
