@@ -7,7 +7,8 @@ hashing, the XOR decode, the filter compare, the bit-vector rank — is a
 pure array operation.  ``BatchLookup`` compiles each sub-cell of a built
 engine into one flat plan (``core.flatpath``) once and then answers whole
 key batches at a time, typically one to two orders of magnitude faster
-per key.
+per key.  A front table indexed by the keys' top 16 bits says which
+plans can hold a key at all, so each plan probes only those keys.
 
 Restrictions: key widths up to 64 bits (IPv4 comfortably; not IPv6 —
 numpy has no 128-bit integers) and a snapshot semantics: after updating
@@ -25,12 +26,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..obs import get_registry
 from ..prefix.table import NextHop
 from .chisel import ChiselLPM
-from .flatpath import RECORD_ARRAYS, FlatSubCellPlan
+from .flatpath import RECORD_ARRAYS, FlatSubCellPlan, scratch, word_dtype
 from .subcell import ChiselSubCell, WriteLog
 
 _MISS = np.int64(-1)
+
+#: Key bits that index the front table: 2**16 words, one bit per plan
+#: (64 KB at up to 8 plans), small enough to stay cache-resident.
+FRONT_BITS = 16
 
 #: One sub-cell's share of a burst: (position, arena_size, writes), each
 #: write a (plan table, indices, current values) triple.
@@ -99,6 +105,50 @@ def normalize_keys(keys, width: int = 64) -> np.ndarray:
     return normalized
 
 
+def _mark(front: np.ndarray, plan: FlatSubCellPlan, bit: int,
+          values: np.ndarray) -> None:
+    """Set ``bit`` on every front word a collapsed value of ``plan`` covers.
+
+    A value of a sub-cell whose base is at least the front's key bits
+    falls under one word; one of a shorter base covers ``2**(bits - base)``
+    consecutive words.  The words are scattered into a zeroed table and
+    OR-ed in whole: a fancy-indexed ``|=`` would gather and scatter twice.
+    """
+    shift = plan.base - (len(front).bit_length() - 1)
+    if shift >= 0:
+        marks = np.zeros_like(front)
+        marks[(values >> shift).astype(np.intp)] = bit
+    else:
+        covered = np.zeros(1 << plan.base, dtype=front.dtype)
+        covered[values.astype(np.intp)] = bit
+        marks = np.repeat(covered, 1 << -shift)
+    np.bitwise_or(front, marks, out=front)
+
+
+def _mark_plan(front: np.ndarray, plan: FlatSubCellPlan, bit: int) -> None:
+    """Rebuild ``plan``'s bit: clear it, then mark every live bucket.
+
+    A live bucket stores a nonzero bit-vector; dirty and empty buckets
+    (and the sentinel) store 0 and can answer no key.
+    """
+    np.bitwise_and(front, np.invert(front.dtype.type(bit)), out=front)
+    _mark(front, plan, bit, plan.filters[plan.bitvectors != 0])
+
+
+def front_table(plans: Sequence[FlatSubCellPlan], width: int) -> np.ndarray:
+    """The front table of ``plans`` (longest base first) at key ``width``.
+
+    ``2**min(16, width)`` words in the narrowest unsigned dtype with a
+    bit per plan; word ``key >> (width - 16)`` has bit ``i`` set when
+    plan ``i`` holds a live bucket under that key prefix.
+    """
+    front = np.zeros(1 << min(FRONT_BITS, width),
+                     dtype=word_dtype(max(1, len(plans))))
+    for position, plan in enumerate(plans):
+        _mark_plan(front, plan, 1 << position)
+    return front
+
+
 class BatchLookup:
     """Compiled, read-only batch-lookup view of a built engine.
 
@@ -107,6 +157,12 @@ class BatchLookup:
     Each plan remembers the sub-cell it was compiled from and that
     sub-cell's ``words_written`` count, which is what :meth:`patch`
     checks a burst against.
+
+    The front table (:func:`front_table`) is derived state beside the
+    plans, never part of the image: built here and wherever plans are
+    rebuilt from an image, marked by every patch and burst, and cleared
+    only plan by plan when a plan is replanned.  So it always holds a
+    superset of the plans' live buckets.
     """
 
     def __init__(self, engine: ChiselLPM):
@@ -118,6 +174,19 @@ class BatchLookup:
             for subcell in engine.subcells
         ]  # engine.subcells is already longest-base-first
         self._current_for(engine)
+        self._derive()
+
+    def _derive(self) -> None:
+        """Build the front table from the plans; bind the batch counters."""
+        self._front = front_table(self._plans, self.width)
+        self._front_shift = np.uint64(
+            self.width - (len(self._front).bit_length() - 1))
+        registry = get_registry()
+        self._obs_keys = registry.counter(
+            "batch_keys_total", "keys looked up by the batch datapath")
+        self._obs_probes = registry.counter(
+            "batch_subcell_probes_total",
+            "keys the batch datapath handed to sub-cell probes")
 
     def _current_for(self, engine: ChiselLPM) -> None:
         """Note the engine, its sub-cells and their counts the plans hold."""
@@ -188,10 +257,12 @@ class BatchLookup:
             else:
                 if tracker is not None:
                     tracker.patched(position, log, plans[position], subcell)
-                plans[position].patch(subcell, log)
+                plans[position].patch(subcell, log, self._front,
+                                      1 << position)
                 reason = None
             if reason is not None:
                 plans[position] = FlatSubCellPlan.compile(subcell, self.width)
+                _mark_plan(self._front, plans[position], 1 << position)
                 cells[position] = subcell
                 replans.append((position, reason))
                 if tracker is not None:
@@ -201,9 +272,17 @@ class BatchLookup:
         return replans
 
     def write_burst(self, cells: Sequence[BurstCell]) -> None:
-        """Store a burst (:meth:`WordTracker.burst`) into these plans."""
+        """Store a burst (:meth:`WordTracker.burst`) into these plans and
+        mark the front words of the live buckets it wrote."""
         for position, arena_size, writes in cells:
-            self._plans[position].write_burst(writes, arena_size)
+            plan = self._plans[position]
+            plan.write_burst(writes, arena_size)
+            rows = [indices for table, indices, _values in writes
+                    if table in ("filters", "bitvectors")]
+            if rows:
+                named = np.concatenate(rows)
+                live = named[plan.bitvectors[named] != 0]
+                _mark(self._front, plan, 1 << position, plan.filters[live])
 
     def lookup_batch(self, keys) -> np.ndarray:
         """Next hops for a batch of keys (1-D int64); -1 marks misses.
@@ -217,28 +296,38 @@ class BatchLookup:
     def lookup_keys(self, keys: np.ndarray) -> np.ndarray:
         """:meth:`lookup_batch` over keys ``normalize_keys`` already passed.
 
-        Sub-cells are probed longest base first, each over the keys no
-        longer-base sub-cell answered: the batch carries the positions
-        still unresolved and their keys, compacted after every hit.  A
-        sub-cell with an empty Result Table fails every address check,
-        so it is skipped.
+        Every key's front word is gathered once.  Sub-cells are probed
+        longest base first, each with only the keys whose word has its
+        bit set; a key's word is zeroed once a plan answers it, so no
+        shorter plan probes it again.
         """
+        size = keys.size
         result = np.full(keys.shape, _MISS, dtype=np.int64)
-        pending: Optional[np.ndarray] = None  # None: every position
-        batch = keys
-        for plan in self._plans:
-            if not plan.arena_size:
+        self._obs_keys.inc(size)
+        if not size:
+            return result
+        pool = scratch()
+        index = pool.get("front_index", size, np.intp)
+        np.right_shift(keys, self._front_shift, out=index.view(np.uint64))
+        words = pool.get("front_words", size, self._front.dtype)
+        self._front.take(index, out=words, mode="clip")
+        wanted = int(np.bitwise_or.reduce(words))
+        selected_bits = pool.get("front_selected", size, self._front.dtype)
+        for position, plan in enumerate(self._plans):
+            bit = 1 << position
+            if not wanted & bit:
                 continue
-            found, hops = plan.probe(batch)
-            hit = np.flatnonzero(found)
-            if not hit.size:
+            np.bitwise_and(words, bit, out=selected_bits)
+            selected = np.flatnonzero(selected_bits)
+            if not selected.size:
                 continue
-            result[hit if pending is None else pending[hit]] = hops[hit]
-            if hit.size == batch.size:
-                break
-            miss = np.flatnonzero(np.logical_not(found, out=found))
-            pending = miss if pending is None else pending[miss]
-            batch = batch[miss]
+            self._obs_probes.inc(selected.size)
+            found, hops = plan.probe(
+                keys if selected.size == size else keys.take(selected))
+            hit = selected[found]
+            if hit.size:
+                result[hit] = hops[found]
+                words[hit] = 0
         return result
 
     def lookup_many(self, keys) -> List[Optional[NextHop]]:

@@ -327,22 +327,38 @@ class FlatSubCellPlan:
                   self.spill_values)
         return sum(array.nbytes for array in arrays if array is not None)
 
-    def patch(self, subcell, log) -> None:
+    def patch(self, subcell, log, front: np.ndarray, bit: int) -> None:
         """Copy the words ``log`` names from ``subcell`` into this plan.
 
         Bucket words are built exactly as :meth:`compile` builds them,
         so a patched plan equals a fresh compile (with the arena compared
         up to ``arena_size``).  The caller guarantees the log holds no
-        ``replan``: those writes have no word names.
+        ``replan``: those writes have no word names.  Each row left live
+        sets ``bit`` on the ``front`` table words its Filter value covers
+        (``BatchLookup``'s front table).
         """
         # A burst is a handful of words: scalar stores beat building a
         # numpy array per row or range.
+        shift = self.base - (len(front).bit_length() - 1)
         for pointer in log.rows:
             filter_word, vector = _bucket_words(subcell, pointer)
             _store(self.filters, pointer, filter_word, "Filter Table")
             _store(self.bitvectors, pointer, vector, "Bit-vector Table")
             _store(self.regionptrs, pointer, subcell.region_ptr[pointer],
                    "Region pointer")
+            if not vector:
+                continue
+            # Test before setting: a live bucket's word is almost always
+            # marked already.  A base below the front's key bits covers an
+            # aligned run of words that is always marked as a whole, so
+            # its first word stands for the run.
+            word = filter_word >> shift if shift >= 0 else (
+                filter_word << -shift)
+            if not front.item(word) & bit:
+                if shift >= 0:
+                    front[word] = front.item(word) | bit
+                else:
+                    front[word:word + (1 << -shift)] |= bit
         if log.results:
             self._patch_arena(subcell.result.arena, log.results)
         if log.slots:

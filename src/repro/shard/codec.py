@@ -180,7 +180,8 @@ class SharedBatchLookup(BatchLookup):
     segment is immutable and has no engine (``stale`` is False): a
     worker keeps it current with word bursts, written into private
     copies of the tables they touch.  A cold start binds the engine
-    unpickled beside a checkpoint and patches the views.
+    unpickled beside a checkpoint and patches the views.  The front
+    table is not in the image: it is derived here, from the plans.
     """
 
     def __init__(self, width: int, plans: List[FlatSubCellPlan],
@@ -189,6 +190,7 @@ class SharedBatchLookup(BatchLookup):
         self.width = width
         self._plans = plans
         self.generation = generation
+        self._derive()
 
 
 @dataclass

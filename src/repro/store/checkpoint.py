@@ -51,8 +51,11 @@ from ..shard.codec import (
 )
 from .crashpoints import crashpoint
 
-#: Image format 2, as the shard codec's; format-1 checkpoints are refused.
-CHECKPOINT_MAGIC = "chisel-ckpt-v2"
+#: Image format 2, as the shard codec's, beside a FIB blob whose sub-cells
+#: pickle their buckets as columns.  A build that cannot read that blob
+#: wrote ``-v2`` (or ``-v1``, image format 1); both are refused, so an
+#: older build falls back instead of booting a blob it cannot update.
+CHECKPOINT_MAGIC = "chisel-ckpt-v3"
 
 #: Bytes of the tmp file flushed before the ``ckpt:tmp-torn`` point.
 _TORN_SPLIT = 4096

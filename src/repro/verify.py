@@ -24,6 +24,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from .baselines.binary_trie import BinaryTrie
 from .core.updates import ANNOUNCE, UpdateOp
 from .prefix.prefix import Prefix
@@ -122,9 +124,13 @@ def image_differences(router: Any) -> List[str]:
 
     Every plan is flattened the way the codec exports it — each table,
     the arena up to ``arena_size``, and the scalar metadata — and
-    compared with ``FlatSubCellPlan.compile`` of its sub-cell.  Read
-    under the update lock; empty when the image equals the compile.
+    compared with ``FlatSubCellPlan.compile`` of its sub-cell.  The
+    front table may hold more bits than a fresh compile's (bits clear
+    only on a replan), never fewer: a missing bit would hide a live
+    bucket.  Read under the update lock; empty when the image equals
+    the compile.
     """
+    from .core.batch import front_table
     from .core.flatpath import FlatSubCellPlan
     from .shard.codec import _flatten_cell
 
@@ -135,9 +141,11 @@ def image_differences(router: Any) -> List[str]:
         if len(plans) != len(engine.subcells):
             return [f"{len(plans)} plans for {len(engine.subcells)} "
                     f"sub-cells"]
+        compiles: List[Any] = []
         for position, (plan, subcell) in enumerate(
                 zip(plans, engine.subcells)):
             fresh = FlatSubCellPlan.compile(subcell, snapshot.width)
+            compiles.append(fresh)
             served: List[Tuple[str, Any]] = []
             compiled: List[Tuple[str, Any]] = []
             served_meta = _flatten_cell(f"s{position}", plan, served)
@@ -149,6 +157,20 @@ def image_differences(router: Any) -> List[str]:
                 if mine.dtype != theirs.dtype or not (
                         mine.shape == theirs.shape and (mine == theirs).all()):
                     differences.append(f"{name} differs from a fresh compile")
+        wanted = front_table(compiles, snapshot.width)
+        front = snapshot._front
+        if front.dtype != wanted.dtype or front.shape != wanted.shape:
+            differences.append(
+                f"front table {front.dtype}{front.shape} != "
+                f"{wanted.dtype}{wanted.shape}")
+        else:
+            missing = np.flatnonzero(wanted & ~front)
+            if missing.size:
+                word = int(missing[0])
+                differences.append(
+                    f"front table lacks bits a fresh compile sets in "
+                    f"{missing.size} words (word {word}: "
+                    f"{int(wanted[word] & ~front[word]):#x})")
         if snapshot.stale:
             differences.append("served image is stale")
     return differences

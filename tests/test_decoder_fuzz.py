@@ -181,7 +181,7 @@ def _framed(header: str) -> bytes:
 @given(mutated(HEADERS))
 # Both escaped as stray exceptions (ValueError, RecursionError) before
 # the header parser caught them.
-@example(_framed('{"magic": "chisel-ckpt-v2", "n": ' + "7" * 5000 + "}"))
+@example(_framed('{"magic": "chisel-ckpt-v3", "n": ' + "7" * 5000 + "}"))
 @example(_framed("[" * 5000 + "]" * 5000))
 def test_parse_image_header_fuzz(data):
     decodes_or_refuses(

@@ -319,7 +319,7 @@ class TestFlatLayoutPrimitives:
         log = WriteLog()
         log.results.append((0, 1))
         with pytest.raises(ValueError, match="Result Table"):
-            plan.patch(subcell, log)
+            plan.patch(subcell, log, np.zeros(1 << 16, np.uint8), 1)
 
     def test_packed_layout_active_on_standard_builds(self):
         for backend in BACKENDS:

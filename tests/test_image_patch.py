@@ -207,6 +207,24 @@ def test_arena_growth_patches_in_place():
     assert image_differences(router) == []
 
 
+def test_image_differences_reports_a_missing_front_bit():
+    """The front table may hold bits a fresh compile lacks (they clear
+    only on a replan), never the reverse: a missing bit hides a live
+    bucket from every key under its word."""
+    _table, _fib, router = build(seed=67, size=600)
+    front = router._snapshot._front
+    word = int(np.flatnonzero(front)[0])
+    bit = int(front[word]) & -int(front[word])
+    front[word] ^= bit
+    assert any("front table lacks" in difference
+               for difference in image_differences(router))
+    front[word] ^= bit
+    assert image_differences(router) == []
+    spare = np.flatnonzero(front != np.iinfo(front.dtype).max)
+    front[spare] = np.iinfo(front.dtype).max
+    assert image_differences(router) == []
+
+
 class TestSeqlockReaders:
     """A reader paused between two sub-cell plans, while a burst lands."""
 
@@ -227,8 +245,9 @@ class TestSeqlockReaders:
                 break
         else:
             pytest.fail("no route in the first sub-cell")
-        # Keys that miss everywhere reach the last plan probed (an empty
-        # sub-cell is skipped), where the reader pauses.
+        # Keys that miss everywhere reach the plans their front words
+        # name; some reach the last non-empty one, where the reader
+        # pauses.
         misses = [k for k in (rng.getrandbits(table.width)
                               for _ in range(4000))
                   if engine.lookup(k) is None][:64]

@@ -513,6 +513,32 @@ class TestWordBursts:
             assert coordinator.generation == 1
             assert coordinator._obs_respawns.value == respawns
 
+    def test_burst_makes_a_bucket_live_under_an_unmarked_word(self):
+        """A fresh bucket under a front word its plan never marked rides
+        a burst: the worker marks the word itself and answers the
+        bucket's keys, with no publish."""
+        table, fib, router = build_router(seed=45)
+        rng = random.Random(45)
+        engine = fib.engine
+        with ShardCoordinator(router, workers=1) as coordinator:
+            front = router._snapshot._front
+            for prefix in fresh_prefixes(router, rng, 200):
+                position = engine.subcells.index(engine.subcell_for(prefix))
+                word = prefix.network_int() >> (table.width - 16)
+                if not int(front[word]) >> position & 1:
+                    break
+            else:
+                pytest.fail("every fresh prefix's front word is marked")
+            router.announce(prefix, "10.6.0.2", "eth6")
+            assert coordinator._tracker.resync is None, "not a burst"
+            assert int(router._snapshot._front[word]) >> position & 1
+            keys = np.array([prefix.network_int()] + keys_under(
+                rng, table.width, 200, [prefix]), dtype=np.uint64)
+            sharded = coordinator.lookup_batch(keys)
+            assert sharded[0] >= 0
+            assert np.array_equal(sharded, router.lookup_batch(keys))
+            assert coordinator.generation == 1
+
     def test_live_segments_verify_after_churn(self):
         """Workers write bursts into private copies: after churn, every
         live segment passes its digests (``attach`` verifies them)."""

@@ -457,21 +457,24 @@ class TestCheckpoint:
 
     def test_format_1_checkpoint_refused(self, store_dir):
         """A checkpoint of image format 1 (64-bit tables, 64-byte record
-        rows) is refused with the typed error, never served."""
+        rows) or of a build whose FIB blob pickled bucket objects (v2)
+        is refused with the typed error, never served."""
         _table, router = build_router()
         path = os.path.join(store_dir, "checkpoint-00000001.chz")
         image, healthy = router.persistence_cut(
             lambda snapshot, fib_blob: render_checkpoint(
                 snapshot, generation=1, seq=0, blobs={"fib": fib_blob}))
         assert healthy
-        old = bytearray(image)
         marker = CHECKPOINT_MAGIC.encode()
-        assert CHECKPOINT_MAGIC.endswith("-v2")
-        start = bytes(old).index(marker)
-        old[start:start + len(marker)] = b"chisel-ckpt-v1"
-        write_image(path, bytes(old))
-        with pytest.raises(SnapshotIntegrityError, match="chisel-ckpt-v1"):
-            load_checkpoint(path)
+        assert CHECKPOINT_MAGIC.endswith("-v3")
+        for magic in (b"chisel-ckpt-v1", b"chisel-ckpt-v2"):
+            old = bytearray(image)
+            start = bytes(old).index(marker)
+            old[start:start + len(marker)] = magic
+            write_image(path, bytes(old))
+            with pytest.raises(SnapshotIntegrityError,
+                               match=magic.decode()):
+                load_checkpoint(path)
 
     def test_second_close_leaves_a_reused_descriptor_alone(self,
                                                            store_dir):
@@ -640,6 +643,48 @@ class TestStoreIntegration:
                             bootstrap=table)
         assert result.report.boot == "recompile"
         assert any("layout" in reason for reason in result.report.rejected)
+        result.store.close()
+
+    def test_older_build_checkpoint_takes_the_fallback_path(self,
+                                                            store_dir):
+        """A checkpoint stamped ``chisel-ckpt-v2`` (a build that pickled
+        bucket objects) is refused at boot: the generation falls back,
+        and with none left boot recompiles from ``bootstrap`` or raises
+        ``RecoveryError``."""
+        table, router = build_router()
+        store = SnapshotStore.create(
+            store_dir, router,
+            policy=CheckpointPolicy(every_records=8, retain=3))
+        ops = churn(router, table, 20, store=store)
+        total = store.seq
+        store.close()
+        generations = list_generations(store_dir)
+        assert len(generations) >= 2
+
+        def stamp_v2(generation):
+            path = checkpoint_path(store_dir, generation)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(data.replace(CHECKPOINT_MAGIC.encode(),
+                                          b"chisel-ckpt-v2", 1))
+
+        stamp_v2(generations[-1])
+        result = cold_start(store_dir, checkpoint_on_boot=False)
+        assert result.report.fallbacks == 1
+        assert "chisel-ckpt-v2" in result.report.rejected[0]
+        assert result.report.seq == total
+        keys = [int(key) for key in
+                np.random.default_rng(7).integers(0, 2**32, size=300)]
+        assert_identical(result.router, golden_replay(table, ops), keys)
+        result.store.close()
+        for generation in generations[:-1]:
+            stamp_v2(generation)
+        with pytest.raises(RecoveryError, match="chisel-ckpt-v2"):
+            cold_start(store_dir, retries=1, backoff=0.0)
+        result = cold_start(store_dir, retries=1, backoff=0.0,
+                            bootstrap=table)
+        assert result.report.boot == "recompile"
         result.store.close()
 
     def test_bootstrap_rebuild_when_store_unrecoverable(self, store_dir):
