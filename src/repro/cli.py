@@ -577,7 +577,7 @@ def cmd_metrics(args) -> int:
 def cmd_check(args) -> int:
     """Static analysis: AST lint and/or structural invariant verification."""
     from .devtools.invariants import verify_engine
-    from .devtools.lint import LintEngine, format_text
+    from .devtools.lint import LintEngine, format_text, violations_document
 
     run_lint = args.lint or not args.invariants
     run_invariants = args.invariants or not args.lint
@@ -590,14 +590,7 @@ def cmd_check(args) -> int:
         paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
         violations = LintEngine().lint_paths(paths)
         if args.json:
-            payload["lint"] = {
-                "count": len(violations),
-                "violations": [
-                    {"path": v.path, "line": v.line, "col": v.col,
-                     "code": v.code, "message": v.message}
-                    for v in violations
-                ],
-            }
+            payload["lint"] = violations_document(violations)
         else:
             print(format_text(violations))
         if violations:
@@ -636,22 +629,15 @@ def cmd_check(args) -> int:
 def cmd_analyze(args) -> int:
     """Cross-module analysis: lock discipline, publish protocol, dtypes."""
     from .devtools.analyze import AnalysisEngine, analysis_catalog
-    from .devtools.lint import format_text
+    from .devtools.lint import format_text, violations_document
 
     # Default to the installed package so `chisel-repro analyze` audits
     # the library from any working directory, mirroring `check --lint`.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     violations = AnalysisEngine().analyze_paths(paths)
     if args.json:
-        payload = {
-            "catalog": analysis_catalog(),
-            "count": len(violations),
-            "violations": [
-                {"path": v.path, "line": v.line, "col": v.col,
-                 "code": v.code, "message": v.message}
-                for v in violations
-            ],
-        }
+        payload = {"catalog": analysis_catalog(),
+                   **violations_document(violations)}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(format_text(violations))
@@ -732,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="cross-module analysis: lock discipline, seqlock/RCU "
-             "publish protocol, numpy dtype flow (ANZ codes)",
+        help="cross-module analysis: lock discipline, publish protocol, "
+             "numpy dtype flow (ANZ codes)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze as one program "

@@ -1,7 +1,5 @@
 """Cache-aware flat datapath: geometry-sized bucket arrays, one-pass decode.
 
-# chisel-analyze-scope: dtype
-
 ``BatchLookup`` compiles every sub-cell into one :class:`FlatSubCellPlan`
 that walks the Fig. 6 datapath over whole key batches, with each table
 sized the way "Cache-aware data structures for packet forwarding tables"

@@ -12,8 +12,8 @@ Three layers, reachable through ``chisel-repro check`` and
   *built* engine image against the paper's guarantees (§3.2, §4.2–§4.4).
 * :mod:`repro.devtools.analyze` — a cross-module analyzer for the
   protocols *between* functions: ``# guarded-by:`` lock discipline, the
-  seqlock/RCU publish rules of docs/SHARDING.md, and numpy dtype/width
-  bounds (ANZ101–ANZ304).
+  publish protocol for patched and exported images, and numpy
+  dtype/width bounds (ANZ101–ANZ304).
 """
 
 from .analyze import AnalysisEngine, analysis_catalog

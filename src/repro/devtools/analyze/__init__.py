@@ -4,8 +4,9 @@ Layer 3 of the devtools stack.  Where the lint rules (layer 1) judge one
 function at a time and the invariant catalog (layer 2) audits a built
 image, this package checks the *protocols between* functions: the lock
 discipline that keeps the serving stack's shared state consistent, the
-seqlock/RCU publish rules of docs/SHARDING.md, and the numpy dtype/width
-bounds that keep §4.2–§4.4 arithmetic exact.  See
+publish protocol that hands patched and exported images to lock-free
+readers, and the numpy dtype/width bounds that keep §4.2–§4.4
+arithmetic exact in every module that imports numpy.  See
 docs/STATIC_ANALYSIS.md for the pass catalog and the ``# guarded-by:``
 annotation convention.
 
@@ -41,10 +42,6 @@ ANALYSIS_CATALOG: Dict[str, str] = {
               "held on every call path",
     "ANZ102": "locks acquired in inconsistent order across functions "
               "(deadlock-prone)",
-    "ANZ201": "store to a seqlock-managed shared segment outside the "
-              "sequence window, or generation written before the payload",
-    "ANZ202": "RCU pointer mutated in place, swapped with a non-trivial "
-              "expression, or assigned from outside its owning class",
     "ANZ203": "mutation of a zero-copy view of a published shared segment",
     "ANZ204": "segment exported then installed with no words_written() "
               "quiescence re-check in between",

@@ -22,13 +22,13 @@ modular wrap-around makes three bug classes invisible at runtime:
   above 2^53.
 
 * **ANZ304** — ``np.frombuffer`` without an explicit ``count``: the
-  view silently extends over whatever the buffer holds (padding, ack
-  slots, a short segment), turning a length mismatch into garbage data
-  instead of an error.
+  view silently extends over whatever the buffer holds (padding, a
+  short segment), turning a length mismatch into garbage data instead
+  of an error.
 
-Scope: the numeric kernels listed in ``DTYPE_MODULE_SUFFIXES`` plus any
-file carrying a ``# chisel-analyze-scope: dtype`` marker (how the
-regression fixtures opt in).
+Scope: every module that imports numpy at its top level
+(:func:`in_dtype_scope`).  A module without numpy holds no numpy
+integers to track.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..lint.engine import Violation
 from .model import FunctionModel, ModuleModel, ProjectModel, dotted_path
-
-DTYPE_MODULE_SUFFIXES = (
-    "core/batch.py",
-    "core/bitvector.py",
-    "shard/codec.py",
-    "shard/coordinator.py",
-    "faults/checksum.py",
-    "serve/snapshot.py",
-)
 
 _WIDTHS: Dict[str, Tuple[int, bool]] = {
     "uint64": (64, False), "uint32": (32, False), "uint16": (16, False),
@@ -95,8 +86,16 @@ UNKNOWN = AbstractValue()
 
 
 def in_dtype_scope(module: ModuleModel) -> bool:
-    return (module.endswith(DTYPE_MODULE_SUFFIXES)
-            or "dtype" in module.scope_markers)
+    """True when a top-level statement imports numpy: ``import numpy``,
+    ``import numpy as …`` or ``from numpy… import …``."""
+    for stmt in module.tree.body:
+        if isinstance(stmt, ast.Import) and any(
+                alias.name == "numpy" for alias in stmt.names):
+            return True
+        if (isinstance(stmt, ast.ImportFrom) and stmt.level == 0
+                and (stmt.module or "").partition(".")[0] == "numpy"):
+            return True
+    return False
 
 
 def check_dtype_flow(project: ProjectModel) -> List[Violation]:

@@ -10,14 +10,9 @@ whole-program model the passes share:
   they protect::
 
       self._journal = None      # guarded-by: _lock
-      self._published = None    # rcu-pointer: _lock
       self._snapshot = None     # seqlock-pointer: _lock _version
       self.update_stats = ...   # guarded-by: external      (caller locks)
       self._segment = None      # guarded-by: single-writer (one thread)
-
-  plus a file-level pass opt-in marker (used by test fixtures)::
-
-      # chisel-analyze-scope: dtype
 
 * **lock context** — every statement of every function is visited once
   with the set of *lexically held* lock tokens (``("self", "_lock")``,
@@ -46,11 +41,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 Token = Tuple[str, ...]
 
 GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*(?P<guard>[A-Za-z_][A-Za-z0-9_-]*)")
-RCU_RE = re.compile(r"#\s*rcu-pointer:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)")
 SEQLOCK_RE = re.compile(
     r"#\s*seqlock-pointer:\s*(?P<lock>[A-Za-z_][A-Za-z0-9_]*)"
     r"\s+(?P<version>[A-Za-z_][A-Za-z0-9_]*)")
-SCOPE_RE = re.compile(r"#\s*chisel-analyze-scope:\s*(?P<passes>[a-z0-9_,\s]+)")
 
 #: Special ``guarded-by`` targets that name a discipline, not a lock.
 GUARD_EXTERNAL = "external"
@@ -76,16 +69,6 @@ def parse_guard_comments(source: str) -> Dict[int, str]:
     return guards
 
 
-def parse_rcu_comments(source: str) -> Dict[int, str]:
-    """Map line number -> lock attr for every ``# rcu-pointer:`` comment."""
-    pointers: Dict[int, str] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = RCU_RE.search(line)
-        if match:
-            pointers[lineno] = match.group("lock")
-    return pointers
-
-
 def parse_seqlock_comments(source: str) -> Dict[int, Tuple[str, str]]:
     """Map line number -> (lock, version) for ``# seqlock-pointer:``."""
     pointers: Dict[int, Tuple[str, str]] = {}
@@ -94,19 +77,6 @@ def parse_seqlock_comments(source: str) -> Dict[int, Tuple[str, str]]:
         if match:
             pointers[lineno] = (match.group("lock"), match.group("version"))
     return pointers
-
-
-def parse_scope_markers(source: str) -> FrozenSet[str]:
-    """File-level ``# chisel-analyze-scope:`` pass names (fixture opt-in)."""
-    passes: Set[str] = set()
-    for line in source.splitlines()[:10]:
-        match = SCOPE_RE.search(line)
-        if match:
-            passes.update(
-                name.strip() for name in match.group("passes").split(",")
-                if name.strip()
-            )
-    return frozenset(passes)
 
 
 def dotted_path(node: ast.expr) -> Optional[Token]:
@@ -191,7 +161,6 @@ class ClassModel:
     module: "ModuleModel"
     node: ast.ClassDef
     guarded: Dict[str, str] = field(default_factory=dict)
-    rcu_pointers: Dict[str, str] = field(default_factory=dict)
     seqlock_pointers: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     lock_attrs: Set[str] = field(default_factory=set)
     attr_types: Dict[str, str] = field(default_factory=dict)
@@ -209,11 +178,6 @@ class ModuleModel:
     tree: ast.Module
     classes: Dict[str, ClassModel] = field(default_factory=dict)
     functions: Dict[str, FunctionModel] = field(default_factory=dict)
-    scope_markers: FrozenSet[str] = frozenset()
-
-    def endswith(self, suffixes: Sequence[str]) -> bool:
-        normalized = self.path.replace("\\", "/")
-        return any(normalized.endswith(suffix) for suffix in suffixes)
 
 
 class ProjectModel:
@@ -240,12 +204,8 @@ class ProjectModel:
         return project
 
     def _index_module(self, path: str, source: str, tree: ast.Module) -> None:
-        module = ModuleModel(
-            path=path, source=source, tree=tree,
-            scope_markers=parse_scope_markers(source),
-        )
+        module = ModuleModel(path=path, source=source, tree=tree)
         guards = parse_guard_comments(source)
-        rcu = parse_rcu_comments(source)
         seqlock = parse_seqlock_comments(source)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -256,7 +216,7 @@ class ProjectModel:
                         if isinstance(base, ast.Name)
                     ),
                 )
-                self._scan_class_body(model, node, guards, rcu, seqlock)
+                self._scan_class_body(model, node, guards, seqlock)
                 module.classes[node.name] = model
                 if node.name in self._classes_by_name:
                     self._ambiguous_classes.add(node.name)
@@ -272,7 +232,7 @@ class ProjectModel:
         self.modules.append(module)
 
     def _scan_class_body(self, model: ClassModel, node: ast.ClassDef,
-                         guards: Dict[int, str], rcu: Dict[int, str],
+                         guards: Dict[int, str],
                          seqlock: Dict[int, Tuple[str, str]]) -> None:
         for stmt in ast.walk(node):
             targets: List[ast.expr] = []
@@ -288,10 +248,6 @@ class ProjectModel:
                 attr = path[1]
                 if stmt.lineno in guards:
                     model.guarded[attr] = guards[stmt.lineno]
-                if stmt.lineno in rcu:
-                    lock = rcu[stmt.lineno]
-                    model.rcu_pointers[attr] = lock
-                    model.guarded.setdefault(attr, lock)
                 if stmt.lineno in seqlock:
                     model.seqlock_pointers[attr] = seqlock[stmt.lineno]
                     model.guarded.setdefault(attr, seqlock[stmt.lineno][0])

@@ -8,7 +8,7 @@ Run it as ``chisel-repro check --lint <paths>``.
 """
 
 from .engine import LintEngine, Violation, parse_noqa
-from .reporters import format_json, format_text
+from .reporters import format_json, format_text, violations_document
 from .rules import REGISTRY, Rule, all_rules, rule_catalog
 
 __all__ = [
@@ -21,4 +21,5 @@ __all__ = [
     "format_text",
     "parse_noqa",
     "rule_catalog",
+    "violations_document",
 ]

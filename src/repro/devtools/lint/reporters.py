@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .engine import Violation
 
@@ -23,9 +23,10 @@ def format_text(violations: Sequence[Violation]) -> str:
     return "\n".join(lines)
 
 
-def format_json(violations: Sequence[Violation]) -> str:
-    """A JSON document: {"violations": [...], "count": N}."""
-    payload = {
+def violations_document(violations: Sequence[Violation]) -> Dict[str, object]:
+    """``{"count": N, "violations": [{path, line, col, code, message}]}``:
+    the JSON body of ``check --json`` and ``analyze --json``."""
+    return {
         "count": len(violations),
         "violations": [
             {
@@ -38,16 +39,9 @@ def format_json(violations: Sequence[Violation]) -> str:
             for violation in violations
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def violations_to_rows(violations: Sequence[Violation]) -> List[Dict[str, object]]:
-    """Rows for :func:`repro.analysis.report.format_table`."""
-    return [
-        {
-            "location": f"{violation.path}:{violation.line}",
-            "code": violation.code,
-            "message": violation.message,
-        }
-        for violation in violations
-    ]
+def format_json(violations: Sequence[Violation]) -> str:
+    """:func:`violations_document` as indented, key-sorted JSON."""
+    return json.dumps(violations_document(violations), indent=2,
+                      sort_keys=True)

@@ -12,7 +12,8 @@ depends on:
   and ``math.log2`` have no place in functions that return bit counts
   (``math.ceil(math.log2(n))`` silently under-counts near 2**49+).
 * CHZ004 — ``assert`` is not input validation (stripped under ``-O``).
-* CHZ005 — designated hot lookup paths stay O(1): no full-table scans.
+* CHZ005 — hot lookup paths in ``repro.core``/``repro.bloomier`` stay
+  O(1): no full-table scans.
 * CHZ006 — hot per-bucket/per-slot classes declare ``__slots__``.
 * CHZ007 — ``ServeMetrics`` is constructed only inside ``repro.serve``;
   everyone else reads serving counters from the ``repro.obs`` registry.
@@ -27,7 +28,7 @@ depends on:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 if TYPE_CHECKING:
     from .engine import Violation
@@ -324,14 +325,8 @@ FULL_TABLE_ATTRS = frozenset({
 #: ``self.<attr>`` scalars whose value is a full table depth.
 TABLE_DEPTH_ATTRS = frozenset({"capacity", "num_slots", "total_slots"})
 
-HOT_MODULES = (
-    "core/subcell.py",
-    "core/chisel.py",
-    "core/bitvector.py",
-    "bloomier/filter.py",
-    "bloomier/partitioned.py",
-    "bloomier/spillover.py",
-)
+#: Packages holding the datapath: every module under them is checked.
+HOT_PACKAGES = ("repro/core/", "repro/bloomier/")
 
 
 def _is_table_iter(node: ast.AST) -> bool:
@@ -371,7 +366,10 @@ def _mentions_table_depth(node: ast.AST) -> bool:
 class HotPathScanRule(Rule):
     code = "CHZ005"
     summary = "O(n) full-table scan inside a designated hot lookup path"
-    modules = HOT_MODULES
+
+    def applies_to(self, path: str) -> bool:
+        return any(path.startswith(package) or f"/{package}" in path
+                   for package in HOT_PACKAGES)
 
     def check(self, tree: ast.AST, path: str) -> List["Violation"]:
         violations = []

@@ -1,4 +1,3 @@
-# chisel-analyze-scope: dtype
 """Frozen copy of the PR 2 rank-mask bug (fixed in the live tree).
 
 The span-6 bit-vector rank used ``(1 << (expansion + 1)) - 1`` to build

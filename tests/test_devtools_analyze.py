@@ -8,7 +8,8 @@ Three kinds of coverage:
 * per-pass positive/negative fixtures for every ANZ code;
 * the two teeth anchors — frozen copies of the PR 2 rank-mask overflow
   and the PR 5 scrub-mid-export race under tests/fixtures/analyze/ —
-  plus the tree-clean gate CI enforces.
+  the tree-clean gate CI enforces, and a one-line break of the live
+  tree per pass that src exercises.
 """
 
 import json
@@ -26,8 +27,6 @@ from repro.devtools.analyze import (
 )
 from repro.devtools.analyze.model import (
     parse_guard_comments,
-    parse_rcu_comments,
-    parse_scope_markers,
     parse_seqlock_comments,
 )
 
@@ -63,28 +62,16 @@ def test_guarded_by_comments_parse_line_numbers():
     }
 
 
-def test_rcu_pointer_comments_parse():
-    source = "self._snapshot = None  # rcu-pointer: _lock (swapped whole)\n"
-    assert parse_rcu_comments(source) == {1: "_lock"}
-
-
 def test_seqlock_pointer_comments_parse():
     source = "self._snapshot = None  # seqlock-pointer: _lock _version\n"
     assert parse_seqlock_comments(source) == {1: ("_lock", "_version")}
 
 
-def test_scope_marker_parses_only_in_header():
-    marked = "# chisel-analyze-scope: dtype\nx = 1\n"
-    assert parse_scope_markers(marked) == frozenset({"dtype"})
-    late = ("\n" * 20) + "# chisel-analyze-scope: dtype\n"
-    assert parse_scope_markers(late) == frozenset()
-
-
 def test_catalog_is_sorted_and_complete():
     assert list(analysis_catalog()) == sorted(ANALYSIS_CATALOG)
     assert {code[:6] for code in ANALYSIS_CATALOG} <= {
-        "ANZ101", "ANZ102", "ANZ201", "ANZ202", "ANZ203", "ANZ204",
-        "ANZ205", "ANZ301", "ANZ302", "ANZ303", "ANZ304",
+        "ANZ101", "ANZ102", "ANZ203", "ANZ204", "ANZ205",
+        "ANZ301", "ANZ302", "ANZ303", "ANZ304",
     }
 
 
@@ -339,118 +326,8 @@ def test_anz102_consistent_order_clean(engine):
 
 
 # ---------------------------------------------------------------------------
-# ANZ201 — seqlock protocol
+# ANZ203 — published views
 # ---------------------------------------------------------------------------
-
-SEQLOCK_PREAMBLE = """\
-    import numpy as np
-
-    _SEQUENCE = 2
-    _GENERATION = 1
-    _PAYLOAD = 5
-
-    class Block:
-        def __init__(self, shm):
-            self._shm = shm
-            self._words = np.frombuffer(shm.buf, dtype=np.uint64, count=8)
-
-"""
-
-
-def test_anz201_accepts_bracketed_publish(engine):
-    source = SEQLOCK_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def publish(self, generation):
-            self._words[_SEQUENCE] += np.uint64(1)
-            self._words[_PAYLOAD] = np.uint64(7)
-            self._words[_GENERATION] = generation
-            self._words[_SEQUENCE] += np.uint64(1)
-    """), "        ")
-    assert codes(engine, source) == []
-
-
-def test_anz201_flags_generation_before_payload(engine):
-    source = SEQLOCK_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def publish(self, generation):
-            self._words[_SEQUENCE] += np.uint64(1)
-            self._words[_GENERATION] = generation
-            self._words[_PAYLOAD] = np.uint64(7)
-            self._words[_SEQUENCE] += np.uint64(1)
-    """), "        ")
-    assert codes(engine, source) == ["ANZ201"]
-
-
-def test_anz201_flags_store_outside_window(engine):
-    source = SEQLOCK_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def publish(self, generation):
-            self._words[_SEQUENCE] += np.uint64(1)
-            self._words[_GENERATION] = generation
-            self._words[_SEQUENCE] += np.uint64(1)
-
-        def sneak(self, generation):
-            self._words[_GENERATION] = generation
-    """), "        ")
-    assert codes(engine, source) == ["ANZ201"]
-
-
-# ---------------------------------------------------------------------------
-# ANZ202 / ANZ203 — RCU pointer and published views
-# ---------------------------------------------------------------------------
-
-RCU_PREAMBLE = """\
-    import threading
-
-    class Router:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self._snapshot = None  # rcu-pointer: _lock
-
-"""
-
-
-def test_anz202_accepts_single_assignment_swap(engine):
-    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def swap(self, fresh):
-            with self._lock:
-                self._snapshot = fresh
-    """), "        ")
-    assert codes(engine, source) == []
-
-
-def test_anz202_flags_in_place_mutation(engine):
-    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def patch(self, plan):
-            with self._lock:
-                self._snapshot.plans = plan
-    """), "        ")
-    assert codes(engine, source) == ["ANZ202"]
-
-
-def test_anz202_flags_non_trivial_swap(engine):
-    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def swap(self, fresh):
-            with self._lock:
-                self._snapshot = fresh.compile()
-    """), "        ")
-    assert codes(engine, source) == ["ANZ202"]
-
-
-def test_anz202_flags_foreign_assignment(engine):
-    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def swap(self, fresh):
-            with self._lock:
-                self._snapshot = fresh
-    """), "        ") + textwrap.indent(textwrap.dedent("""\
-
-        class Meddler:
-            def __init__(self, router: Router):
-                self.router = router
-
-            def clobber(self):
-                with self.router._lock:
-                    self.router._snapshot = None
-    """), "    ")
-    assert codes(engine, source) == ["ANZ202"]
-
 
 def test_anz203_flags_mutating_published_view(engine):
     source = """\
@@ -590,23 +467,12 @@ def test_anz205_flags_patch_outside_lock(engine):
     assert sorted(codes(engine, source)) == ["ANZ101", "ANZ205"]
 
 
-def test_anz205_leaves_rcu_pointers_to_anz202(engine):
-    source = RCU_PREAMBLE + textwrap.indent(textwrap.dedent("""\
-        def patch(self):
-            with self._lock:
-                self._snapshot.patch()
-                self._snapshot.plans = []
-    """), "        ")
-    assert codes(engine, source) == ["ANZ202"]
-
-
 # ---------------------------------------------------------------------------
-# dtype flow (ANZ301–ANZ304); scoped in via the file marker
+# dtype flow (ANZ301–ANZ304); scoped in by the module's numpy import
 # ---------------------------------------------------------------------------
 
 def dtype_codes(engine, body):
-    source = "# chisel-analyze-scope: dtype\nimport numpy as np\n\n" + \
-        textwrap.dedent(body)
+    source = "import numpy as np\n\n" + textwrap.dedent(body)
     return [v.code for v in engine.analyze_source(source, "pkg/module.py")]
 
 
@@ -671,14 +537,20 @@ def test_anz304_accepts_explicit_count(engine):
     """) == []
 
 
-def test_dtype_pass_stays_out_of_unscoped_modules(engine):
+def test_dtype_pass_stays_out_of_modules_without_numpy(engine):
     source = textwrap.dedent("""\
-        import numpy as np
-
         def mix(words):
             return words * np.uint64(0x9E3779B97F4A7C15)
     """)
     assert engine.analyze_source(source, "pkg/unrelated.py") == []
+
+
+def test_dtype_pass_checks_any_module_that_imports_numpy(engine):
+    """Scope comes from the import, not from a path list or a marker."""
+    source = (FIXTURES / "pr2_rank_mask_overflow.py").read_text(
+        encoding="utf-8")
+    found = engine.analyze_source(source, "pkg/kernel.py")
+    assert [v.code for v in found] == ["ANZ301"]
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +590,41 @@ def test_pr5_fixture_yields_exactly_the_unfenced_install(engine):
 def test_source_tree_has_zero_unsuppressed_findings(engine):
     violations = engine.analyze_paths([str(SRC_ROOT)])
     assert violations == [], "\n".join(v.format() for v in violations)
+
+
+#: One-line breakages of the live tree: (file, anchor, old, new, code).
+#: ``old`` is replaced at its first occurrence after ``anchor``.
+LIVE_MUTATIONS = [
+    pytest.param("repro/serve/snapshot.py", "def metrics_dict(",
+                 "with self._lock:", "if True:", "ANZ101",
+                 id="ANZ101-metrics-dict-unlocked"),
+    pytest.param("repro/store/boot.py", "lookup = checkpoint.to_lookup()",
+                 "lookup = checkpoint.to_lookup()",
+                 "lookup = checkpoint.to_lookup(); lookup._plans[0] = None",
+                 "ANZ203", id="ANZ203-boot-writes-published-view"),
+    pytest.param("repro/serve/snapshot.py", "def _apply_burst(",
+                 "self._version += 1", "pass", "ANZ205",
+                 id="ANZ205-patch-without-version-bump"),
+    pytest.param("repro/shard/codec.py", "def write_image_into(",
+                 "count=array.size, ", "", "ANZ304",
+                 id="ANZ304-unbounded-frombuffer"),
+]
+
+
+@pytest.mark.parametrize("relpath, anchor, old, new, code", LIVE_MUTATIONS)
+def test_each_pass_fires_on_a_one_line_break_of_the_live_tree(
+        engine, relpath, anchor, old, new, code):
+    """A pass left with nothing to check in src fails here."""
+    sources = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        name = path.relative_to(SRC_ROOT).as_posix()
+        source = path.read_text(encoding="utf-8")
+        if name == relpath:
+            at = source.index(old, source.index(anchor))
+            source = source[:at] + new + source[at + len(old):]
+        sources.append((name, source))
+    found = {(v.code, v.path) for v in engine.analyze_sources(sources)}
+    assert (code, relpath) in found
 
 
 # ---------------------------------------------------------------------------

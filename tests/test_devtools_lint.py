@@ -252,6 +252,21 @@ def test_chz005_allows_scans_outside_hot_functions(engine):
         """, path=HOT_PATH) == []
 
 
+def test_chz005_guards_the_index_table_lookup(engine):
+    """``XorIndexTable.lookup`` is the Index-Table read every key takes,
+    for both backends; a full-table loop there is flagged."""
+    path = SRC_ROOT / "repro" / "bloomier" / "backend.py"
+    source = path.read_text(encoding="utf-8")
+    at = source.index("def lookup(", source.index("class XorIndexTable"))
+    loop = "for slot in self.neighborhood(key):"
+    at = source.index(loop, at)
+    scan = source[:at] + "for slot in range(self.num_slots):" + \
+        source[at + len(loop):]
+    assert engine.lint_source(source, "src/repro/bloomier/backend.py") == []
+    assert [v.code for v in engine.lint_source(
+        scan, "src/repro/bloomier/backend.py")] == ["CHZ005"]
+
+
 def test_chz005_only_applies_to_hot_modules(engine):
     assert codes(engine, """\
         class Report:
