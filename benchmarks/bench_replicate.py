@@ -6,7 +6,9 @@ to K, not to the table: the local delta log preserves its resume point
 across a SIGKILL, so the writer ships only the missed suffix.  This
 bench kills one replica repeatedly, lets it miss a sweep of K values,
 and measures the wire bytes each catch-up cost against the size of a
-full-state resync (``checkpoint_bytes``).
+full-state resync (``checkpoint_bytes``).  It also records the writer's
+reconciliations and resyncs per K, and fails on any resync: a catch-up
+must stream or reconcile, never ship the table.
 
 The rendered report lands in ``results/replicate_bench.json``.  The
 acceptance floors live in ``results/replicate.json`` (the harness run,
@@ -55,7 +57,7 @@ def run(size: int, k_values: List[int], seed: int) -> Dict[str, object]:
     def apply_ops(count: int) -> None:
         nonlocal position
         for op in trace[position:position + count]:
-            apply_update(coordinator, op)
+            apply_update(router, op)
         position += count
 
     def caught_up() -> bool:
@@ -74,10 +76,16 @@ def run(size: int, k_values: List[int], seed: int) -> Dict[str, object]:
         for k in k_values:
             handle.kill()
             apply_ops(k)
+            recons, resyncs = coordinator.recon_sessions, coordinator.resyncs
             started = time.monotonic()
             handle.spawn()
             _wait_until(caught_up, f"catch-up at K={k}", failures)
             seconds = time.monotonic() - started
+            recons = coordinator.recon_sessions - recons
+            resyncs = coordinator.resyncs - resyncs
+            if resyncs:
+                failures.append(f"catch-up at K={k} took {resyncs} "
+                                "full resyncs")
             session = coordinator.status()["sessions"].get(0, {})
             catchup_bytes = (session.get("bytes_sent", 0)
                              + session.get("bytes_received", 0))
@@ -88,6 +96,8 @@ def run(size: int, k_values: List[int], seed: int) -> Dict[str, object]:
                 "seconds": round(seconds, 3),
                 "percent_of_checkpoint": round(
                     100.0 * catchup_bytes / checkpoint_bytes, 2),
+                "recon_sessions": recons,
+                "resyncs": resyncs,
             })
     finally:
         handle.stop()

@@ -174,7 +174,6 @@ class ModuleModel:
     """One parsed source file plus its annotation tables."""
 
     path: str
-    source: str
     tree: ast.Module
     classes: Dict[str, ClassModel] = field(default_factory=dict)
     functions: Dict[str, FunctionModel] = field(default_factory=dict)
@@ -204,7 +203,7 @@ class ProjectModel:
         return project
 
     def _index_module(self, path: str, source: str, tree: ast.Module) -> None:
-        module = ModuleModel(path=path, source=source, tree=tree)
+        module = ModuleModel(path=path, tree=tree)
         guards = parse_guard_comments(source)
         seqlock = parse_seqlock_comments(source)
         for node in tree.body:

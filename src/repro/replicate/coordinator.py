@@ -4,24 +4,24 @@ The coordinator sits between the serving ``SnapshotRouter`` and N
 replica processes:
 
 * **Journal** — it adds its own journal hook to the router's (beside
-  any store's, see ``SnapshotRouter.add_journal``), so
-  every applied route update is assigned an absolute sequence number,
-  folded into the writer's :class:`~repro.replicate.state.RouteLedger`,
-  and kept as an encoded payload in an in-memory journal window along
-  with the post-update ledger checksum (the per-seq verification
-  anchor).
+  any store's, see ``SnapshotRouter.add_journal``), so every applied
+  route update, numbered by the router, is folded into the writer's
+  :class:`~repro.replicate.state.RouteLedger` and kept as its encoded
+  payload with the post-update ledger checksum (the per-seq
+  verification anchor) in a window of ``_JOURNAL_RECORDS`` records.
 * **Streaming** — one sender thread per connected replica pushes
   journal records in seq order, each drained backlog in one socket
   write; a replica that reconnects with ``resume_seq = S`` receives
   only the suffix, which is what makes catch-up traffic proportional
-  to the missed count K.
-* **Reconciliation** — a replica whose checksum disagrees sends its
-  route set folded into an IBLT; the writer folds its own set into the
-  same geometry, subtracts, peels, and answers with exactly the
-  differing records (plus the fingerprints only the replica holds, so
-  it can withdraw them).  Peel failure → retry with doubled cells;
-  repeated failure → full RESYNC, the measured fallback the traffic
-  gate compares against.
+  to the missed count K.  A session the window left behind is closed.
+* **Reconciliation** — a replica whose checksum disagrees, or whose
+  resume point the journal no longer holds, sends its route set folded
+  into an IBLT; the writer folds its own set into the same geometry,
+  subtracts, peels, and answers with exactly the differing records
+  (plus the fingerprints only the replica holds, so it can withdraw
+  them).  Peel failure → retry with doubled cells; past the cell cap,
+  or after a RECON_DONE the writer cannot verify → full RESYNC, the
+  backstop the traffic gate compares against.
 
 Thread model: the journal hook runs under the router's update lock;
 everything else (accept loop, per-session reader + sender) runs in
@@ -40,12 +40,11 @@ from typing import Dict, List, Optional, Tuple
 from ..core.config import ChiselConfig
 from ..obs import SIZE_BUCKETS, get_registry
 from ..serve.snapshot import SnapshotRouter
-from ..store.records import ANNOUNCE, WITHDRAW, LogRecord, encode_record
+from ..store.records import ANNOUNCE, LogRecord
 from .iblt import IBLT, cells_for
 from .state import RouteEntry, RouteLedger
 from .wire import (
     MODE_DIVERGED,
-    MODE_RESYNC,
     MODE_STREAM,
     MSG_BYE,
     MSG_HELLO,
@@ -76,6 +75,10 @@ from .wire import (
 #: and the size of the one write that ships it.
 _SENDER_BATCH = 256
 
+#: Records the writer's journal holds at most; reaching it drops the
+#: oldest half.  A replica resuming behind what is left reconciles by IBLT.
+_JOURNAL_RECORDS = 32_768
+
 #: Give up on IBLT sizing and resync once the table would exceed this
 #: multiple of a fresh full-set digest.
 _RECON_CELL_CAP_FACTOR = 4
@@ -103,8 +106,7 @@ class ReplicationCoordinator:
     """Single-writer replication over localhost sockets."""
 
     def __init__(self, router: SnapshotRouter, ledger: RouteLedger,
-                 config: ChiselConfig, host: str = "127.0.0.1",
-                 journal_window: Optional[int] = None) -> None:
+                 config: ChiselConfig, host: str = "127.0.0.1") -> None:
         self.router = router
         self.config = config
         self.host = host
@@ -112,12 +114,12 @@ class ReplicationCoordinator:
         self._ledger = ledger
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._seq = 0
+        # The router's seq when the hook attached (``start``), then the
+        # last one the window dropped, and the ledger checksum there.
         self._base_seq = 0
         self._base_checksum = ledger.checksum
         # journal entry i: (base_seq + i + 1, payload, post-checksum)
         self._journal: List[Tuple[int, bytes, int]] = []
-        self._journal_window = journal_window
         self._sessions: Dict[int, ReplicaSession] = {}
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
@@ -141,7 +143,7 @@ class ReplicationCoordinator:
         self._obs_replicas = registry.gauge(
             "repl_connected_replicas", "replica sessions currently attached")
         self._obs_seq = registry.gauge(
-            "repl_writer_seq", "last journaled replication sequence number")
+            "repl_writer_seq", "last journaled update sequence number")
         self._obs_lag = registry.gauge(
             "repl_max_lag_records", "largest replica lag behind the writer")
         self._obs_msg_bytes = registry.histogram(
@@ -169,10 +171,19 @@ class ReplicationCoordinator:
         return self.port
 
     def start(self) -> None:
-        """Attach the journal hook and start the accept loop."""
+        """Attach the journal hook and start the accept loop.
+
+        The journal continues from the router's seq at the attach, where
+        the ledger must hold the router's routes.  (An update racing the
+        call makes a replica resuming exactly there reconcile.)
+        """
         if self._listener is None:
             self.listen()
-        self.router.add_journal(self._journal_hook)
+        base_seq = self.router.add_journal(self._journal_hook)
+        with self._lock:
+            self._base_seq = base_seq
+            self._base_checksum = self._ledger.checksum
+            self._obs_seq.set(self._seq_locked())
         thread = threading.Thread(target=self._accept_loop,
                                   name="repl-accept", daemon=True)
         thread.start()
@@ -196,40 +207,23 @@ class ReplicationCoordinator:
 
     # -- write path ----------------------------------------------------------
 
-    def announce(self, prefix, gateway: str, interface: str):
-        """Apply + journal one announce through the router."""
-        return self.router.announce(prefix, gateway, interface)
-
-    def withdraw(self, prefix):
-        return self.router.withdraw(prefix)
-
-    def _journal_hook(self, op: str, prefix_value: int, prefix_length: int,
-                      gateway: str, interface: str) -> None:
-        """Router journal callback (update lock held): seq + ledger + wake."""
+    def _journal_hook(self, record: LogRecord, payload: bytes) -> None:
+        """Router journal callback (update lock held): ledger, window, wake."""
         with self._lock:
-            self._seq += 1
-            record = LogRecord(
-                op=ANNOUNCE if op == "announce" else WITHDRAW,
-                seq=self._seq, prefix_value=prefix_value,
-                prefix_length=prefix_length, gateway=gateway or "",
-                interface=interface or "",
-            )
             self._ledger.apply(record)
-            self._journal.append((self._seq, encode_record(record),
+            self._journal.append((record.seq, payload,
                                   self._ledger.checksum))
-            self._trim_journal_locked()
-            self._obs_seq.set(self._seq)
+            if len(self._journal) >= _JOURNAL_RECORDS:
+                half = len(self._journal) // 2
+                self._base_seq, _payload, self._base_checksum = \
+                    self._journal[half - 1]
+                del self._journal[:half]
+            self._obs_seq.set(record.seq)
             self._cond.notify_all()
 
-    def _trim_journal_locked(self) -> None:
-        window = self._journal_window
-        if window is None or len(self._journal) <= window:
-            return
-        drop = len(self._journal) - window
-        dropped = self._journal[:drop]
-        del self._journal[:drop]
-        self._base_seq = dropped[-1][0]
-        self._base_checksum = dropped[-1][2]
+    def _seq_locked(self) -> int:
+        """The seq of the last journaled update."""
+        return self._base_seq + len(self._journal)
 
     def _checksum_at_locked(self, seq: int) -> Optional[int]:
         """The ledger checksum right after ``seq`` applied, if journaled."""
@@ -291,32 +285,19 @@ class ReplicationCoordinator:
             raise WireError(f"expected HELLO, got message type {kind}")
         hello = body
         with self._lock:
-            writer_seq = self._seq
-            resume_ok = (self._base_seq <= hello.resume_seq <= writer_seq)
-            expected = (self._checksum_at_locked(hello.resume_seq)
-                        if resume_ok else None)
-        if not resume_ok:
-            mode = MODE_RESYNC
-        elif expected != hello.checksum:
-            mode = MODE_DIVERGED
-        else:
-            mode = MODE_STREAM
+            writer_seq = self._seq_locked()
+            # None past either end of the window: a resume point behind
+            # it, or one ahead of this writer, reconciles.
+            streams = (self._checksum_at_locked(hello.resume_seq)
+                       == hello.checksum)
+        mode = MODE_STREAM if streams else MODE_DIVERGED
         payload = encode_welcome(Welcome(writer_seq, mode))
         conn.send(payload)
         self._obs_msg_bytes.observe(len(payload))
-        if mode == MODE_RESYNC:
-            resync, resync_seq = self._build_resync()
-            conn.send(resync)
-            self._obs_msg_bytes.observe(len(resync))
-            self._count_resync()
-            sent_seq = resync_seq
-        elif mode == MODE_DIVERGED:
-            # The replica answers with RECON_START; stream only the
-            # post-handshake suffix meanwhile (it queues records while
-            # reconciling and drops the already-covered ones after).
-            sent_seq = writer_seq
-        else:
-            sent_seq = hello.resume_seq
+        # A diverged replica answers with RECON_START; stream only the
+        # post-handshake suffix meanwhile (it queues records while
+        # reconciling and drops the already-covered ones after).
+        sent_seq = hello.resume_seq if streams else writer_seq
         session = ReplicaSession(hello.replica_id, conn, sent_seq)
         with self._lock:
             previous = self._sessions.get(hello.replica_id)
@@ -348,31 +329,28 @@ class ReplicationCoordinator:
             while True:
                 with self._lock:
                     while (session.alive and not self._stopping
-                           and session.sent_seq >= self._seq):
+                           and session.sent_seq >= self._seq_locked()):
                         self._cond.wait(0.2)
                     if not session.alive or self._stopping:
                         return
-                    if session.sent_seq < self._base_seq:
-                        batch = None  # fell off the journal window
-                    else:
-                        start = session.sent_seq - self._base_seq
-                        batch = [payload for _seq, payload, _ck in
-                                 self._journal[start:start + _SENDER_BATCH]]
-                        session.sent_seq += len(batch)
-                if batch is None:
-                    resync, resync_seq = self._build_resync()
-                    session.conn.send(resync)
-                    self._obs_msg_bytes.observe(len(resync))
-                    self._count_resync()
-                    with self._lock:
-                        session.sent_seq = max(session.sent_seq, resync_seq)
-                    continue
+                    start = session.sent_seq - self._base_seq
+                    if start < 0:
+                        # The window dropped records this replica still
+                        # needs: close the session, and the replica
+                        # reconnects into a reconciliation.
+                        session.alive = False
+                        self._cond.notify_all()
+                        break
+                    batch = [payload for _seq, payload, _ck in
+                             self._journal[start:start + _SENDER_BATCH]]
+                    session.sent_seq += len(batch)
                 # One write per drain: the writer's update loop holds the
                 # interpreter lock between this thread's turns, so a write
                 # per record would ship one record per turn.
                 session.conn.send(*map(encode_record_msg, batch))
                 self._obs_writes.inc()
                 self._obs_streamed.inc(len(batch))
+            session.close()
         except (Disconnected, OSError):
             with self._lock:
                 session.alive = False
@@ -401,9 +379,9 @@ class ReplicationCoordinator:
     def _handle_status(self, session: ReplicaSession, status: Status) -> None:
         session.last_status = status
         with self._lock:
-            writer_seq = self._seq
+            writer_seq = self._seq_locked()
             expected = self._checksum_at_locked(status.seq)
-            lag = max(((self._seq - other.last_status.seq)
+            lag = max(((writer_seq - other.last_status.seq)
                        for other in self._sessions.values()
                        if other.last_status is not None), default=0)
         self._obs_lag.set(lag)
@@ -417,7 +395,7 @@ class ReplicationCoordinator:
         """Subtract + peel the replica's digest; answer with fix-ups."""
         theirs = IBLT.deserialize(start.digest)
         with self._lock:
-            writer_seq = self._seq
+            writer_seq = self._seq_locked()
             writer_checksum = self._ledger.checksum
             fingerprints = self._ledger.fingerprints()
         mine = IBLT(theirs.cells, theirs.hashes, theirs.seed)
@@ -434,10 +412,7 @@ class ReplicationCoordinator:
             if cells > cap:
                 # The difference is no smaller than the sets themselves;
                 # shipping the whole ledger is cheaper than more digests.
-                resync, _seq = self._build_resync()
-                session.conn.send(resync)
-                self._obs_msg_bytes.observe(len(resync))
-                self._count_resync()
+                self._send_resync(session)
                 return
             payload = encode_recon_retry(ReconRetry(cells, theirs.seed + 1))
             session.conn.send(payload)
@@ -469,31 +444,32 @@ class ReplicationCoordinator:
             expected = self._checksum_at_locked(done.seq)
         if expected is None or expected != done.checksum:
             # Reconciliation left the replica wrong (or unverifiable):
-            # the last-resort full resync, never a silent divergence.
-            resync, resync_seq = self._build_resync()
-            session.conn.send(resync)
-            self._obs_msg_bytes.observe(len(resync))
-            self._count_resync()
-            with self._lock:
-                session.sent_seq = max(session.sent_seq, resync_seq)
+            # the backstop full resync, never a silent divergence.
+            self._send_resync(session)
 
     def _build_resync(self) -> Tuple[bytes, int]:
         with self._lock:
             records = self._ledger.to_records()
-            seq = self._seq
+            seq = self._seq_locked()
             checksum = self._ledger.checksum
         return encode_resync(Resync(seq, checksum, tuple(records))), seq
 
-    def _count_resync(self) -> None:
+    def _send_resync(self, session: ReplicaSession) -> None:
+        """Ship the whole ledger (IBLT's backstop); stream on past it."""
+        resync, resync_seq = self._build_resync()
+        session.conn.send(resync)
+        self._obs_msg_bytes.observe(len(resync))
         self.resyncs += 1
         self._obs_resyncs.inc()
+        with self._lock:
+            session.sent_seq = max(session.sent_seq, resync_seq)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def seq(self) -> int:
         with self._lock:
-            return self._seq
+            return self._seq_locked()
 
     @property
     def ledger(self) -> RouteLedger:
@@ -529,7 +505,8 @@ class ReplicationCoordinator:
                 for session in self._sessions.values()
             }
             return {
-                "writer_seq": self._seq,
+                "writer_seq": self._seq_locked(),
+                "journal_records": len(self._journal),
                 "routes": len(self._ledger),
                 "checksum": self._ledger.checksum,
                 "connected": len(sessions),

@@ -243,7 +243,7 @@ def run_replicate(table: RoutingTable, config: ChiselConfig,
         nonlocal position
         applied = 0
         for op in trace[position:position + count]:
-            apply_update(coordinator, op)
+            apply_update(router, op)
             oracle.apply(op)
             applied += 1
         position += applied

@@ -17,7 +17,10 @@ count, not to history), and defends its state three ways:
   reconciliation, which repairs route-set divergence the scrubber
   cannot see (a silently dropped or phantom route).
 * **Reconnect** — a lost writer connection is retried with the current
-  resume point; the handshake decides stream / reconcile / resync.
+  resume point; the handshake decides stream or reconcile.  A resume
+  point the writer's journal no longer holds reconciles like any other
+  divergence, so catch-up traffic follows what was missed, not the
+  table.
 
 Persistence layout under the replica directory::
 
@@ -69,7 +72,6 @@ from .iblt import IBLT, cells_for
 from .state import RouteEntry, RouteLedger, bootstrap, canonical_fib
 from .wire import (
     MODE_DIVERGED,
-    MODE_STREAM,
     MSG_RECON_FIXUPS,
     MSG_RECON_RETRY,
     MSG_RECORD,
@@ -396,9 +398,6 @@ class _ReplicaRuntime:
             self.last_writer_seq = body.writer_seq
             if body.mode == MODE_DIVERGED:
                 self.start_recon()
-            elif body.mode == MODE_STREAM:
-                self.reconciling = False
-            # MODE_RESYNC: the resync body follows on the wire.
         elif kind == MSG_RECORD:
             record = decode_record(body)
             if self.reconciling:

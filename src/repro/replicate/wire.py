@@ -15,11 +15,11 @@ Message flow (docs/REPLICATION.md has the full diagram)::
                                    <--- RECORD*          (stream mode)
       STATUS(seq, cksum) --------->
                                    <--- STATUS_ACK(ok, writer_seq)
-      RECON_START(iblt) ---------->      (on divergence)
+      RECON_START(iblt) ---------->      (diverged mode, or on divergence)
                                    <--- RECON_RETRY(cells, seed)   (peel failed)
                                    <--- RECON_FIXUPS(seq, records, stale)
       RECON_DONE(seq, cksum) ----->
-                                   <--- RESYNC(seq, records)  (last resort)
+                                   <--- RESYNC(seq, records)  (IBLT's backstop)
 
 ``Connection`` wraps a socket with buffered frame reassembly and byte
 counters on both directions — the counters are the measurement the
@@ -62,9 +62,8 @@ MSG_RESYNC = 10
 MSG_BYE = 11
 
 #: WELCOME modes.
-MODE_STREAM = 0     # resume point verified; records follow
-MODE_DIVERGED = 1   # checksums disagree at the resume point: reconcile
-MODE_RESYNC = 2     # resume point fell off the journal: full resync follows
+MODE_STREAM = 0     # the journal holds the resume point at its checksum
+MODE_DIVERGED = 1   # otherwise (other routes, outside the window): reconcile
 
 #: Hard cap on one frame — larger than any real message (a resync of a
 #: million routes is ~40 MB), small enough that a corrupt length field
@@ -244,7 +243,10 @@ def decode_message(payload: bytes):
             return kind, Hello(replica_id, resume_seq, checksum, count)
         if kind == MSG_WELCOME:
             writer_seq, position = _read_uvarint(payload, position)
-            return kind, Welcome(writer_seq, payload[position])
+            mode = payload[position]
+            if mode not in (MODE_STREAM, MODE_DIVERGED):
+                raise WireError(f"unknown WELCOME mode {mode}")
+            return kind, Welcome(writer_seq, mode)
         if kind == MSG_RECORD:
             return kind, payload[1:]  # decoded by the applier
         if kind == MSG_STATUS:

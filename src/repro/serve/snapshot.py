@@ -163,7 +163,8 @@ class SnapshotRouter:
                  clock=time.monotonic,
                  backoff_initial: float = 1.0,
                  backoff_max: float = 60.0,
-                 initial_snapshot: Optional[BatchLookup] = None):
+                 initial_snapshot: Optional[BatchLookup] = None,
+                 seq: int = 0):
         self.fib = fib
         self.width = fib.width
         self.policy = policy or RecompilePolicy()
@@ -177,6 +178,8 @@ class SnapshotRouter:
         self._clock = clock
         self._lock = threading.RLock()
         self._journals: Tuple[Callable[..., None], ...] = ()  # guarded-by: _lock
+        # The last applied update's number (a cold start's: its checkpoint's).
+        self._seq = seq  # guarded-by: _lock
         self._tracker: Optional[WordTracker] = None  # guarded-by: _lock
         # Bumped under the lock before every change to the served image;
         # a lock-free batch that sees it move retries (seqlock).
@@ -241,10 +244,11 @@ class SnapshotRouter:
 
     # -- persistence hooks -------------------------------------------------------
 
-    def add_journal(self, journal: Callable[..., None]) -> None:
+    def add_journal(self, journal: Callable[..., None]) -> int:
         """Add a durable-update journal hook after those installed.
 
-        ``journal(op, prefix_value, prefix_length, gateway, interface)``
+        ``journal(record, payload)`` — the update's numbered
+        :class:`~repro.store.records.LogRecord` and its one encoding —
         is called under the update lock after every route change
         *applies* — announce (healthy, absorbed-retry and degraded
         alike) and effective withdraw — so the journaled order is
@@ -253,9 +257,11 @@ class SnapshotRouter:
         an exception propagates to the updater: an update that could not
         be made durable must not be silently acknowledged.  Each
         consumer (store, replication) removes only its own hook.
+        Returns the seq the hook's first record follows.
         """
         with self._lock:
             self._journals += (journal,)
+            return self._seq
 
     def remove_journal(self, journal: Callable[..., None]) -> None:
         """Remove one hook (a bound method matches itself); the others stay."""
@@ -281,11 +287,27 @@ class SnapshotRouter:
 
         return journal if hooks else None
 
+    @property
+    def seq(self) -> int:
+        """The number of the last applied update, journaled or not."""
+        with self._lock:
+            return self._seq
+
     def _journal_update(self, op: str, prefix: Prefix,
                         gateway: str = "", interface: str = "") -> None:
-        """Emit one journal record to every hook (lock held)."""
+        """Number one applied update; journal it to every hook (lock held)."""
+        self._seq += 1
+        if not self._journals:
+            return
+        # Imported here, not at the top: the store package's init imports
+        # this module.
+        from ..store import records
+        record = records.LogRecord(
+            records.ANNOUNCE if op == "announce" else records.WITHDRAW,
+            self._seq, prefix.value, prefix.length, gateway, interface)
+        payload = records.encode_record(record)
         for hook in self._journals:
-            hook(op, prefix.value, prefix.length, gateway, interface)
+            hook(record, payload)
 
     def track_changes(self, tracker: WordTracker) -> None:
         """Install the shard plane's word tracker.

@@ -287,8 +287,10 @@ def cold_start(directory: str,
         report.replay_seconds = time.perf_counter() - started
         return BootResult(router=router, store=store, report=report)
     checkpoint, lookup, fib, tail, valid_length = recovered
-    router = SnapshotRouter(fib, initial_snapshot=lookup)
-    # Re-apply the tail through the live update path.
+    router = SnapshotRouter(fib, initial_snapshot=lookup,
+                            seq=report.checkpoint_seq)
+    # Re-apply the tail through the live update path; the router numbers
+    # each replayed update, so it ends at ``report.seq``.
     for record in tail:
         prefix = Prefix(record.prefix_value, record.prefix_length, fib.width)
         if record.op == ANNOUNCE:
@@ -308,16 +310,16 @@ def cold_start(directory: str,
     if checkpoint_on_boot or report.chain_broken:
         # A fresh generation makes recovery itself crash-consistent
         # (no in-place log surgery survives a crash-during-boot) and
-        # bounds boot time across repeated crash cycles.  Seeding the
-        # recovered seq keeps the cross-generation sequence lineage
-        # intact: a later fallback past this checkpoint must see the
-        # post-boot records as successors, not stale duplicates.
+        # bounds boot time across repeated crash cycles.  It is cut at
+        # the router's recovered seq, which keeps the cross-generation
+        # sequence lineage intact: a later fallback past this checkpoint
+        # must see the post-boot records as successors, not stale
+        # duplicates.
         store = SnapshotStore.create(directory, router, policy=policy,
-                                     sync=sync, seq=report.seq)
+                                     sync=sync)
     else:
         store = SnapshotStore.resume(
             directory, router, generation=report.generation,
-            seq=report.seq, log_valid_length=valid_length,
-            policy=policy, sync=sync)
+            log_valid_length=valid_length, policy=policy, sync=sync)
     return BootResult(router=router, store=store, report=report,
                       checkpoint=checkpoint)

@@ -15,14 +15,16 @@ that boot with ``checkpoint_on_boot=False`` (appending to the recovered
 log).  Each boot is gated:
 
 * recovery reaches at least the sequence number that was durable when
-  the child died (acknowledged updates are never lost);
+  the child died (acknowledged updates are never lost), and the report,
+  the router and the store agree on it;
 * probe lookups at the recovered sequence number match the
   :class:`repro.verify.Oracle` trie replayed to the same point; half
   the probes lie under prefixes the trace changes;
 * catching the recovered router up with the remaining trace yields a
   hardware image byte-identical (bidirectional ``HardwareImage.diff``)
   to a golden router rebuilt to the end state — replay converges, it
-  does not drift.
+  does not drift — with the router and the store both at the trace's
+  length.
 
 A boot that *refuses* (``RecoveryError``) is only acceptable while no
 checkpoint had ever been renamed into place — before that there is
@@ -183,7 +185,7 @@ def enumerate_crashpoints(
     """Dry-run the writer, recording every crashpoint it passes.
 
     Returns ``(points, directory)`` where each point is
-    ``(tag, durable_seq, checkpoint_durable)`` — the conservative
+    ``(tag, durable, checkpoint_durable)`` — the conservative
     durable sequence number and whether any checkpoint had been renamed
     into place when that point fired — plus the completed store
     directory (reused as the pristine source for the corruption matrix).
@@ -194,7 +196,7 @@ def enumerate_crashpoints(
     renamed = [False]
 
     def recorder(tag: str) -> None:
-        durable = stores[0].durable_seq if stores else 0
+        durable = stores[0].seq if stores else 0
         points.append((tag, durable, renamed[0]))
         if tag == "ckpt:renamed":
             renamed[0] = True
@@ -312,6 +314,9 @@ def _gate_boot(result: BootResult, workload: _Workload,
     report.duplicates_skipped += boot_report.duplicates_skipped
     try:
         seq = boot_report.seq
+        seqs = (seq, result.router.seq, result.store.seq)
+        if len(set(seqs)) > 1:
+            return f"{context}: report, router and store seqs {seqs}"
         if seq < min_seq:
             report.seq_regressions += 1
             return (f"{context}: recovered seq {seq} below durable "
@@ -332,8 +337,13 @@ def _gate_boot(result: BootResult, workload: _Workload,
                     f"diverge from the oracle at seq {seq}")
         # Catch-up: the remaining trace must drive the recovered FIB to
         # the exact golden end state — replay converges, never drifts.
-        for op in workload.trace()[seq:]:
+        trace = workload.trace()
+        for op in trace[seq:]:
             apply_update(result.router, op)
+        seqs = (result.router.seq, result.store.seq, len(trace))
+        if len(set(seqs)) > 1:
+            return (f"{context}: caught-up router seq, store seq and "
+                    f"trace length {seqs}")
         recovered = HardwareImage.snapshot(result.router.fib.engine)
         forward = golden_final.diff(recovered)
         backward = recovered.diff(golden_final)
@@ -358,7 +368,7 @@ def run_kill_matrix(workload: _Workload, report: CrashReport,
     shutil.rmtree(golden_dir, ignore_errors=True)
     golden_answers, golden_final = _golden_states(workload)
     report.kill_points = len(points)
-    for kill_index, (tag, durable_seq, renamed) in enumerate(points):
+    for kill_index, (tag, durable, renamed) in enumerate(points):
         directory = tempfile.mkdtemp(prefix="chz-crash-kill-")
         try:
             exitcode = _run_killed_writer(directory, workload, kill_index)
@@ -371,7 +381,7 @@ def run_kill_matrix(workload: _Workload, report: CrashReport,
             report.kills_delivered += 1
             failure = _verify_recovery(
                 directory, workload, golden_answers, golden_final,
-                durable_seq, report, context=f"kill {kill_index} ({tag})",
+                durable, report, context=f"kill {kill_index} ({tag})",
             )
             if failure is not None:
                 if "recovery refused" in failure and not renamed:

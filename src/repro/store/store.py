@@ -9,7 +9,8 @@ Directory layout (one store, one writer)::
 
 Write path: every route update journaled by the attached
 :class:`~repro.serve.snapshot.SnapshotRouter` becomes one CRC-framed log
-record, fsynced before the update is acknowledged (``sync=True``).
+record, fsynced before the update is acknowledged (``sync=True``).  The
+router numbers the updates; the store keeps the seq it is handed.
 Checkpoints render a coherent (compiled image, pickled FIB) cut under
 the router's update lock, write it tmp+fsync+rename, rotate to a fresh
 log, and prune old generations.  The ordering — log append →
@@ -35,7 +36,7 @@ from ..obs import LATENCY_BUCKETS, get_registry
 from .checkpoint import fsync_directory, render_checkpoint, write_image
 from .crashpoints import crashpoint
 from .deltalog import DeltaLog
-from .records import ANNOUNCE, WITHDRAW, LogRecord, encode_record
+from .records import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.snapshot import SnapshotRouter
@@ -112,7 +113,6 @@ class SnapshotStore:
         self._log: Optional[DeltaLog] = None
         self._generation = 0
         self._seq = 0
-        self._durable_seq = 0
         self._records_since_checkpoint = 0
         self._closed = False
         registry = get_registry()
@@ -136,36 +136,28 @@ class SnapshotStore:
     @classmethod
     def create(cls, directory: str, router: "SnapshotRouter",
                policy: Optional[CheckpointPolicy] = None,
-               sync: bool = True,
-               seq: int = 0) -> "SnapshotStore":
+               sync: bool = True) -> "SnapshotStore":
         """Initialize a store from a live router and attach its journal.
 
         Works over an empty directory (generation 1) or a damaged one
         being rebuilt (next generation after whatever survives); the
-        first checkpoint captures the router's current serving cut.
-
-        ``seq`` seeds the absolute sequence counter.  A boot that
-        re-checkpoints a recovered router MUST pass the recovered seq:
-        sequence numbers are the cross-generation chaining key, and a
-        reset-to-zero lineage would make every post-boot record look
-        like a stale duplicate if a later recovery falls back past the
-        boot checkpoint.
+        first checkpoint captures the router's current serving cut at
+        the router's seq, which the store then continues from.
         """
         os.makedirs(directory, exist_ok=True)
         sweep_tmp_files(directory)
         store = cls(directory, policy=policy, sync=sync)
         store._router = router
-        store._seq = seq
-        store._durable_seq = seq
         existing = list_generations(directory)
         store._generation = existing[-1] if existing else 0
         store.checkpoint()
-        router.add_journal(store.record_update)
+        store._seq = router.add_journal(store.record_update)
+        store._obs_seq.set(store._seq)
         return store
 
     @classmethod
     def resume(cls, directory: str, router: "SnapshotRouter",
-               generation: int, seq: int, log_valid_length: int,
+               generation: int, log_valid_length: int,
                policy: Optional[CheckpointPolicy] = None,
                sync: bool = True) -> "SnapshotStore":
         """Continue appending to a recovered store (see ``boot``).
@@ -180,45 +172,36 @@ class SnapshotStore:
         store = cls(directory, policy=policy, sync=sync)
         store._router = router
         store._generation = generation
-        store._seq = seq
-        store._durable_seq = seq
         newest = list_generations(directory)
         tail_generation = newest[-1] if newest else generation
         store._log = DeltaLog.open_append(
             log_path(directory, tail_generation), tail_generation,
             log_valid_length, sync=sync,
         )
-        router.add_journal(store.record_update)
+        store._seq = router.add_journal(store.record_update)
         store._obs_generation.set(store._generation)
         store._obs_seq.set(store._seq)
         return store
 
     # -- journal -------------------------------------------------------------
 
-    def record_update(self, op: str, prefix_value: int, prefix_length: int,
-                      gateway: str, interface: str) -> None:
-        """Append one route update to the log (router lock held).
+    def record_update(self, record: LogRecord, payload: bytes) -> None:
+        """Append one numbered route update to the log (router lock held).
 
         Called synchronously by the router's journal hook *after* the
         update applied to the engine: a crash before the append loses
         only the never-acknowledged update; a crash after it is replayed
         on boot.  Both end states equal a golden rebuild of a prefix of
-        the update sequence.
+        the update sequence.  ``seq`` moves to ``record.seq`` only once
+        the append returns, so it never names an update the log lacks.
         """
         if self._closed or self._log is None:
             raise StoreError(f"store {self.directory} is not accepting "
                              f"records (closed or unattached)")
-        self._seq += 1
-        record = LogRecord(
-            op=ANNOUNCE if op == "announce" else WITHDRAW,
-            seq=self._seq, prefix_value=prefix_value,
-            prefix_length=prefix_length, gateway=gateway or "",
-            interface=interface or "",
-        )
         started = time.perf_counter()
-        self._log.append(encode_record(record))
+        self._log.append(payload)
         self._obs_append.observe(time.perf_counter() - started)
-        self._durable_seq = self._seq
+        self._seq = record.seq
         self._records_since_checkpoint += 1
         self._obs_records.inc()
         self._obs_seq.set(self._seq)
@@ -237,7 +220,7 @@ class SnapshotStore:
 
         The cut (compiled image + pickled FIB) is rendered under the
         router's update lock, so it is one coherent serving state at one
-        sequence number (journal appends run under that lock too).
+        sequence number: the router's, read inside the cut.
         Refused while the router is degraded: a checkpoint of
         untrustworthy tables would poison every future boot.
         """
@@ -248,7 +231,7 @@ class SnapshotStore:
         generation = self._generation + 1
         image, healthy = router.persistence_cut(
             lambda snapshot, fib_blob: render_checkpoint(
-                snapshot, generation, self._seq, blobs={"fib": fib_blob}))
+                snapshot, generation, router.seq, blobs={"fib": fib_blob}))
         if not healthy:
             raise StoreError(
                 "checkpoint refused: router is degraded (tables are not "
@@ -292,11 +275,8 @@ class SnapshotStore:
 
     @property
     def seq(self) -> int:
+        """The seq of the last record appended (the router's at attach)."""
         return self._seq
-
-    @property
-    def durable_seq(self) -> int:
-        return self._durable_seq
 
     @property
     def records_since_checkpoint(self) -> int:

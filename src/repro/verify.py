@@ -7,8 +7,7 @@ checks.  They drive the same kind of update trace and judge answers the
 same way, so those pieces live here once:
 
 * :func:`next_hop_for` — the next hop an announce of a trace op installs;
-* :func:`apply_update` — one trace op applied to a router, a FIB or the
-  replication coordinator;
+* :func:`apply_update` — one trace op applied to a router or a FIB;
 * :class:`Oracle` — an exact :class:`BinaryTrie` holding the table plus
   every applied update, which also records the prefixes that changed;
 * :func:`keys_under` — probe keys, half uniform and half under given
@@ -37,7 +36,7 @@ Answer = Optional[NextHopInfo]
 
 
 class UpdateTarget(Protocol):
-    """Anything that takes announces and withdraws: router, FIB, writer."""
+    """Anything that takes announces and withdraws: a router or a FIB."""
 
     def announce(self, prefix: Prefix, gateway: str,
                  interface: str) -> object: ...

@@ -54,7 +54,7 @@ def test_crashpoint_enumeration_covers_log_and_checkpoint_boundaries():
                      "ckpt:dir-durable", "ckpt:log-rotated",
                      "ckpt:pruned"):
         assert expected in tags, f"crashpoint {expected} never fired"
-    # durable_seq is monotonic along the trace — the conservative floor
+    # The durable seq is monotonic along the trace — the conservative floor
     # the recovery gate compares against never moves backwards.
     durables = [durable for _tag, durable, _renamed in points]
     assert durables == sorted(durables)

@@ -33,6 +33,7 @@ from repro.replicate import (
     canonical_image,
     run_replicate,
 )
+from repro.replicate import coordinator as coordinator_module
 from repro.replicate import wire
 from repro.replicate.harness import HarnessError
 from repro.replicate.replica import (
@@ -43,7 +44,7 @@ from repro.replicate.replica import (
 )
 from repro.replicate.state import canonical_fib
 from repro.serve import SnapshotRouter
-from repro.store import SnapshotStore
+from repro.store import CheckpointPolicy, SnapshotStore, cold_start
 from repro.store.records import (
     ANNOUNCE,
     WITHDRAW,
@@ -112,6 +113,9 @@ def test_wire_rejects_damage():
     with pytest.raises(wire.WireError):
         # HELLO truncated mid-varint.
         wire.decode_message(bytes([wire.MSG_HELLO, 0x80]))
+    with pytest.raises(wire.WireError):
+        # WELCOME has two modes, stream (0) and diverged (1).
+        wire.decode_message(bytes([wire.MSG_WELCOME, 5, 2]))
 
 
 class _WriteLog:
@@ -278,48 +282,109 @@ def _flip_a_gateway_byte(data):
         + data[position + 1:]
 
 
-#: What a replica may find in its state file, and whether it is refused.
+def _wrong_routes(data):
+    """A valid file at the same seq that lost one route and gained a
+    phantom: nothing refuses it, only the writer's checksum tells."""
+    ledger, base_seq = decode_state(data, 32)
+    ledger.remove(ledger.sorted_entries()[0].key)
+    phantom = RouteEntry(0xC6336401, 32, "10.255.0.1", "eth9", base_seq)
+    assert ledger.get(phantom.key) is None
+    ledger.set_entry(phantom)
+    return encode_state(ledger, base_seq)
+
+
+#: What a replica may find in its state file: whether it is refused, and
+#: the IBLT rounds that heal it.  A refused file boots from the table at
+#: seq 0, which the writer's journal holds, so the stream catches it up.
 STATE_FILES = {
-    "intact": (lambda good: good, 0),
-    "pickled-int": (lambda good: pickle.dumps(5), 1),
-    "two-field-row": (lambda good: pickle.dumps((32, 0, [(0, 8)])), 1),
-    "truncated": (lambda good: good[:len(good) // 2], 1),
-    "garbage": (lambda good: random.Random(3).randbytes(len(good)), 1),
-    "flipped-body-byte": (_flip_a_gateway_byte, 1),
+    "intact": (lambda good: good, 0, 0),
+    "pickled-int": (lambda good: pickle.dumps(5), 1, 0),
+    "two-field-row": (lambda good: pickle.dumps((32, 0, [(0, 8)])), 1, 0),
+    "truncated": (lambda good: good[:len(good) // 2], 1, 0),
+    "garbage": (lambda good: random.Random(3).randbytes(len(good)), 1, 0),
+    "flipped-body-byte": (_flip_a_gateway_byte, 1, 0),
     # Version 1 (records with a word-delta flag byte) is refused whole.
-    "format-1": (lambda good: b"chzledg1" + good[8:], 1),
+    "format-1": (lambda good: b"chzledg1" + good[8:], 1, 0),
+    "wrong-routes": (_wrong_routes, 0, 1),
 }
+
+
+def _wait_converged(handle, writer, seconds=30):
+    """Poll the replica until its seq and checksum equal the writer's."""
+    deadline = time.monotonic() + seconds
+    while True:
+        status = handle.status()
+        if (status["seq"], status["checksum"]) == (
+                writer.seq, writer.ledger.checksum):
+            return status
+        assert time.monotonic() < deadline, status
+        time.sleep(0.02)
 
 
 @pytest.mark.parametrize("case", list(STATE_FILES))
 def test_replica_boots_from_any_state_file_and_converges(tmp_path, case):
     """A damaged state file reads as no state: the replica boots from the
     table, counts the refusal, and catches up from the writer until its
-    STATUS seq and checksum equal the writer's."""
+    STATUS seq and checksum equal the writer's.  A valid file holding
+    the wrong routes is not refused: one IBLT round heals it."""
     table = synthetic_table(120, seed=13)
     config = _config(table)
     fib, ledger = bootstrap(table, config)
-    writer = ReplicationCoordinator(SnapshotRouter(fib), ledger, config)
+    router = SnapshotRouter(fib)
+    writer = ReplicationCoordinator(router, ledger, config)
     port = writer.listen()
     handle = ReplicaHandle(0, port, table, config, str(tmp_path),
                            status_interval=0.02, scrub_interval=60.0)
-    damage, refused = STATE_FILES[case]
+    damage, refused, recons = STATE_FILES[case]
     try:
+        writer.start()
         for op in synthesize_trace(table, 30, seed=13):
-            apply_update(writer, op)
+            apply_update(router, op)
+        assert writer.seq == 30
         state = damage(encode_state(writer.ledger, writer.seq))
         (tmp_path / _STATE_FILE).write_bytes(state)
         handle.spawn()
-        writer.start()
-        deadline = time.monotonic() + 30
-        while True:
-            status = handle.status()
-            if (status["seq"], status["checksum"]) == (
-                    writer.seq, writer.ledger.checksum):
-                break
-            assert time.monotonic() < deadline, status
-            time.sleep(0.02)
+        status = _wait_converged(handle, writer)
         assert status["state_rejected"] == refused
+        assert (writer.recon_sessions, writer.resyncs) == (recons, 0)
+    finally:
+        handle.stop()
+        writer.stop()
+
+
+def test_replica_from_an_earlier_writer_ahead_of_this_one_converges(
+        tmp_path):
+    """A state file an earlier writer left at seq 60, against a writer
+    that restarted from the table and is at seq 10: no journal holds
+    seq 60, so the replica reconciles, and the RECON_DONE the writer
+    cannot verify at seq 60 takes the backstop resync."""
+    table = synthetic_table(120, seed=15)
+    config = _config(table)
+    trace = synthesize_trace(table, 60, seed=15)
+    fib, ledger = bootstrap(table, config)
+    earlier = ReplicationCoordinator(SnapshotRouter(fib), ledger, config)
+    earlier.start()
+    for op in trace:
+        apply_update(earlier.router, op)
+    earlier.stop()
+    (tmp_path / _STATE_FILE).write_bytes(
+        encode_state(earlier.ledger, earlier.seq))
+    assert earlier.seq == 60
+
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    writer = ReplicationCoordinator(router, ledger, config)
+    port = writer.listen()
+    handle = ReplicaHandle(0, port, table, config, str(tmp_path),
+                           status_interval=0.02, scrub_interval=60.0)
+    try:
+        writer.start()
+        for op in synthesize_trace(table, 10, seed=16):
+            apply_update(router, op)
+        handle.spawn()
+        status = _wait_converged(handle, writer)
+        assert status["seq"] == 10 and status["state_rejected"] == 0
+        assert writer.recon_sessions >= 1
     finally:
         handle.stop()
         writer.stop()
@@ -416,17 +481,150 @@ def test_journal_wrapper_calls_every_hook(tmp_path):
     seen = []
     inner = router.journal
 
-    def traced(*record):
-        seen.append(record[0])
-        inner(*record)
+    def traced(record, payload):
+        seen.append((record.op, record.seq))
+        inner(record, payload)
 
     router.set_journal(traced)
     try:
         _announce(router, 1)
-        assert (seen, store.seq, writer.seq) == (["announce"], 1, 1)
+        assert (seen, store.seq, writer.seq) == ([(ANNOUNCE, 1)], 1, 1)
     finally:
         writer.stop()
         store.close()
+
+
+def test_writer_continues_from_the_router_seq_at_attach():
+    """The writer's base seq is read when its hook attaches: built before
+    its router applied 12 updates and started after them, it reports
+    seq 12, streams from there, and journals seq 13 next."""
+    table = synthetic_table(120, seed=24)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    writer = ReplicationCoordinator(router, ledger, config)
+
+    def follow(record, _payload):
+        ledger.apply(record)
+
+    router.add_journal(follow)
+    for octet in range(12):
+        _announce(router, octet)
+    router.remove_journal(follow)
+    port = writer.listen()
+    writer.start()
+    replica = wire.Connection(
+        socket.create_connection(("127.0.0.1", port), timeout=10.0))
+    try:
+        assert writer.seq == router.seq == 12
+        replica.send(wire.encode_hello(wire.Hello(
+            0, 12, ledger.checksum, len(ledger))))
+        assert replica.recv() == (wire.MSG_WELCOME,
+                                  wire.Welcome(12, wire.MODE_STREAM))
+        _announce(router, 12)
+        kind, body = replica.recv()
+        assert kind == wire.MSG_RECORD and decode_record(body).seq == 13
+    finally:
+        replica.close()
+        writer.stop()
+
+
+@pytest.mark.parametrize("checkpoint_on_boot", [True, False])
+def test_cold_start_leaves_one_seq(tmp_path, checkpoint_on_boot):
+    """After a cold start, on both boot paths, the router, the store and
+    the report agree on the seq, and a writer attached then journals the
+    next one first."""
+    table = synthetic_table(120, seed=27)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    directory = str(tmp_path / "store")
+    store = SnapshotStore.create(
+        directory, router, policy=CheckpointPolicy(every_records=8),
+        sync=False)
+
+    def follow(record, _payload):
+        ledger.apply(record)
+
+    router.add_journal(follow)
+    for op in synthesize_trace(table, 30, seed=27):
+        apply_update(router, op)
+        store.maybe_checkpoint()
+    store.close()
+    boot = cold_start(directory, sync=False,
+                      checkpoint_on_boot=checkpoint_on_boot)
+    writer = ReplicationCoordinator(boot.router, ledger, config)
+    try:
+        report = boot.report
+        assert report.updates_replayed > 0
+        assert boot.router.seq == boot.store.seq == report.seq == router.seq
+        writer.start()
+        assert writer.seq == report.seq
+        _announce(boot.router, 1)
+        assert writer.seq == boot.store.seq == report.seq + 1
+        assert writer.status()["journal_records"] == 1
+    finally:
+        writer.stop()
+        boot.store.close()
+        boot.checkpoint.close()
+
+
+def test_journal_keeps_a_fixed_window(monkeypatch):
+    """The writer's journal never holds more than ``_JOURNAL_RECORDS``
+    records; dropping the oldest half moves no seq."""
+    monkeypatch.setattr(coordinator_module, "_JOURNAL_RECORDS", 8)
+    table = synthetic_table(120, seed=25)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    writer = ReplicationCoordinator(router, ledger, config)
+    writer.start()
+    try:
+        held = []
+        for octet in range(200):
+            _announce(router, octet)
+            held.append(writer.status()["journal_records"])
+        assert max(held) <= 8 and min(held[8:]) >= 4
+        assert writer.seq == router.seq == 200
+    finally:
+        writer.stop()
+
+
+def test_replica_behind_the_window_reconciles(tmp_path, monkeypatch):
+    """A replica killed after 20 updates and respawned after 100 more
+    resumes at a seq an 8-record journal no longer holds: it reconciles
+    by IBLT and converges with no resync."""
+    monkeypatch.setattr(coordinator_module, "_JOURNAL_RECORDS", 8)
+    table = synthetic_table(120, seed=26)
+    config = _config(table)
+    fib, ledger = bootstrap(table, config)
+    router = SnapshotRouter(fib)
+    writer = ReplicationCoordinator(router, ledger, config)
+    port = writer.listen()
+    handle = ReplicaHandle(0, port, table, config, str(tmp_path),
+                           status_interval=0.02, scrub_interval=60.0)
+    trace = synthesize_trace(table, 120, seed=26)
+    try:
+        writer.start()
+        handle.spawn()
+        deadline = time.monotonic() + 30
+        while writer.status()["connected"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        for op in trace[:20]:
+            apply_update(router, op)
+        _wait_converged(handle, writer)
+        handle.kill()
+        recons = writer.recon_sessions
+        for op in trace[20:]:
+            apply_update(router, op)
+        handle.spawn()
+        _wait_converged(handle, writer)
+        assert writer.recon_sessions > recons
+        assert writer.resyncs == 0
+    finally:
+        handle.stop()
+        writer.stop()
 
 
 # -- streaming ---------------------------------------------------------------
