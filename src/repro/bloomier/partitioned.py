@@ -7,6 +7,12 @@ update time to 1/d of a monolithic rebuild.  (In hardware the Index Table
 stays one memory and the checksum supplies the top address bits; here each
 group owning its own slot range models the same thing.)
 
+The checksum can supply the top bits of the *value* too.  With ``run``
+set, values are group-local pointers: group g owns the values
+``[g·run, (g+1)·run)``, its words (and its keys' TCAM entries) hold
+``value − g·run`` in ``value_bits`` bits, and a lookup adds ``g·run``
+back.  A pointer then only has to tell apart one group's ``run`` rows.
+
 The spillover TCAM (§4.1) is composed in at this level: keys any group
 setup fails to encode are parked there, and lookups consult it first.
 """
@@ -15,7 +21,9 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..hashing.tabulation import TabulationHash
 from ..obs import get_registry
@@ -47,7 +55,7 @@ class PartitionedBloomierFilter:
     """Collision-free key -> value store with bounded-time dynamic inserts."""
 
     __slots__ = (
-        "capacity", "key_bits", "value_bits", "partitions", "backend",
+        "capacity", "key_bits", "value_bits", "partitions", "run", "backend",
         "_rng", "_groups", "_checksum", "spillover", "_spilled_by_group",
         "rebuild_count", "singleton_insert_count", "_obs_spill_hits",
     )
@@ -65,6 +73,7 @@ class PartitionedBloomierFilter:
         spill_capacity: int = 32,
         max_rehash: int = 8,
         backend: str = "bloomier",
+        run: int = 0,
     ):
         if partitions < 1:
             raise ValueError("need at least one partition")
@@ -72,6 +81,7 @@ class PartitionedBloomierFilter:
         self.key_bits = key_bits
         self.value_bits = value_bits
         self.partitions = partitions
+        self.run = run  # 0: values are stored as given
         self.backend = backend
         self._rng = rng or random.Random(0)
         group_capacity = max(
@@ -109,13 +119,32 @@ class PartitionedBloomierFilter:
         """The log2(d)-bit hash-checksum partition of ``key``."""
         return self._checksum(key) % self.partitions
 
+    def _local(self, group_index: int, value: int) -> int:
+        """``value`` as group ``group_index`` encodes it."""
+        if not self.run:
+            return value
+        local = value - group_index * self.run
+        if not 0 <= local < self.run:
+            raise ValueError(
+                f"pointer {value} lies outside group {group_index}'s run "
+                f"[{group_index * self.run}, {(group_index + 1) * self.run})")
+        return local
+
     # -- bulk setup ------------------------------------------------------------
 
     def setup(self, items: Mapping[int, int]) -> SetupReport:
         """Encode all items from scratch; spilled keys go to the TCAM."""
         buckets: List[Dict[int, int]] = [{} for _ in range(self.partitions)]
         for key, value in items.items():
-            buckets[self.group_of(key)][key] = value
+            group_index = self.group_of(key)
+            buckets[group_index][key] = self._local(group_index, value)
+        return self.setup_groups(buckets)
+
+    def setup_groups(self, buckets: Sequence[Mapping[int, int]]
+                     ) -> SetupReport:
+        """:meth:`setup` from items already split by checksum group, each
+        value as its group encodes it (group-local when ``run`` is set).
+        The report's spilled values are as the TCAM holds them."""
         self.spillover.clear()
         encoded = 0
         rehashes = 0
@@ -134,17 +163,20 @@ class PartitionedBloomierFilter:
 
     def lookup(self, key: int) -> int:
         """The encoded value; garbage for non-members (caller filters)."""
-        spilled = self.spillover.lookup(key)
-        if spilled is not None:
+        group_index = self.group_of(key)
+        value = self.spillover.lookup(key)
+        if value is None:
+            value = self._groups[group_index].lookup(key)
+        else:
             self._obs_spill_hits.inc()
-            return spilled
-        return self._groups[self.group_of(key)].lookup(key)
+        return value + group_index * self.run
 
     # -- dynamic updates -----------------------------------------------------------
 
     def insert(self, key: int, value: int) -> Inserted:
         """Add a key: O(1) when a singleton exists, else rebuild its group."""
         group_index = self.group_of(key)
+        value = self._local(group_index, value)
         group = self._groups[group_index]
         spilled = self._spilled_by_group[group_index]
         if key in spilled:
@@ -265,9 +297,9 @@ class PartitionedBloomierFilter:
         """Shadow-copy read: the true value, or None if absent."""
         group_index = self.group_of(key)
         value = self._groups[group_index].shadow.get(key)
-        if value is not None:
-            return value
-        return self._spilled_by_group[group_index].get(key)
+        if value is None:
+            value = self._spilled_by_group[group_index].get(key)
+        return None if value is None else value + group_index * self.run
 
     @property
     def total_slots(self) -> int:

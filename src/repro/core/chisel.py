@@ -113,9 +113,8 @@ class ChiselLPM:
             # incremental singleton inserts succeeding (§4.4.2).
             originals = sum(len(bucket) for bucket in buckets.values())
             capacity = max(16, int(originals * config.capacity_slack) + 1)
-            subcell = ChiselSubCell(cell_plan, capacity, config, rng)
-            subcell.build(buckets)
-            subcells.append(subcell)
+            subcells.append(
+                ChiselSubCell.built(cell_plan, capacity, buckets, config, rng))
         return cls(config, plan, subcells)
 
     # -- lookup ------------------------------------------------------------------
@@ -155,12 +154,18 @@ class ChiselLPM:
         try:
             kind = subcell.announce(prefix, next_hop)
         except CapacityError:
-            # Out of provisioned Filter/Bit-vector entries: rebuild the
-            # sub-cell at twice the size.  This is a (rare) full re-setup
-            # of one sub-cell, so it is classified as RESETUP.
-            grown = self._grow_subcell(subcell)
-            grown.announce(prefix, next_hop)
+            # Out of provisioned Filter/Bit-vector entries in the route's
+            # group: rebuild the sub-cell at twice the size, and again
+            # should the route's group in the rebuild be full too.  This
+            # is a (rare) full re-setup of one sub-cell: RESETUP.
             kind = UpdateKind.RESETUP
+            while True:
+                subcell = self._grow_subcell(subcell)
+                try:
+                    subcell.announce(prefix, next_hop)
+                    break
+                except CapacityError:
+                    pass
         self._obs_update_kinds[kind].inc()
         return kind
 
@@ -168,8 +173,8 @@ class ChiselLPM:
         """Replace a full sub-cell with a double-capacity rebuild."""
         plan = self.plan.interval_for(subcell.base)
         rng = random.Random(self.config.seed ^ (subcell.capacity << 8))
-        grown = ChiselSubCell(plan, subcell.capacity * 2, self.config, rng)
-        grown.build(subcell.export_buckets())
+        grown = ChiselSubCell.built(plan, subcell.capacity * 2,
+                                    subcell.export_buckets(), self.config, rng)
         # The rebuild rewrites every hardware word of the sub-cell (new
         # Index Table seeds, new pointers, new bit-vectors), so advance
         # the update counter by the rebuild cost on top of the old

@@ -21,7 +21,8 @@ stays cache-resident.
 * **One-pass decode** — every partition group's hash byte-tables are
   concatenated into ``(nb, d·256)`` arrays addressed by
   ``(group << 8) | byte`` and the group Index-Table words into one flat
-  array, so partition routing is part of the gather index.
+  array, so partition routing is part of the gather index.  The words
+  hold group-local pointers (§4.4.2): the decode adds ``group · run``.
 * **Allocation-free pipeline** — every intermediate lives in a
   per-thread scratch pool (grown geometrically, reused across batches).
 
@@ -155,14 +156,15 @@ class _FusedIndex:
     not.  Tabulation entries are drawn with ``out_bits`` just wide
     enough for their segment, and an XOR fold never widens a bit field,
     so the ``num_hashes`` byte tables (plus, for fuse, the start hash's)
-    usually fit as disjoint bit fields of one uint64 table,
-    ``(num_bytes, d·256)``: one gather per key byte decodes every hash,
-    and each unpacks with a shift and a mask.  A family whose fields
-    exceed 64 bits keeps one ``(num_hashes, num_bytes, d·256)`` table per
-    hash.  ``widths`` are the fields' bit widths (from the table maxima,
-    which change only when a group re-setup draws new hashes — a
-    re-plan); ``condsub_ok`` — folded values < 2 * segment for every
-    hash — lets the per-hash modulus run as one conditional subtract.
+    usually fit as disjoint bit fields of one ``(num_bytes, d·256)``
+    table, in the narrowest unsigned dtype that holds them all: one
+    gather per key byte decodes every hash, and each unpacks with a
+    shift and a mask.  A family whose fields exceed 64 bits keeps one
+    ``(num_hashes, num_bytes, d·256)`` uint64 table per hash.
+    ``widths`` are the fields' bit widths (from the table maxima, which
+    change only when a group re-setup draws new hashes — a re-plan);
+    ``condsub_ok`` — folded values < 2 * segment for every hash — lets
+    the per-hash modulus run as one conditional subtract.
     """
 
     __slots__ = (
@@ -187,18 +189,19 @@ class _FusedIndex:
         self.hash_tables = hash_tables
         self.widths = tuple(widths)
         self.packed = hash_tables.ndim == 2
+        # Fields unpack at the hash tables' own dtype.
+        lane = hash_tables.dtype.type
         shifts, position = [], 0
         for width in self.widths:
-            shifts.append(np.uint64(position))
+            shifts.append(lane(position))
             position += width
         self.shifts = tuple(shifts)
-        self.masks = tuple(np.uint64((1 << width) - 1)
-                           for width in self.widths)
+        self.masks = tuple(lane((1 << width) - 1) for width in self.widths)
         # The fuse start hash rides in the packed table unless it has
         # its own byte tables.
         self.start_tables = start_tables
         self.start_range = start_range
-        self.start_shift = (np.uint64(position) if self.packed
+        self.start_shift = (lane(position) if self.packed
                             and kind == "fuse" and start_tables is None
                             else None)
         self.condsub_ok = all(1 << (width - 1) <= segment
@@ -256,7 +259,11 @@ class _FusedIndex:
                 if position + start_width <= 64:
                     packed |= start_tables << np.uint64(position)
                     start_tables = None
-            hash_tables = packed
+                    position += start_width
+            # The per-hash modulus runs at this dtype, so the segment
+            # must fit it too.
+            hash_tables = packed.astype(
+                word_dtype(max(position, segment.bit_length())))
         return cls(kind, num_hashes, num_bytes, num_groups, table, segment,
                    hash_tables, widths, start_tables, start_range)
 
@@ -269,7 +276,7 @@ class FlatSubCellPlan:
     """
 
     __slots__ = (
-        "base", "span", "width", "capacity", "partitions", "checksum",
+        "base", "span", "width", "capacity", "partitions", "run", "checksum",
         "fused", "filters", "bitvectors", "regionptrs", "arena",
         "arena_size", "spill_keys", "spill_values",
     )
@@ -284,6 +291,7 @@ class FlatSubCellPlan:
         plan.capacity = subcell.capacity
         index = subcell.index
         plan.partitions = index.partitions
+        plan.run = subcell.run
         checksum = index.checksum_hash
         key_bytes = (max(1, subcell.base) + 7) // 8
         plan.checksum = np.array(checksum.byte_tables[:key_bytes],
@@ -308,11 +316,15 @@ class FlatSubCellPlan:
         # arena; ``arena_size`` (not the array length) bounds validity.
         plan.arena = _narrow(arena, word_dtype(subcell.config.next_hop_bits),
                              "Result Table", max(len(arena), 1))
+        # The TCAM holds group-local pointers, as the Index words do;
+        # the plan holds them with their group's first row added.
         spill_items = sorted(index.spillover)
         plan.spill_keys = _narrow([key for key, _value in spill_items],
                                   plan.filters.dtype, "spillover key")
-        plan.spill_values = _narrow([value for _key, value in spill_items],
-                                    np.dtype(np.intp), "spillover value")
+        plan.spill_values = _narrow(
+            [value + index.group_of(key) * plan.run
+             for key, value in spill_items],
+            np.dtype(np.intp), "spillover value")
         return plan
 
     @property
@@ -429,9 +441,11 @@ class FlatSubCellPlan:
                 pool: _ScratchPool) -> np.ndarray:
         """Checksum-route and XOR-decode pointers for the whole batch.
 
-        Returns the pointers as an intp array.  Every accumulator starts
-        from its first gather.  ``mode="clip"`` only spares numpy its
-        bounds-checking copy: each index is in range by construction.
+        Returns the pointers as an intp array: each key's XOR of
+        group-local words plus its group's first row, ``group · run``.
+        Every accumulator starts from its first gather.  ``mode="clip"``
+        only spares numpy its bounds-checking copy: each index is in
+        range by construction.
         """
         size = collapsed.size
         fused = self.fused
@@ -477,31 +491,36 @@ class FlatSubCellPlan:
         # buffers (every value is far below 2**63).
         np.multiply(group_of, fused.group_length, out=offsets)
         offsets_u = offsets.view(np.uint64)
-        fields = pool.get("fields", size, np.uint64)
-        word64 = pool.get("word64", size, np.uint64)
+        # Each hash is unpacked and reduced at the hash tables' dtype
+        # (a packed table's is its narrowest), and widens only where it
+        # joins the uint64 slot offsets.
+        lane = fused.hash_tables.dtype
         if fused.packed:
             # One gather per key byte decodes every hash at once: the
             # fields XOR-fold independently (no carries).
-            self._fold(fused.hash_tables, byte_indices, fields, word64)
-        accumulator = pool.get("accumulator", size, np.uint64)
-        segment = np.uint64(fused.segment)
+            fields = pool.get("fields", size, lane)
+            self._fold(fused.hash_tables, byte_indices, fields,
+                       pool.get("fieldword", size, lane))
         if fused.kind == "fuse":
+            start = pool.get("start", size, np.uint64)
             if fused.start_shift is not None:
                 # The start hash is the packed word's top field.
-                np.right_shift(fields, fused.start_shift, out=accumulator)
+                np.right_shift(fields, fused.start_shift, out=start)
             else:
-                self._fold(fused.start_tables, byte_indices, accumulator,
-                           word64)
+                self._fold(fused.start_tables, byte_indices, start,
+                           pool.get("word64", size, np.uint64))
             # The start hash is deliberately wider than its range (the
             # builder pads by 4 bits), so it keeps the true modulus.
-            np.remainder(accumulator, np.uint64(fused.start_range),
-                         out=accumulator)
+            np.remainder(start, np.uint64(fused.start_range), out=start)
             # slot = (start + i) * segment_length + offset_hash: hash i
             # reads the table from i * segment_length on, so the start
             # term joins the group offset once.  The product stays far
             # below 2**64 (tables are megabytes, not exabytes).
-            np.multiply(accumulator, segment, out=accumulator)
-            np.add(offsets_u, accumulator, out=offsets_u)
+            np.multiply(start, np.uint64(fused.segment), out=start)
+            np.add(offsets_u, start, out=offsets_u)
+        accumulator = pool.get("accumulator", size, lane)
+        spare = pool.get("spare", size, lane)
+        segment = lane.type(fused.segment)
         pointers = pool.get("pointers", size, fused.table.dtype)
         word = pool.get("word", size, fused.table.dtype)
         slot = pool.get("slot", size, np.intp)
@@ -515,15 +534,15 @@ class FlatSubCellPlan:
                                out=accumulator)
             else:
                 self._fold(fused.hash_tables[hash_index], byte_indices,
-                           accumulator, word64)
+                           accumulator, spare)
             if fused.kind == "bloomier":
                 if fused.condsub_ok:
                     # Folded hashes are < 2 * segment (out_bits sizing),
                     # so the modulus is one conditional subtract: the
                     # wrapped difference only wins the minimum when the
                     # value was >= segment.
-                    np.subtract(accumulator, segment, out=word64)
-                    np.minimum(accumulator, word64, out=accumulator)
+                    np.subtract(accumulator, segment, out=spare)
+                    np.minimum(accumulator, spare, out=accumulator)
                 else:
                     np.remainder(accumulator, segment, out=accumulator)
             np.add(accumulator, offsets_u, out=slot.view(np.uint64))
@@ -536,6 +555,10 @@ class FlatSubCellPlan:
                                out=decoded if hash_index == last else pointers)
         if last == 0:
             np.copyto(decoded, pointers)
+        if fused.num_groups > 1:
+            # Group g's run of rows starts at g · run.
+            np.multiply(group_of, self.run, out=group_of)
+            np.add(decoded, group_of, out=decoded)
         return decoded
 
     @staticmethod

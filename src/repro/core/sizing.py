@@ -20,8 +20,11 @@ MBIT = 1_000_000
 
 # The Index Table is logically partitioned into d groups (§4.4.2), so the
 # encoded pointer p(t) only needs to address one group's Filter/Bit-vector
-# bank: its width is log2(group capacity), not log2(n).  4096-entry groups
-# match the paper's per-prefix storage (§4.1's ~8 bytes for IPv4).
+# bank: its width is log2(group capacity), not log2(n).  The built engine
+# encodes exactly that: each sub-cell group owns a run of ceil(capacity/d)
+# bucket rows and its Index words hold pointers local to the run
+# (``ChiselSubCell.run``).  4096-entry groups match the paper's per-prefix
+# storage (§4.1's ~8 bytes for IPv4).
 DEFAULT_PARTITION_CAPACITY = 4096
 
 # Next-hop identifiers (pointers into the off-chip next-hop value table).

@@ -4,7 +4,9 @@ A sub-cell owns all prefixes whose length falls in one collapse interval
 ``[base, base + span]``.  Its data path on a lookup is:
 
 1. collapse the key to ``base`` bits and hash it into the Index Table
-   (a partitioned Bloomier filter), XOR-decoding a pointer ``p``;
+   (a partitioned Bloomier filter), XOR-decoding a pointer ``p`` local to
+   the key's checksum group ``g``, which owns rows ``[g·run, (g+1)·run)``
+   (§4.4.2), and adding ``g·run``;
 2. read Filter Table[p] and compare against the collapsed key — a mismatch
    (or the dirty bit) means the key is not present (false positive filtered,
    §4.2) — in parallel with reading Bit-vector Table[p];
@@ -39,6 +41,7 @@ from .bitvector import Bucket, OriginalKey
 from .collapse import SubCellPlan
 from .config import ChiselConfig
 from .events import CapacityError, UpdateKind
+from .sizing import pointer_bits
 
 
 class WriteLog:
@@ -90,7 +93,7 @@ class ChiselSubCell:
     """The tables and shadow state for one collapse interval."""
 
     __slots__ = (
-        "base", "span", "width", "capacity", "config", "pointer_bits",
+        "base", "span", "width", "capacity", "config", "pointer_bits", "run",
         "index", "filter_table", "dirty_table", "bv_table", "region_ptr",
         "region_ptr_shadow", "region_block", "result", "buckets",
         "_free_pointers", "words_written", "log", "_obs_ranks",
@@ -103,19 +106,24 @@ class ChiselSubCell:
         self.width = config.width
         self.capacity = max(1, capacity)
         self.config = config
-        pointer_bits = max(1, (self.capacity - 1).bit_length())
-        self.pointer_bits = pointer_bits
+        self.pointer_bits = pointer_bits(self.capacity)
+        partitions = min(config.partitions, max(1, self.capacity // 64))
+        # A key's checksum group is fixed (§4.4.2), so group g owns the
+        # rows [g·run, (g+1)·run) and its Index words tell apart only
+        # those: log2(run) bits, not log2(capacity).
+        self.run = -(-self.capacity // partitions)
         self.index = PartitionedBloomierFilter(
             capacity=self.capacity,
             key_bits=max(1, self.base),
-            value_bits=pointer_bits,
+            value_bits=pointer_bits(self.run),
             num_hashes=config.num_hashes,
             slots_per_key=config.slots_per_key,
-            partitions=min(config.partitions, max(1, self.capacity // 64)),
+            partitions=partitions,
             backend=config.index_backend,
             rng=rng,
             spill_capacity=config.spill_capacity,
             max_rehash=config.max_rehash,
+            run=self.run,
         )
         # Hardware tables, all of depth `capacity`, addressed by p(t).
         self.filter_table: List[Optional[int]] = [None] * self.capacity
@@ -131,7 +139,12 @@ class ChiselSubCell:
         self.result = BlockAllocator()
         # Shadow software copy (§4.4): collapsed value -> Bucket.
         self.buckets: Dict[int, Bucket] = {}
-        self._free_pointers = list(range(self.capacity - 1, -1, -1))
+        # One free list per group, each popping its lowest row first.
+        self._free_pointers = [
+            list(range(min(self.capacity, start + self.run) - 1, start - 1,
+                       -1))
+            for start in range(0, partitions * self.run, self.run)
+        ]
         self.words_written = 0  # hardware words pushed by incremental updates
         # What those words were, while a serving image tracks this sub-cell.
         self.log: Optional[WriteLog] = None
@@ -142,16 +155,38 @@ class ChiselSubCell:
 
     # -- construction -----------------------------------------------------------
 
+    @classmethod
+    def built(cls, plan: SubCellPlan, capacity: int,
+              bucket_map: Dict[int, Dict[OriginalKey, NextHop]],
+              config: ChiselConfig, rng: random.Random) -> "ChiselSubCell":
+        """A sub-cell holding ``bucket_map``, at ``capacity`` or, should a
+        group's run overfill, at the first doubling where every run fits."""
+        while True:
+            subcell = cls(plan, capacity, config, rng)
+            try:
+                subcell.build(bucket_map)
+            except CapacityError:
+                capacity *= 2
+                continue
+            return subcell
+
     def build(self, bucket_map: Dict[int, Dict[OriginalKey, NextHop]]) -> SetupReport:
-        """Populate all tables from collapsed buckets and run Bloomier setup."""
+        """Populate all tables from collapsed buckets and run Bloomier setup.
+
+        Raises ``CapacityError`` when the buckets overfill the sub-cell
+        or one group's run: build again at a larger capacity.
+        """
         if len(bucket_map) > self.capacity:
             raise CapacityError(
                 f"sub-cell /{self.base}: {len(bucket_map)} collapsed prefixes "
                 f"exceed capacity {self.capacity}"
             )
-        assignments: Dict[int, int] = {}
+        # Each group's keys with their group-local pointers.
+        groups: List[Dict[int, int]] = [{} for _ in self._free_pointers]
+        group_of = self.index.group_of
         for collapsed_value, originals in bucket_map.items():
-            pointer = self._free_pointers.pop()
+            group = group_of(collapsed_value)
+            pointer = self._allocate(group)
             bucket = Bucket(self.base, self.span, pointer)
             bucket.originals.update(originals)
             self.buckets[collapsed_value] = bucket
@@ -159,8 +194,8 @@ class ChiselSubCell:
             # Construction programs the tables wholesale: it is not an
             # update, so nothing is counted or logged.
             self._write_bucket(bucket, fresh=True, update=False)
-            assignments[collapsed_value] = pointer
-        return self.index.setup(assignments)
+            groups[group][collapsed_value] = pointer - group * self.run
+        return self.index.setup_groups(groups)
 
     def __getstate__(self) -> Tuple[None, Dict[str, object]]:
         # The write log belongs to the serving image tracking this
@@ -189,9 +224,18 @@ class ChiselSubCell:
         for name, value in slots.items():
             setattr(self, name, value)
         self.log = None
-        # A pickle written before the columns holds the Bucket map itself.
-        if not isinstance(self.buckets, dict):
+        if "run" in slots:
             self.buckets = self._unpack_buckets(self.buckets)
+            return
+        # Pickled with global bucket pointers (and a Bucket map, not
+        # columns): lay the live buckets out group-local, as a grow does.
+        rebuilt = self.built(
+            SubCellPlan(self.base, self.span), self.capacity,
+            self.export_buckets(), self.config,
+            random.Random(self.config.seed ^ (self.capacity << 8)))
+        for name in self.__slots__:
+            if name != "words_written":
+                setattr(self, name, getattr(rebuilt, name))
 
     def _unpack_buckets(self, columns: Tuple[list, ...]) -> Dict[int, Bucket]:
         """The bucket map from :meth:`__getstate__`'s columns."""
@@ -245,6 +289,16 @@ class ChiselSubCell:
         if len(log.results) + len(log.slots) > self.capacity:
             log.mark("overflow")
 
+    def _allocate(self, group: int) -> int:
+        """A free row in ``group``'s run, or ``CapacityError`` when that
+        run is full."""
+        free = self._free_pointers[group]
+        if not free:
+            raise CapacityError(
+                f"sub-cell /{self.base}: group {group}'s {self.run} rows "
+                f"are full")
+        return free.pop()
+
     # -- hardware table maintenance ------------------------------------------------
 
     def _write_bucket(self, bucket: Bucket, fresh: bool = False,
@@ -290,7 +344,7 @@ class ChiselSubCell:
         self.dirty_table[pointer] = False
         self.bv_table[pointer] = 0
         self.region_block[pointer] = 0
-        self._free_pointers.append(pointer)
+        self._free_pointers[pointer // self.run].append(pointer)
         del self.buckets[collapsed_value]
         # Retirement invalidates the Filter-Table word and clears the
         # bit-vector word: both are hardware writes.  Counting them keeps
@@ -340,9 +394,7 @@ class ChiselSubCell:
             self._write_bucket(bucket)
             return kind
         # New collapsed prefix: needs a table entry and an Index Table add.
-        if not self._free_pointers:
-            raise CapacityError(f"sub-cell /{self.base} is full")
-        pointer = self._free_pointers.pop()
+        pointer = self._allocate(self.index.group_of(collapsed_value))
         bucket = Bucket(self.base, self.span, pointer)
         bucket.add(prefix.length, suffix, next_hop)
         self.buckets[collapsed_value] = bucket

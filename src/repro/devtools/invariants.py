@@ -13,8 +13,10 @@ Invariant catalog (codes mirror the lint rules' style):
   collapsed base first) and the base->sub-cell map is consistent (§4.3.2).
 * **INV101** collision-freeness: every programmed collapsed key XOR-decodes
   through the Index Table to exactly one Filter Table slot holding that
-  same key, pointers are unique, dirty flags agree with the shadow state,
-  and the free-pointer list is disjoint and exhaustive (§4.2).
+  same key (its group-local word plus the group's first row), each
+  pointer lies in its key's group run, pointers are unique, dirty flags
+  agree with the shadow state, and the per-group free lists are disjoint
+  and exhaustive (§4.2, §4.4.2).
 * **INV201** bit-vector semantics: each non-dirty bucket's stored vector
   equals the recomputed expansion coverage of its original routes, every
   set bit's Result Table entry is the next hop of the *longest* covering
@@ -136,6 +138,11 @@ def check_collision_free(subcell: ChiselSubCell, report: InvariantReport) -> Non
                        f"bucket {value:#x} pointer {pointer} outside table "
                        f"depth {subcell.capacity}", base)
             continue
+        group = subcell.index.group_of(value)
+        if pointer // subcell.run != group:
+            report.add("INV101",
+                       f"bucket {value:#x} pointer {pointer} outside its "
+                       f"group {group}'s run of {subcell.run} rows", base)
         if pointer in owners:
             report.add("INV101",
                        f"Filter slot {pointer} owned by both {owners[pointer]:#x} "
@@ -162,10 +169,22 @@ def check_collision_free(subcell: ChiselSubCell, report: InvariantReport) -> Non
                        f"assigned slot {pointer}", base)
         report.bump("keys_decoded")
 
-    free = subcell._free_pointers
-    free_set = set(free)
-    if len(free_set) != len(free):
-        report.add("INV101", "duplicate entries in the free-pointer list", base)
+    free_lists = subcell._free_pointers
+    if len(free_lists) != subcell.index.partitions:
+        report.add("INV101",
+                   f"{len(free_lists)} free lists for "
+                   f"{subcell.index.partitions} groups", base)
+    free_set = set()
+    for group, free in enumerate(free_lists):
+        strays = [row for row in free if row // subcell.run != group]
+        if strays:
+            report.add("INV101",
+                       f"group {group}'s free list holds rows "
+                       f"{sorted(strays)[:8]} outside its run", base)
+        if len(set(free)) != len(free) or free_set & set(free):
+            report.add("INV101",
+                       f"group {group}'s free list repeats a row", base)
+        free_set.update(free)
     taken = set(owners)
     double = free_set & taken
     if double:

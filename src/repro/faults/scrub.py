@@ -139,6 +139,12 @@ def scrub_subcell(subcell: ChiselSubCell) -> ScrubReport:
                 f"{pointer} out of range [0, {subcell.capacity})"
             )
             continue
+        if pointer // subcell.run != subcell.index.group_of(value):
+            report.uncorrectable.append(
+                f"subcell/{subcell.base}: bucket {value:#x} shadow pointer "
+                f"{pointer} outside its group's run"
+            )
+            continue
         if pointer in seen_pointers:
             report.uncorrectable.append(
                 f"subcell/{subcell.base}: buckets {seen_pointers[pointer]:#x} "

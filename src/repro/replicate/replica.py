@@ -345,7 +345,10 @@ class _ReplicaRuntime:
             self.fib.withdraw(Prefix(entry.value, entry.length,
                                      self.ledger.width))
             self.ledger.remove(entry.key)
-        self.seq = max(self.seq, fixups.writer_seq)
+        # The route set is now the writer's at its seq, even when this
+        # replica's own seq ran ahead (a state file an earlier writer
+        # left): naming any other seq in RECON_DONE is unverifiable.
+        self.seq = fixups.writer_seq
         self._persist(rotate_log=True)
         self.reconciling = False
         self.stats["recons"] += 1

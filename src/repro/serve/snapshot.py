@@ -127,6 +127,21 @@ class RecompilePolicy:
     max_age: float = 5.0
 
 
+def _call_every(hooks: Sequence[Callable[..., None]],
+                record: Tuple[object, ...]) -> None:
+    """Call every journal hook with ``record``, then re-raise the first
+    exception any of them raised."""
+    first: Optional[Exception] = None
+    for hook in hooks:
+        try:
+            hook(*record)
+        except Exception as error:
+            if first is None:
+                first = error
+    if first is not None:
+        raise first
+
+
 def _serve_collector(router: "SnapshotRouter"):
     """A registry collector folding ``ServeMetrics`` into ``serve_*`` gauges.
 
@@ -253,10 +268,13 @@ class SnapshotRouter:
         *applies* — announce (healthy, absorbed-retry and degraded
         alike) and effective withdraw — so the journaled order is
         exactly the application order, which is what makes log replay
-        deterministic (see repro.store).  Hooks run in the order added;
-        an exception propagates to the updater: an update that could not
-        be made durable must not be silently acknowledged.  Each
-        consumer (store, replication) removes only its own hook.
+        deterministic (see repro.store).  Hooks run in the order added,
+        every one of them even when an earlier one raises: the router
+        serves the update either way, so a failed store append must not
+        also keep it from the replicas.  The first exception then
+        propagates to the updater: an update that could not be made
+        durable must not be silently acknowledged.  Each consumer
+        (store, replication) removes only its own hook.
         Returns the seq the hook's first record follows.
         """
         with self._lock:
@@ -282,8 +300,7 @@ class SnapshotRouter:
             hooks = self._journals
 
         def journal(*record) -> None:
-            for hook in hooks:
-                hook(*record)
+            _call_every(hooks, record)
 
         return journal if hooks else None
 
@@ -305,9 +322,7 @@ class SnapshotRouter:
         record = records.LogRecord(
             records.ANNOUNCE if op == "announce" else records.WITHDRAW,
             self._seq, prefix.value, prefix.length, gateway, interface)
-        payload = records.encode_record(record)
-        for hook in self._journals:
-            hook(record, payload)
+        _call_every(self._journals, (record, records.encode_record(record)))
 
     def track_changes(self, tracker: WordTracker) -> None:
         """Install the shard plane's word tracker.

@@ -51,9 +51,10 @@ from ..core.batch import BatchLookup
 from ..core.flatpath import RECORD_ARRAYS, FlatSubCellPlan, _FusedIndex
 from ..integrity import IntegrityError
 
-#: Image format 2: geometry-sized bucket arrays with a sentinel entry and
-#: one copy of the hash byte tables.  Format-1 images are refused.
-_MAGIC = "chisel-shard-v2"
+#: Image format 3: geometry-sized bucket arrays with a sentinel entry,
+#: one copy of the hash byte tables packed at their narrowest, and
+#: group-local Index words.  Older images are refused.
+_MAGIC = "chisel-shard-v3"
 
 #: Payload arrays start on 64-byte boundaries (cache-line alignment; also
 #: keeps uint64 views legal regardless of neighbouring array sizes).
@@ -142,6 +143,7 @@ def _flatten_cell(prefix: str, plan: FlatSubCellPlan,
         "span": plan.span,
         "capacity": plan.capacity,
         "partitions": plan.partitions,
+        "run": plan.run,
         "arena_size": plan.arena_size,
         "index_kind": fused.kind,
         "num_hashes": fused.num_hashes,
@@ -420,6 +422,7 @@ class SnapshotImage:
         plan.width = width
         plan.capacity = int(cell_meta["capacity"])  # type: ignore[call-overload]
         plan.partitions = int(cell_meta["partitions"])  # type: ignore[call-overload]
+        plan.run = int(cell_meta["run"])  # type: ignore[call-overload]
         plan.arena_size = int(cell_meta["arena_size"])  # type: ignore[call-overload]
         plan.checksum = self._array(f"{prefix}/checksum")
         kind = str(cell_meta["index_kind"])

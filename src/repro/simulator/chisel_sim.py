@@ -69,7 +69,7 @@ class ChiselSimulator:
             index_banks = [
                 self.memory.add(MemoryBank(
                     f"index/{subcell.base}", segment_depth,
-                    subcell.pointer_bits,
+                    subcell.index.value_bits,
                 ))
                 for _segment in range(segments)
             ]

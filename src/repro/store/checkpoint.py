@@ -51,11 +51,12 @@ from ..shard.codec import (
 )
 from .crashpoints import crashpoint
 
-#: Image format 2, as the shard codec's, beside a FIB blob whose sub-cells
-#: pickle their buckets as columns.  A build that cannot read that blob
-#: wrote ``-v2`` (or ``-v1``, image format 1); both are refused, so an
-#: older build falls back instead of booting a blob it cannot update.
-CHECKPOINT_MAGIC = "chisel-ckpt-v3"
+#: Image format 3, as the shard codec's, beside a FIB blob whose sub-cells
+#: hold group-local bucket pointers and pickle their buckets as columns.
+#: A build that cannot read that blob wrote ``-v3`` (global pointers),
+#: ``-v2`` or ``-v1``; all are refused, so an older checkpoint falls back
+#: instead of booting a blob this build would misread.
+CHECKPOINT_MAGIC = "chisel-ckpt-v4"
 
 #: Bytes of the tmp file flushed before the ``ckpt:tmp-torn`` point.
 _TORN_SPLIT = 4096

@@ -262,10 +262,12 @@ class TestSpillover:
                 base_key | rng.getrandbits(free)]
 
     def _each_spilled(self, engine):
+        """(sub-cell, spill map, key, bucket row) per spilled key; the
+        TCAM holds the row local to the key's group run."""
         for subcell in engine.subcells:
             for spills in subcell.index._spilled_by_group:
-                for value, pointer in list(spills.items()):
-                    yield subcell, spills, value, pointer
+                for value in list(spills):
+                    yield subcell, spills, value, subcell.index.get(value)
 
     def test_spilled_pointer_on_dirty_bucket(self, small_table):
         """A TCAM hit whose bucket was lazily withdrawn (dirty) must be

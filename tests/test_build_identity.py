@@ -24,8 +24,8 @@ from repro.workloads import synthetic_table
 
 #: SHA-256 of :func:`build_digest` over ``synthetic_table(5_000, seed=2006)``.
 PINNED = {
-    "bloomier": "c2c55cfc095a408135c526026f9cce227eac21da0b3c38fb2500c59db557bf2c",
-    "fuse": "2812e6bee92b9fb9164b9ddd3c24262c01fa497689e7f5356e69a01de3fc69f8",
+    "bloomier": "922e4de4be53c83b5747c1ec3b91b58500855ca86729c1b93cfe2ac96fb93d86",
+    "fuse": "fdf3fc45550a5b7c5f1fdede0ea24a1aee2db5bb0b4f6cf171b2f71399ddd87b",
 }
 
 

@@ -185,7 +185,8 @@ class TestCodecFlatRoundtrip:
 
 
     def test_format_1_segment_refused(self):
-        """A segment of image format 1 is refused with the typed error."""
+        """A segment of image format 1, or of format 2 (global bucket
+        pointers), is refused with the typed error."""
         from multiprocessing import shared_memory
 
         from repro.shard.codec import (
@@ -197,18 +198,17 @@ class TestCodecFlatRoundtrip:
 
         engine = build_engine("bloomier", synthetic_table(300, seed=41),
                               seed=41)
-        encoded = encode_image(BatchLookup(engine), 1,
-                               magic="chisel-shard-v1")
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=encoded.total_size)
-        try:
-            write_image_into(segment.buf, encoded)
-            with pytest.raises(SnapshotIntegrityError,
-                               match="chisel-shard-v1"):
-                SharedSnapshot.attach(segment.name)
-        finally:
-            segment.close()
-            segment.unlink()
+        for magic in ("chisel-shard-v1", "chisel-shard-v2"):
+            encoded = encode_image(BatchLookup(engine), 1, magic=magic)
+            segment = shared_memory.SharedMemory(create=True,
+                                                 size=encoded.total_size)
+            try:
+                write_image_into(segment.buf, encoded)
+                with pytest.raises(SnapshotIntegrityError, match=magic):
+                    SharedSnapshot.attach(segment.name)
+            finally:
+                segment.close()
+                segment.unlink()
 
 
 class TestRecordFaults:

@@ -356,8 +356,9 @@ def test_replica_from_an_earlier_writer_ahead_of_this_one_converges(
         tmp_path):
     """A state file an earlier writer left at seq 60, against a writer
     that restarted from the table and is at seq 10: no journal holds
-    seq 60, so the replica reconciles, and the RECON_DONE the writer
-    cannot verify at seq 60 takes the backstop resync."""
+    seq 60, so the replica reconciles once, takes the writer's seq with
+    the fix-ups, and converges with no resync: the replica receives
+    fewer bytes than a checkpoint."""
     table = synthetic_table(120, seed=15)
     config = _config(table)
     trace = synthesize_trace(table, 60, seed=15)
@@ -384,7 +385,8 @@ def test_replica_from_an_earlier_writer_ahead_of_this_one_converges(
         handle.spawn()
         status = _wait_converged(handle, writer)
         assert status["seq"] == 10 and status["state_rejected"] == 0
-        assert writer.recon_sessions >= 1
+        assert (writer.recon_sessions, writer.resyncs) == (1, 0)
+        assert writer.traffic()["bytes_sent"] < writer.checkpoint_bytes()
     finally:
         handle.stop()
         writer.stop()
@@ -489,6 +491,37 @@ def test_journal_wrapper_calls_every_hook(tmp_path):
     try:
         _announce(router, 1)
         assert (seen, store.seq, writer.seq) == ([(ANNOUNCE, 1)], 1, 1)
+    finally:
+        writer.stop()
+        store.close()
+
+
+def test_a_failed_store_append_still_reaches_the_writer(tmp_path,
+                                                        monkeypatch):
+    """The store's append raises once (a full disk): the caller gets the
+    error, and the writer journals that update all the same, since the
+    router serves it.  Its journal holds every seq, its seq is the
+    router's, and its ledger has the route, so replicas get it too."""
+    _table, router, store, writer = _journaled_pair(tmp_path, seed=20)
+    append = store._log.append
+    calls = []
+
+    def full_disk_once(payload):
+        calls.append(payload)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        append(payload)
+
+    monkeypatch.setattr(store._log, "append", full_disk_once)
+    try:
+        _announce(router, 1)
+        with pytest.raises(OSError, match="No space"):
+            _announce(router, 2)
+        _announce(router, 3)
+        assert [entry[0] for entry in writer._journal] == [1, 2, 3]
+        assert writer.seq == router.seq == 3
+        route = Prefix.from_string("198.18.2.0/24")
+        assert writer.ledger.get((route.value, route.length)) is not None
     finally:
         writer.stop()
         store.close()

@@ -374,7 +374,7 @@ class TestCheckpoint:
         path, _router = self._checkpointed(store_dir)
         with open(path, "rb") as handle:
             blob = handle.read(4096)
-        offset = blob.find(b"uint64")
+        offset = blob.find(b"uint")
         assert offset > 0
         flip_file_bit(path, offset + 1, 2)
         with pytest.raises(CheckpointCorruptError):
@@ -457,8 +457,9 @@ class TestCheckpoint:
 
     def test_format_1_checkpoint_refused(self, store_dir):
         """A checkpoint of image format 1 (64-bit tables, 64-byte record
-        rows) or of a build whose FIB blob pickled bucket objects (v2)
-        is refused with the typed error, never served."""
+        rows), of a build whose FIB blob pickled bucket objects (v2) or
+        of one with global bucket pointers (v3) is refused with the
+        typed error, never served."""
         _table, router = build_router()
         path = os.path.join(store_dir, "checkpoint-00000001.chz")
         image, healthy = router.persistence_cut(
@@ -466,8 +467,9 @@ class TestCheckpoint:
                 snapshot, generation=1, seq=0, blobs={"fib": fib_blob}))
         assert healthy
         marker = CHECKPOINT_MAGIC.encode()
-        assert CHECKPOINT_MAGIC.endswith("-v3")
-        for magic in (b"chisel-ckpt-v1", b"chisel-ckpt-v2"):
+        assert CHECKPOINT_MAGIC.endswith("-v4")
+        for magic in (b"chisel-ckpt-v1", b"chisel-ckpt-v2",
+                      b"chisel-ckpt-v3"):
             old = bytearray(image)
             start = bytes(old).index(marker)
             old[start:start + len(marker)] = magic
@@ -647,8 +649,8 @@ class TestStoreIntegration:
 
     def test_older_build_checkpoint_takes_the_fallback_path(self,
                                                             store_dir):
-        """A checkpoint stamped ``chisel-ckpt-v2`` (a build that pickled
-        bucket objects) is refused at boot: the generation falls back,
+        """A checkpoint stamped ``chisel-ckpt-v3`` (a build with global
+        bucket pointers) is refused at boot: the generation falls back,
         and with none left boot recompiles from ``bootstrap`` or raises
         ``RecoveryError``."""
         table, router = build_router()
@@ -661,26 +663,26 @@ class TestStoreIntegration:
         generations = list_generations(store_dir)
         assert len(generations) >= 2
 
-        def stamp_v2(generation):
+        def stamp_v3(generation):
             path = checkpoint_path(store_dir, generation)
             with open(path, "rb") as handle:
                 data = handle.read()
             with open(path, "wb") as handle:
                 handle.write(data.replace(CHECKPOINT_MAGIC.encode(),
-                                          b"chisel-ckpt-v2", 1))
+                                          b"chisel-ckpt-v3", 1))
 
-        stamp_v2(generations[-1])
+        stamp_v3(generations[-1])
         result = cold_start(store_dir, checkpoint_on_boot=False)
         assert result.report.fallbacks == 1
-        assert "chisel-ckpt-v2" in result.report.rejected[0]
+        assert "chisel-ckpt-v3" in result.report.rejected[0]
         assert result.report.seq == total
         keys = [int(key) for key in
                 np.random.default_rng(7).integers(0, 2**32, size=300)]
         assert_identical(result.router, golden_replay(table, ops), keys)
         result.store.close()
         for generation in generations[:-1]:
-            stamp_v2(generation)
-        with pytest.raises(RecoveryError, match="chisel-ckpt-v2"):
+            stamp_v3(generation)
+        with pytest.raises(RecoveryError, match="chisel-ckpt-v3"):
             cold_start(store_dir, retries=1, backoff=0.0)
         result = cold_start(store_dir, retries=1, backoff=0.0,
                             bootstrap=table)
